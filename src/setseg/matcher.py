@@ -2,10 +2,14 @@
 
 The model emits a fixed number of queries while images carry a variable
 number of ground-truth segments, so the real cost block is rectangular
-[N, n_queries]. The solver wants a square matrix: padded rows/columns all
+[N, n_queries]. The documented contract is square: padded rows/columns all
 carry a constant cost strictly above every real entry, so no padded cell can
 ever displace a real optimum and totals restricted to real rows are
-unchanged. Differential testing compares totals (and, when unique, the
+unchanged. Since every padded row costs the same in every column, the
+padded optimum restricted to the real rows is an optimum of the rectangular
+block alone, so ``hungarian`` solves only the N real rows: one shortest
+augmenting path per real row, O(N^2 * n_queries), with the padding never
+touched. Differential testing compares totals (and, when unique, the
 matching itself) against exhaustive enumeration of injections.
 """
 
@@ -136,59 +140,67 @@ def pad_square(real_costs: np.ndarray, n_queries: int | None = None) -> CostMatr
     return CostMatrix(values, n, MatcherWeights(), pad)
 
 
-def _solve_square(a: np.ndarray) -> np.ndarray:
-    """Min-cost perfect matching via shortest augmenting paths with potentials.
+def _solve_rows(a: np.ndarray) -> np.ndarray:
+    """Min-cost injection of the rows of a [N, n_q] block (N <= n_q) into columns.
 
-    Deterministic: argmin picks the lowest-index column, so ties always break
-    toward lower indices. Returns the matched column for each row.
+    Shortest augmenting paths with potentials, one augmentation per row
+    (Jonker & Volgenant 1987; Crouse 2016). Only columns outside the current
+    search tree are relaxed, so ``way`` stays a tree and every path rebuild
+    ends at the virtual column 0. Both loops are bounded by n_q + 1
+    iterations and raise ``MatcherError`` rather than spin. Deterministic:
+    argmin picks the lowest-index column, so ties always break toward lower
+    indices. Returns the matched column for each row.
     """
-    n = a.shape[0]
+    n, m = a.shape
     inf = np.inf
     u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    row_for_col = np.zeros(n + 1, dtype=np.int64)   # 1-based; 0 = unmatched
-    way = np.zeros(n + 1, dtype=np.int64)
+    v = np.zeros(m + 1)
+    row_for_col = np.zeros(m + 1, dtype=np.int64)   # 1-based; 0 = unmatched
+    way = np.zeros(m + 1, dtype=np.int64)
     for i in range(1, n + 1):
         row_for_col[0] = i
         j0 = 0
-        minv = np.full(n + 1, inf)
-        work = np.full(n + 1, inf)                   # minv with used columns masked
-        used = []
-        while True:
-            work[j0] = inf
-            used.append(j0)
+        minv = np.full(m + 1, inf)
+        used = np.zeros(m + 1, dtype=bool)
+        for _ in range(m + 1):
+            used[j0] = True
             i0 = row_for_col[j0]
-            cur = a[i0 - 1, :] - u[i0] - v[1:]
-            better = cur < minv[1:]
-            if better.any():
-                idx = np.nonzero(better)[0] + 1
-                minv[idx] = cur[idx - 1]
-                way[idx] = j0
-                np.minimum(work[1:], minv[1:], out=work[1:])
-                work[np.asarray(used)] = inf
+            free = ~used
+            cur = a[i0 - 1] - u[i0] - v[1:]
+            better = free[1:] & (cur < minv[1:])
+            idx = np.nonzero(better)[0] + 1
+            minv[idx] = cur[idx - 1]
+            way[idx] = j0
+            work = np.where(free, minv, inf)
             j1 = int(np.argmin(work))
             delta = work[j1]
-            ju = np.asarray(used)
-            u[row_for_col[ju]] += delta
-            v[ju] -= delta
-            minv[1:] -= delta
-            work[1:] -= delta
-            work[ju] = inf
+            u[row_for_col[used]] += delta
+            v[used] -= delta
+            minv[free] -= delta
             j0 = j1
             if row_for_col[j0] == 0:
                 break
-        while j0 != 0:
+        else:
+            raise MatcherError(f"row {i}: no augmenting path within {m + 1} steps")
+        for _ in range(m + 1):
             j1 = way[j0]
             row_for_col[j0] = row_for_col[j1]
             j0 = j1
+            if j0 == 0:
+                break
+        else:
+            raise MatcherError(f"row {i}: path rebuild did not reach the root")
+    cols = np.nonzero(row_for_col[1:])[0]
     col_for_row = np.zeros(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        col_for_row[row_for_col[j] - 1] = j - 1
+    col_for_row[row_for_col[cols + 1] - 1] = cols
     return col_for_row
 
 
 def hungarian(costs) -> Assignment:
-    """Optimal assignment on a square cost matrix, restricted to real rows."""
+    """Optimal assignment on a square cost matrix, restricted to real rows.
+
+    Only the real rows are solved; the padded rows never enter the search.
+    """
     if isinstance(costs, CostMatrix):
         values, real_rows = costs.values, costs.real_rows
     else:
@@ -196,12 +208,9 @@ def hungarian(costs) -> Assignment:
         real_rows = values.shape[0]
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ContractError(f"hungarian requires a square matrix, got {values.shape}")
-    if values.size and not np.isfinite(values).all():
+    if not np.isfinite(values).all():
         raise ContractError("hungarian requires finite costs")
-    if values.size == 0:
-        return Assignment(np.zeros(0, dtype=np.int64), 0.0)
-    col_for_row = _solve_square(values)
-    query_for_gt = col_for_row[:real_rows]
+    query_for_gt = _solve_rows(values[:real_rows])
     total = float(values[np.arange(real_rows), query_for_gt].sum())
     return Assignment(query_for_gt, total)
 

@@ -277,7 +277,15 @@ def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
                 f"non-finite loss at step {step} (batch images {batch_data.image_ids}); "
                 f"diagnostics in {out_dir / 'nan_batch.txt'}"
             )
-        clip_gradients(model.params, cfg.trainer.grad_clip_norm)
+        grad_norm = clip_gradients(model.params, cfg.trainer.grad_clip_norm)
+        if not math.isfinite(grad_norm):
+            # NaN > max_norm is False, so clipping alone would let NaN reach the update
+            _dump_nan_diagnostics(out_dir, step, batch_data, detail=f"grad norm {grad_norm}")
+            raise TrainError(
+                f"non-finite gradient norm at step {step} "
+                f"(batch images {batch_data.image_ids}); "
+                f"diagnostics in {out_dir / 'nan_batch.txt'}"
+            )
         optimizer.step()
         rows.append((step, cls_v, focal_v, dice_v, total_v))
         if cfg.trainer.checkpoint_every > 0 and (step + 1) % cfg.trainer.checkpoint_every == 0:

@@ -268,16 +268,38 @@ def check_loss_fixtures(cfg: RunConfig) -> CheckResult:
     return CheckResult("loss unit fixtures", not failures, worst, "; ".join(failures))
 
 
+COST_KINDS = ("uniform", "duplicated_columns", "integer", "shared_row")
+
+
+def cost_block(rng, kind: str, n: int, n_q: int) -> np.ndarray:
+    """A random [n, n_q] real cost block of one of ``COST_KINDS``.
+
+    Besides uniform costs, three near-tie shapes like an untrained model's:
+    columns repeated verbatim, integer costs in {0, 1, 2}, and rows that are
+    one shared base row plus 1e-12 noise.
+    """
+    if kind == "uniform":
+        return rng.random((n, n_q))
+    if kind == "duplicated_columns":
+        return rng.random((n, n_q))[:, rng.integers(0, max(1, n_q // 2), n_q)]
+    if kind == "integer":
+        return rng.integers(0, 3, (n, n_q)).astype(np.float64)
+    if kind == "shared_row":
+        return rng.random(n_q) + 1e-12 * rng.random((n, n_q))
+    raise ValueError(f"unknown cost kind {kind!r}")
+
+
 def check_matcher_differential(cfg: RunConfig) -> CheckResult:
     rng = np.random.default_rng(2)
     worst = 0.0
-    for _ in range(200):
-        n_q = int(rng.integers(1, 9))
-        n = int(rng.integers(1, n_q + 1))
-        real = rng.random((n, n_q))
-        got = hungarian(pad_square(real, n_q)).total_real_cost
-        want = brute_force_match(real).total_real_cost
-        worst = max(worst, abs(got - want))
+    for kind in COST_KINDS:
+        for _ in range(200 if kind == "uniform" else 50):
+            n_q = int(rng.integers(1, 9))
+            n = int(rng.integers(1, n_q + 1))
+            real = cost_block(rng, kind, n, n_q)
+            got = hungarian(pad_square(real, n_q)).total_real_cost
+            want = brute_force_match(real).total_real_cost
+            worst = max(worst, abs(got - want))
     return CheckResult("matcher differential suite", worst == 0.0, worst)
 
 

@@ -4,13 +4,32 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from setseg import matcher
+from setseg import matcher, synth
+from setseg.config import load_config
 from setseg.losses import LossConfig, dice_loss, focal_loss
 from setseg.matcher import (
     MatcherWeights, brute_force_match, build_cost_matrix, hungarian, pad_square,
 )
+from setseg.model import MaskClassificationModel
 from setseg.pipeline import TargetSet
-from setseg.tensor import ContractError, Tensor
+from setseg.tensor import ContractError, Tensor, no_grad
+from setseg.trainer import assemble_batch, ingest, load_entries
+from setseg.verify import COST_KINDS, cost_block
+
+README_TOY_CFG = """\
+parser.target_size = 64
+parser.crop_sizes = 32,48,56
+model.input_size = 64
+model.n_queries = 16
+model.hidden_size = 64
+model.backbone_channels = 64
+model.num_encoder_layers = 2
+model.num_decoder_layers = 2
+model.num_heads = 4
+trainer.steps = 300
+trainer.learning_rate = 1e-3
+seed = 5
+"""
 
 
 def random_outputs(rng, n_q, k, h, w):
@@ -125,6 +144,25 @@ class TestHungarian:
             want = brute_force_match(real)
             assert got.total_real_cost == pytest.approx(want.total_real_cost, abs=1e-12)
 
+    def test_untrained_model_near_ties_terminate(self, tmp_path):
+        # README toy setup on synth seed 11, image 2 of batch 1: a 16x16
+        # matrix with 4 near-tied real rows on which relaxing columns already
+        # in the search tree makes the path rebuild cycle forever
+        ann = synth.synth(200, tmp_path / "raw", seed=11)
+        ingest(ann, 4, tmp_path / "shards")
+        (tmp_path / "toy.cfg").write_text(README_TOY_CFG)
+        cfg = load_config(tmp_path / "toy.cfg")
+        model = MaskClassificationModel(cfg.model)
+        batch_data = assemble_batch(load_entries(tmp_path / "shards"), cfg, 1)
+        with no_grad():
+            outputs = model.forward(batch_data.images)
+        cm = build_cost_matrix(outputs, batch_data.target_sets[2], cfg.matcher,
+                               batch_data.valid_masks[2], cfg.losses, batch_index=2)
+        assert cm.values.shape == (16, 16) and cm.real_rows == 4
+        got = hungarian(cm)
+        assert list(got.query_for_gt) == [2, 0, 6, 11]
+        assert got.total_real_cost == 10.409365105931299
+
     def test_non_square_rejected(self):
         with pytest.raises(ContractError):
             hungarian(np.zeros((2, 3)))
@@ -158,17 +196,31 @@ class TestBruteForce:
 class TestEquivalence:
     def test_square_padded_equals_brute_force_on_200_matrices(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            n_q = int(rng.integers(1, 9))
-            n = int(rng.integers(1, n_q + 1))
-            real = rng.random((n, n_q))
-            got = hungarian(pad_square(real, n_q))
-            want = brute_force_match(real)
-            assert got.total_real_cost == want.total_real_cost
-            # unique optimum -> identical matching (ties compare by cost only)
-            second_best = _second_best_total(real)
-            if second_best is None or second_best > want.total_real_cost + 1e-9:
-                assert list(got.query_for_gt) == list(want.query_for_gt)
+        for kind in COST_KINDS:
+            for _ in range(200 if kind == "uniform" else 50):
+                n_q = int(rng.integers(1, 9))
+                n = int(rng.integers(1, n_q + 1))
+                real = cost_block(rng, kind, n, n_q)
+                got = hungarian(pad_square(real, n_q))
+                want = brute_force_match(real)
+                assert got.total_real_cost == want.total_real_cost, kind
+                # unique optimum -> identical matching (ties compare by cost only)
+                second_best = _second_best_total(real)
+                if second_best is None or second_best > want.total_real_cost + 1e-9:
+                    assert list(got.query_for_gt) == list(want.query_for_gt)
+
+    def test_100_queries_equal_scipy(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(9)
+        for kind in COST_KINDS:
+            for _ in range(25):
+                n = int(rng.integers(1, 31))
+                real = cost_block(rng, kind, n, 100)
+                got = hungarian(pad_square(real, 100))
+                rows, cols = optimize.linear_sum_assignment(real)
+                assert len(set(got.query_for_gt.tolist())) == n
+                assert got.total_real_cost == pytest.approx(real[rows, cols].sum(),
+                                                            rel=1e-12, abs=1e-12), kind
 
     def test_pad_neutrality(self):
         rng = np.random.default_rng(6)

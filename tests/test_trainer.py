@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from setseg import synth
+from setseg import synth, trainer
 from setseg.config import RunConfig
 from setseg.pipeline import PipelineError
 from setseg.profiler import STAGES, profile_run
@@ -92,6 +92,21 @@ class TestTrain:
             train(cfg, shard_dir, tmp_path / "nan")
         assert "batch images" in str(err.value)
         assert (tmp_path / "nan" / "nan_batch.txt").exists()
+
+    def test_nan_gradient_aborts_with_batch_id(self, shard_dir, tmp_path, monkeypatch):
+        real_step = trainer.train_step
+
+        def step_with_nan_grad(model, batch_data, cfg):
+            result = real_step(model, batch_data, cfg)
+            next(iter(model.params.values())).grad[...] = np.nan
+            return result
+
+        monkeypatch.setattr(trainer, "train_step", step_with_nan_grad)
+        with pytest.raises(TrainError) as err:
+            train(toy_run_config(), shard_dir, tmp_path / "nan_grad")
+        assert "gradient norm at step 0" in str(err.value)
+        assert "batch images" in str(err.value)
+        assert (tmp_path / "nan_grad" / "nan_batch.txt").read_text().startswith("step 0\n")
 
     def test_sgd_optimizer_path(self, shard_dir, tmp_path):
         cfg = toy_run_config(optimizer="sgd", steps=2)
