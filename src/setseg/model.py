@@ -1,10 +1,10 @@
 """Toy mask-classification network preserving the full-scale shape contracts.
 
 Stages: a five-stage strided conv backbone stub (stride 32), a pixel decoder
-(transformer encoder over the stride-32 grid plus three upsample+conv stages
-back to stride 4), a transformer decoder over learned queries, and heads
-producing per-query mask logits [B, N_q, H/4, W/4] and class logits
-[B, N_q, K+1].
+(transformer encoder over the stride-32 grid plus three fused nearest-2x
+upsample + 3x3 conv stages back to stride 4), a transformer decoder over
+learned queries, and heads producing per-query mask logits
+[B, N_q, H/4, W/4] and class logits [B, N_q, K+1].
 
 Checkpoint format: for each parameter, u16-LE name length, UTF-8 name,
 u8 rank, u32-LE dims, f32-LE data.
@@ -147,9 +147,9 @@ class MaskClassificationModel:
     def _norm(self, x, prefix):
         return T.layer_norm(x, self.params[f"{prefix}.scale"], self.params[f"{prefix}.shift"])
 
-    def _conv_stage(self, x, prefix, stride):
+    def _conv_stage(self, x, prefix):
         x = T.conv2d(x, self.params[f"{prefix}.conv.w"], self.params[f"{prefix}.conv.b"],
-                     stride=stride, padding=1)
+                     stride=2, padding=1)
         return T.relu(self._norm(x, f"{prefix}.norm"))
 
     def _attn(self, x, kv, prefix):
@@ -179,7 +179,7 @@ class MaskClassificationModel:
             raise ConfigError(f"input spatial dims {image.shape} not divisible by 32")
         x = image
         for i in range(5):
-            x = self._conv_stage(x, f"backbone.stage{i}", stride=2)
+            x = self._conv_stage(x, f"backbone.stage{i}")
         return x
 
     def _pos_tokens(self, h, w, batch):
@@ -204,8 +204,9 @@ class MaskClassificationModel:
         encoded = T.reshape(tokens, (b, h, w, c))
         y = encoded
         for j in range(3):
-            y = T.nearest_upsample2x(y)
-            y = self._conv_stage(y, f"pixel_decoder.up{j}", stride=1)
+            pre = f"pixel_decoder.up{j}"
+            y = T.upsample2x_conv3x3(y, p[f"{pre}.conv.w"], p[f"{pre}.conv.b"])
+            y = T.relu(self._norm(y, f"{pre}.norm"))
         return encoded, y
 
     def transformer_decoder(self, encoded: Tensor, queries: Tensor | None = None) -> Tensor:

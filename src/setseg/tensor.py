@@ -6,6 +6,12 @@ Every differentiable op records an entry on the active Tape; ``backward``
 replays the reachable part of the tape in reverse to populate ``grad``
 buffers on the leaves.
 
+Ops: elementwise arithmetic, sigmoid/log/exp/relu/pow/clip, reshape,
+transpose, take, broadcast_batch, concat, sum/mean, softmax/log_softmax,
+matmul/linear, layer_norm, conv2d (im2col GEMM), ``upsample2x_conv3x3``
+(a nearest 2x upsample fused into the following 3x3 conv), multi-head
+attention and the sine position embedding.
+
 There is no broadcasting beyond tensor-scalar (plus the explicit
 ``add_bias`` op); mismatched shapes fail loudly with both shapes named.
 """
@@ -565,12 +571,18 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
         raise ShapeError(
             f"layer_norm: scale {scale.shape} / shift {shift.shape} do not match channels ({c},)"
         )
-    xd = x.data.astype(np.float64)
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
+    # one float64 buffer centred in place, a second reused for the squared
+    # deviations and the affine output; the arithmetic (and so every bit)
+    # matches np.mean / np.var
+    xhat = x.data.astype(np.float64)
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    tmp = np.multiply(xhat, xhat)
+    var = tmp.sum(axis=-1, keepdims=True) / c
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    out = (xhat * scale.data + shift.data).astype(x.dtype)
+    xhat *= inv
+    np.multiply(xhat, scale.data, out=tmp)
+    tmp += shift.data
+    out = tmp.astype(x.dtype)
     gdat = scale.data
 
     def bwd(g):
@@ -594,7 +606,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
 
 
 # ---------------------------------------------------------------------------
-# Convolution / resampling (NHWC)
+# Convolution (NHWC): conv2d and the fused upsample2x_conv3x3
 # ---------------------------------------------------------------------------
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
@@ -640,6 +652,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else xd
         col, _, _ = _im2col(xp, kh, kw, stride)
         gw = (col.T @ g.reshape(-1, cout)).reshape(kh, kw, cin, cout)
+        gb = () if b is None else (g.sum(axis=(0, 1, 2)),)
+        if not x.requires_grad:  # e.g. the image: skip the full-resolution input grad
+            return (None, gw) + gb
         # input grad: full correlation of the (dilated) grad with the flipped kernel
         if stride > 1:
             gd = np.zeros((bsz, (ho - 1) * stride + 1, (wo - 1) * stride + 1, cout), dtype=g.dtype)
@@ -652,25 +667,66 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         wf = np.ascontiguousarray(wd[::-1, ::-1].transpose(0, 1, 3, 2))  # [kh,kw,cout,cin]
         gx_p = _conv2d_raw(gdp, wf, 1, 0)
         gx = gx_p[:, padding:padding + hin, padding:padding + win_, :]
-        if b is None:
-            return (gx, gw)
-        return (gx, gw, g.sum(axis=(0, 1, 2)))
+        return (gx, gw) + gb
 
     return _make_result(out, inputs, bwd)
 
 
-def nearest_upsample2x(x: Tensor) -> Tensor:
-    """Double height and width by pixel repetition (NHWC)."""
-    if x.ndim != 4:
-        raise ShapeError(f"nearest_upsample2x: expected 4-D NHWC input, got {x.shape}")
-    xd = x.data
-    out = xd.repeat(2, axis=1).repeat(2, axis=2)
-    b, h, w, c = xd.shape
+# Along one axis, a nearest 2x upsample followed by a pad-1 3-tap kernel
+# (k0, k1, k2) is a 2-tap kernel on the low-resolution rows: even outputs
+# apply (k0, k1+k2) to rows (i-1, i), odd outputs (k0+k1, k2) to rows
+# (i, i+1). _PHASE_TAPS[phase, tap, k] says which k each tap sums.
+_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]])
+
+
+def upsample2x_conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """conv2d(nearest 2x upsample of x, w, b, padding=1), never upsampling x.
+
+    Each output phase (row parity p, column parity q) is a 2x2 conv on the
+    1-padded low-resolution input, as in sub-pixel convolution (Shi et al.
+    2016). One 2x2 im2col and one GEMM against the folded [4*cin, 4*cout]
+    weight compute all four phases: 16 instead of 36 MACs per 2x2 output
+    block per cin*cout. Output [B, 2h, 2w, cout].
+    """
+    if x.ndim != 4 or w.ndim != 4 or w.shape[:2] != (3, 3) or x.shape[3] != w.shape[2]:
+        raise ShapeError(f"upsample2x_conv3x3: input {x.shape} does not match 3x3 weights {w.shape}")
+    if b.shape != (w.shape[3],):
+        raise ShapeError(f"upsample2x_conv3x3: bias shape {b.shape} does not match weights {w.shape}")
+    xd, wd = x.data, w.data
+    bsz, h, wdt, cin = xd.shape
+    cout = wd.shape[3]
+    taps = _PHASE_TAPS.astype(wd.dtype)
+    # fold the kernel per phase: row taps tr, column taps tc
+    wf = np.tensordot(taps, np.tensordot(taps, wd, axes=(2, 0)), axes=(2, 2))  # [q,tc,p,tr,cin,cout]
+    wf = wf.transpose(3, 1, 4, 2, 0, 5).reshape(4 * cin, 4 * cout)  # rows (tr,tc,cin), cols (p,q,cout)
+    xp = np.pad(xd, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    col, _, _ = _im2col(xp, 2, 2, 1)  # window (i, j) covers source rows i-1, i and cols j-1, j
+    phases = (col @ wf).reshape(bsz, h + 1, wdt + 1, 2, 2, cout)
+    out = np.empty((bsz, 2 * h, 2 * wdt, cout), dtype=phases.dtype)
+    for p in (0, 1):
+        for q in (0, 1):
+            out[:, p::2, q::2] = phases[:, p:p + h, q:q + wdt, p, q]
+    out += b.data
 
     def bwd(g):
-        return (g.reshape(b, h, 2, w, 2, c).sum(axis=(2, 4)),)
+        gph = np.zeros((bsz, h + 1, wdt + 1, 2, 2, cout), dtype=g.dtype)
+        for p in (0, 1):
+            for q in (0, 1):
+                gph[:, p:p + h, q:q + wdt, p, q] = g[:, p::2, q::2]
+        gph = gph.reshape(-1, 4 * cout)
+        # weight grad: col^T @ g on the folded weight, then the fold's adjoint
+        gwf = (col.T @ gph).reshape(2, 2, cin, 2, 2, cout)              # [tr,tc,cin,p,q,cout]
+        gwy = np.tensordot(taps, gwf, axes=([0, 1], [3, 0]))            # [ky,tc,cin,q,cout]
+        gw = np.tensordot(taps, gwy, axes=([0, 1], [3, 1])).transpose(1, 0, 2, 3)
+        # input grad: col2im of the column grad, one slice per 2x2 tap
+        gcol = (gph @ wf.T).reshape(bsz, h + 1, wdt + 1, 2, 2, cin)
+        gxp = np.zeros((bsz, h + 2, wdt + 2, cin), dtype=gcol.dtype)
+        for tr in (0, 1):
+            for tc in (0, 1):
+                gxp[:, tr:tr + h + 1, tc:tc + wdt + 1] += gcol[:, :, :, tr, tc]
+        return (gxp[:, 1:-1, 1:-1], gw, g.sum(axis=(0, 1, 2)))
 
-    return _make_result(out, (x,), bwd)
+    return _make_result(out, (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

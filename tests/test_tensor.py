@@ -114,14 +114,56 @@ class TestLayerNorm:
         with pytest.raises(T.ShapeError):
             T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(8)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_exact_against_np_var_formula(self, dtype):
+        rng = np.random.default_rng(5)
+        x = (rng.standard_normal((2, 5, 7, 48)) * 3 + 1).astype(dtype)
+        s = rng.standard_normal(48).astype(dtype)
+        b = rng.standard_normal(48).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        xt, st, bt = (Tensor(a, requires_grad=True) for a in (x, s, b))
+        backward(T.mul(T.layer_norm(xt, st, bt), Tensor(g)).sum())
+        out = T.layer_norm(Tensor(x), Tensor(s), Tensor(b))
+
+        # reference: the textbook float64 formula with np.var and its backward
+        xd = x.astype(np.float64)
+        inv = 1.0 / np.sqrt(xd.var(axis=-1, keepdims=True) + 1e-5)
+        xhat = (xd - xd.mean(axis=-1, keepdims=True)) * inv
+        g64 = g.astype(np.float64)
+        dxhat = g64 * s
+        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        assert np.array_equal(out.data, (xhat * s + b).astype(dtype))
+        assert np.array_equal(xt.grad, dx.astype(dtype))
+        assert np.array_equal(st.grad, (g64 * xhat).sum(axis=(0, 1, 2)).astype(dtype))
+        assert np.array_equal(bt.grad, g64.sum(axis=(0, 1, 2)).astype(dtype))
+
+
+class TestUpsampleConv:
+    def test_equals_conv2d_of_repeated_input(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)
+        w = rng.standard_normal((3, 3, 4, 6)).astype(np.float32)
+        b = rng.standard_normal(6).astype(np.float32)
+        fused = T.upsample2x_conv3x3(Tensor(x), Tensor(w), Tensor(b))
+        up = x.repeat(2, axis=1).repeat(2, axis=2)
+        ref = T.conv2d(Tensor(up), Tensor(w), Tensor(b), padding=1)
+        assert fused.shape == (2, 6, 10, 6) and fused.dtype == np.float32
+        # the same products summed in another order: a few float32 ulps apart
+        ulp = np.finfo(np.float32).eps * np.abs(ref.data).max()
+        assert np.abs(fused.data - ref.data).max() <= 8 * ulp
+
+    def test_shape_mismatch_rejected(self):
+        x = Tensor(np.zeros((1, 2, 2, 3)))
+        with pytest.raises(T.ShapeError):
+            T.upsample2x_conv3x3(x, Tensor(np.zeros((3, 3, 4, 5))), Tensor(np.zeros(5)))
+        with pytest.raises(T.ShapeError):
+            T.upsample2x_conv3x3(x, Tensor(np.zeros((2, 2, 3, 5))), Tensor(np.zeros(5)))
+        with pytest.raises(T.ShapeError):
+            T.upsample2x_conv3x3(x, Tensor(np.zeros((3, 3, 3, 5))), Tensor(np.zeros(4)))
+
 
 class TestShapes:
-    def test_upsample_doubles(self):
-        x = Tensor(np.arange(4.0).reshape(1, 2, 2, 1))
-        out = T.nearest_upsample2x(x)
-        assert out.shape == (1, 4, 4, 1)
-        assert np.allclose(out.data[0, :2, :2, 0], x.data[0, 0, 0, 0])
-
     def test_conv2d_stride2(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((2, 8, 8, 3)))
@@ -166,6 +208,23 @@ class TestBackward:
         backward(loss)
         assert np.allclose(x.grad, [2, 2])
         assert np.allclose(y.grad, [0, 0])
+
+    def test_conv2d_skips_input_grad_of_constant_input(self):
+        rng = np.random.default_rng(7)
+        image = rng.standard_normal((2, 8, 8, 3)).astype(np.float32)
+        w0 = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
+        b0 = rng.standard_normal(4).astype(np.float32)
+        grads = []
+        for needs_grad in (True, False):
+            x = Tensor(image, requires_grad=needs_grad)
+            w, b = Tensor(w0, requires_grad=True), Tensor(b0, requires_grad=True)
+            out = T.conv2d(x, w, b, stride=2, padding=1)
+            grads.append(out._entry.backward_fn(2.0 * out.data))  # d sum(out^2) / d out
+            backward(T.mul(out, out).sum())
+            assert (x.grad is None) != needs_grad
+        (gx, gw, gb), (gx_const, gw_const, gb_const) = grads
+        assert gx is not None and gx_const is None
+        assert np.array_equal(gw, gw_const) and np.array_equal(gb, gb_const)
 
     def test_grad_accumulates_once_per_call(self):
         x = Tensor([2.0], requires_grad=True)
@@ -285,11 +344,12 @@ class TestFiniteDifferences:
 
         _fd_check(builder, 2, lambda r: [(2, 4, 4, 2), (2, 2, 2, 3)], seed=24, trials=5)
 
-    def test_nearest_upsample2x(self):
-        def builder(x):
-            return T.mul(T.nearest_upsample2x(x), T.nearest_upsample2x(x)).sum()
+    def test_upsample2x_conv3x3(self):
+        def builder(x, w, b):
+            out = T.upsample2x_conv3x3(x, w, b)
+            return T.mul(out, out).sum()
 
-        _fd_check(builder, 1, lambda r: [(1, 3, 3, 2)], seed=25, trials=5)
+        _fd_check(builder, 3, lambda r: [(2, 2, 3, 2), (3, 3, 2, 3), (3,)], seed=25, trials=3)
 
     def test_attention(self):
         def builder(q, k, v):
