@@ -36,12 +36,6 @@ class TrainerConfig:
 
 
 @dataclass
-class PathsConfig:
-    data_dir: str = "data"
-    out_dir: str = "out"
-
-
-@dataclass
 class RunConfig:
     parser: ParserConfig = field(default_factory=ParserConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -49,7 +43,6 @@ class RunConfig:
     matcher: MatcherWeights = field(default_factory=MatcherWeights)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     evaluator: EvalConfig = field(default_factory=EvalConfig)
-    paths: PathsConfig = field(default_factory=PathsConfig)
     seed: int = 0
 
 

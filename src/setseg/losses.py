@@ -1,9 +1,13 @@
 """Padding-aware dice, focal, and classification losses plus the weighted total.
 
-Every mask loss restricts its reductions to the validity mask, so appending
-padded pixels never changes a value. Reductions accumulate in float64 (see
-tensor.tensor_sum), which is what makes that invariance exact rather than
-approximate.
+The focal and dice formulas exist once, in ``mask_costs``: per-pixel terms
+from one sigmoid, reduced pairwise to ``dice[N, R]`` and ``focal[N, R]`` by
+two float64 matmuls over the valid pixels only. The matcher calls it on
+every (target, query) pair. ``mask_loss`` calls it on the matched rows,
+takes the diagonal and records the result as one tape op with a
+hand-written backward; ``dice_loss`` and ``focal_loss`` are one-row calls
+of that op. Invalid pixels are dropped before any arithmetic, so appending
+padding never changes a value.
 
 Class logits are laid out with contiguous class c at column c-1 and the
 no-object class at the last column (index K).
@@ -46,7 +50,6 @@ class LossConfig:
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
     no_object_weight: float = 1e-4
-    pair_reduction: str = "mean"      # "mean" or "sum" over matched pairs
 
 
 @dataclass
@@ -60,31 +63,94 @@ class LossBundle:
     total_tensor: Tensor          # differentiable; drive backward() from here
 
 
-def _valid_tensor(valid: np.ndarray, like: Tensor) -> Tensor:
-    return Tensor(np.asarray(valid, dtype=like.dtype))
+def _valid_pixels(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """rows [n, ...] at the valid pixels, as float64 [n, V]."""
+    return rows.reshape(len(rows), -1)[:, valid.reshape(-1)].astype(np.float64)
+
+
+def _pixel_terms(x: np.ndarray, cfg: LossConfig):
+    """Sigmoid p (used by dice), clamped pc, and the focal terms for target 1 and 0."""
+    e = np.exp(-np.abs(x))
+    p = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    pc = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
+    alpha, gamma = cfg.focal_alpha, cfg.focal_gamma
+    pos = alpha * (1.0 - pc) ** gamma * -np.log(pc)
+    neg = (1.0 - alpha) * pc ** gamma * -np.log1p(-pc)
+    return p, pc, pos, neg
+
+
+def mask_costs(logits: np.ndarray, gt: np.ndarray, valid: np.ndarray, cfg: LossConfig):
+    """dice[N, R] and focal[N, R] between binary targets gt [N, ...] and logits [R, ...].
+
+    Soft dice on the sigmoid with ``cfg.dice_eps`` smoothing; focal is the
+    modulated cross-entropy on the clamped sigmoid, mean over valid pixels.
+    """
+    x, g = _valid_pixels(logits, valid), _valid_pixels(gt, valid)
+    p, _, pos, neg = _pixel_terms(x, cfg)
+    eps = cfg.dice_eps
+    dice = 1.0 - (2.0 * (g @ p.T) + eps) / (g.sum(axis=1)[:, None] + p.sum(axis=1) + eps)
+    focal = (g @ (pos - neg).T + neg.sum(axis=1)) / max(x.shape[1], 1)
+    return dice, focal
+
+
+def mask_loss(logits: Tensor, index, gt: np.ndarray, valid: np.ndarray, cfg: LossConfig,
+              focal_weight: float, dice_weight: float) -> tuple[Tensor, float, float]:
+    """Mean over rows of focal_weight * focal + dice_weight * dice, as one tape op.
+
+    Row i is ``logits.data[index][i]`` paired with target ``gt[i]``; the
+    gradient scatters back into a ``logits``-shaped buffer. Returns the
+    scalar tensor and the mean focal and dice values.
+    """
+    data = logits.data
+    rows = data[index]
+    n = len(rows)
+    if not valid.any():
+        LOSS_STATS.degenerate_dice_calls += n
+    dice, focal = mask_costs(rows, gt, valid, cfg)
+    dice_v, focal_v = float(dice.diagonal().mean()), float(focal.diagonal().mean())
+    out = np.asarray(focal_weight * focal_v + dice_weight * dice_v, dtype=data.dtype)
+
+    def bwd(g_out):
+        x, g = _valid_pixels(rows, valid), _valid_pixels(gt, valid)
+        p, pc, _, _ = _pixel_terms(x, cfg)
+        a, gam = cfg.focal_alpha, cfg.focal_gamma
+        # d focal / d pc per target polarity; the clamp passes grad only inside it
+        d_pos = -a * (gam * (1.0 - pc) ** (gam - 1.0) * -np.log(pc) + (1.0 - pc) ** gam / pc)
+        d_neg = (1.0 - a) * (gam * pc ** (gam - 1.0) * -np.log1p(-pc) + pc ** gam / (1.0 - pc))
+        inside = (p > _P_CLAMP) & (p < 1.0 - _P_CLAMP)
+        d_focal = (g * d_pos + (1.0 - g) * d_neg) * inside / max(x.shape[1], 1)
+        num = 2.0 * (g * p).sum(axis=1, keepdims=True) + cfg.dice_eps
+        den = p.sum(axis=1, keepdims=True) + g.sum(axis=1, keepdims=True) + cfg.dice_eps
+        d_dice = num / (den * den) - 2.0 * g / den
+        dx = (focal_weight * d_focal + dice_weight * d_dice) * (p * (1.0 - p)) * (g_out[0] / n)
+        g_rows = np.zeros((n, valid.size), dtype=data.dtype)
+        g_rows[:, valid.reshape(-1)] = dx
+        full = np.zeros_like(data)
+        full[index] = g_rows.reshape(rows.shape)
+        return (full,)
+
+    return T._make_result(out, (logits,), bwd), focal_v, dice_v
+
+
+def _check_mask_args(name: str, pred_logits: Tensor, gt, valid):
+    gt = np.asarray(gt)
+    valid = np.asarray(valid, dtype=bool)
+    if pred_logits.shape != gt.shape or pred_logits.shape != valid.shape:
+        raise T.ShapeError(
+            f"{name}: logits {pred_logits.shape}, gt {gt.shape}, valid {valid.shape}"
+        )
+    return gt, valid
 
 
 def dice_loss(pred_logits: Tensor, gt: np.ndarray, valid: np.ndarray,
               eps: float = 1.0) -> Tensor:
     """Soft dice on sigmoid(pred_logits), sums restricted to valid pixels."""
-    gt = np.asarray(gt)
-    valid = np.asarray(valid, dtype=bool)
-    if pred_logits.shape != gt.shape or pred_logits.shape != valid.shape:
-        raise T.ShapeError(
-            f"dice_loss: logits {pred_logits.shape}, gt {gt.shape}, valid {valid.shape}"
-        )
+    gt, valid = _check_mask_args("dice_loss", pred_logits, gt, valid)
     if not valid.any():
         LOSS_STATS.degenerate_dice_calls += 1
         return Tensor(np.zeros((), dtype=pred_logits.dtype))
-    m = _valid_tensor(valid, pred_logits)
-    g = Tensor(np.asarray(gt, dtype=pred_logits.dtype))
-    p = T.mul(T.sigmoid(pred_logits), m)
-    inter = T.mul(p, g).sum()
-    denom = T.add(p.sum(), T.mul(g, m).sum())
-    return T.sub(
-        Tensor(np.ones((), dtype=pred_logits.dtype)),
-        T.div(T.add(T.mul(inter, 2.0), eps), T.add(denom, eps)),
-    )
+    return mask_loss(pred_logits, np.newaxis, gt[None], valid,
+                     LossConfig(dice_eps=eps), 0.0, 1.0)[0]
 
 
 def focal_loss(pred_logits: Tensor, gt: np.ndarray, valid: np.ndarray,
@@ -94,26 +160,11 @@ def focal_loss(pred_logits: Tensor, gt: np.ndarray, valid: np.ndarray,
         raise LossError(f"alpha must be in [0, 1], got {alpha}")
     if gamma < 0.0:
         raise LossError(f"gamma must be >= 0, got {gamma}")
-    gt = np.asarray(gt)
-    valid = np.asarray(valid, dtype=bool)
-    if pred_logits.shape != gt.shape or pred_logits.shape != valid.shape:
-        raise T.ShapeError(
-            f"focal_loss: logits {pred_logits.shape}, gt {gt.shape}, valid {valid.shape}"
-        )
-    n_valid = int(valid.sum())
-    if n_valid == 0:
+    gt, valid = _check_mask_args("focal_loss", pred_logits, gt, valid)
+    if not valid.any():
         return Tensor(np.zeros((), dtype=pred_logits.dtype))
-    dt = pred_logits.dtype
-    g = np.asarray(gt, dtype=dt)
-    gp = Tensor(g)
-    gn = Tensor(1.0 - g)
-    p = T.clip(T.sigmoid(pred_logits), _P_CLAMP, 1.0 - _P_CLAMP)
-    p_t = T.add(T.mul(p, gp), T.mul(T.sub(Tensor(np.ones_like(g)), p), gn))
-    alpha_t = Tensor(np.asarray(alpha * g + (1.0 - alpha) * (1.0 - g), dtype=dt))
-    term = T.mul(T.mul(alpha_t, T.pow_scalar(T.sub(Tensor(np.ones_like(g)), p_t), gamma)),
-                 T.mul(T.log(p_t), -1.0))
-    masked = T.mul(term, _valid_tensor(valid, pred_logits))
-    return T.mul(masked.sum(), 1.0 / n_valid)
+    return mask_loss(pred_logits, np.newaxis, gt[None], valid,
+                     LossConfig(focal_alpha=alpha, focal_gamma=gamma), 1.0, 0.0)[0]
 
 
 def classification_loss(class_logits: Tensor, matched_labels: np.ndarray,
@@ -147,48 +198,30 @@ def total_loss(outputs, targets: TargetSet, assignment, cfg: LossConfig,
     """Combine the three losses for one image of a batch.
 
     Mask losses are means over matched pairs (at mask-logit resolution, with
-    targets and the validity mask downsampled by nearest-neighbor);
-    classification covers all queries.
+    targets and the validity mask downsampled by nearest-neighbor), recorded
+    as one tape op whatever the pair count; classification covers all
+    queries.
     """
     mask_logits = outputs.mask_logits       # [B, N_q, h, w]
     class_logits = outputs.class_logits     # [B, N_q, K+1]
-    _, n_q, mh, mw = mask_logits.shape
+    n_q, mh = mask_logits.shape[1], mask_logits.shape[2]
     k = class_logits.shape[-1] - 1
 
     factor = valid_mask.shape[0] // mh
-    valid_small = downsample_mask(valid_mask, factor).astype(bool)
-
+    queries = np.asarray(assignment.query_for_gt, dtype=np.int64)
     matched_labels = np.full(n_q, k + 1, dtype=np.int64)
-    dice_terms = []
-    focal_terms = []
-    for i, q in enumerate(assignment.query_for_gt):
-        gt_small = downsample_mask(targets.masks[i], factor)
-        logits_i = mask_logits[batch_index, int(q)]
-        dice_terms.append(dice_loss(logits_i, gt_small, valid_small, eps=cfg.dice_eps))
-        focal_terms.append(
-            focal_loss(logits_i, gt_small, valid_small,
-                       alpha=cfg.focal_alpha, gamma=cfg.focal_gamma)
-        )
-        matched_labels[int(q)] = targets.labels[i]
-
-    if cfg.pair_reduction not in ("mean", "sum"):
-        raise LossError(f"pair_reduction must be 'mean' or 'sum', got {cfg.pair_reduction!r}")
-    dtype = mask_logits.dtype
-    if dice_terms:
-        reduce = _mean_of if cfg.pair_reduction == "mean" else _sum_of
-        dice_t = reduce(dice_terms)
-        focal_t = reduce(focal_terms)
-    else:
-        dice_t = Tensor(np.zeros((), dtype=dtype))
-        focal_t = Tensor(np.zeros((), dtype=dtype))
+    matched_labels[queries] = targets.labels
     cls_t = classification_loss(class_logits[batch_index], matched_labels,
                                 no_object_weight=cfg.no_object_weight)
-
-    total_t = T.add(
-        T.add(T.mul(cls_t, cfg.class_weight), T.mul(focal_t, cfg.focal_weight)),
-        T.mul(dice_t, cfg.dice_weight),
-    )
-    cls_v, focal_v, dice_v = cls_t.item(), focal_t.item(), dice_t.item()
+    total_t = T.mul(cls_t, cfg.class_weight)
+    focal_v = dice_v = 0.0
+    if len(queries):
+        gt = np.stack([downsample_mask(m, factor) for m in targets.masks])
+        valid_small = downsample_mask(valid_mask, factor).astype(bool)
+        mask_t, focal_v, dice_v = mask_loss(mask_logits, (batch_index, queries), gt,
+                                            valid_small, cfg, cfg.focal_weight, cfg.dice_weight)
+        total_t = T.add(total_t, mask_t)
+    cls_v = cls_t.item()
     return LossBundle(
         classification=cls_v,
         focal=focal_v,
@@ -198,14 +231,3 @@ def total_loss(outputs, targets: TargetSet, assignment, cfg: LossConfig,
         no_object_weight=cfg.no_object_weight,
         total_tensor=total_t,
     )
-
-
-def _sum_of(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = T.add(acc, t)
-    return acc
-
-
-def _mean_of(terms):
-    return T.mul(_sum_of(terms), 1.0 / len(terms))

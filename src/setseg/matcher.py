@@ -11,6 +11,9 @@ block alone, so ``hungarian`` solves only the N real rows: one shortest
 augmenting path per real row, O(N^2 * n_queries), with the padding never
 touched. Differential testing compares totals (and, when unique, the
 matching itself) against exhaustive enumeration of injections.
+
+The per-pair focal and dice costs come from ``losses.mask_costs``, the same
+kernel the training loss reduces, so matching and loss cannot disagree.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossConfig, _P_CLAMP
+from .losses import LossConfig, mask_costs
 from .pipeline import TargetSet, downsample_mask
 from .tensor import ContractError
 
@@ -54,18 +57,15 @@ class Assignment:
     total_real_cost: float
 
 
-def _sigmoid(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-
-
 def build_cost_matrix(outputs, targets: TargetSet, weights: MatcherWeights,
                       valid_mask: np.ndarray, loss_cfg: LossConfig,
                       batch_index: int = 0) -> CostMatrix:
     """Square-padded per-pair matching costs for one image.
 
     cell (i, q) = w_class * (-p_q[label_i]) + w_focal * focal(mask_q, gt_i)
-                + w_dice * dice(mask_q, gt_i), mask terms over valid pixels
-    only, then padded to [n_queries, n_queries] with max(real) + 1.
+                + w_dice * dice(mask_q, gt_i), mask terms from
+    ``losses.mask_costs`` over valid pixels only, then padded to
+    [n_queries, n_queries] with max(real) + 1.
     """
     mask_logits = outputs.mask_logits.data[batch_index]    # [N_q, h, w]
     class_logits = outputs.class_logits.data[batch_index]  # [N_q, K+1]
@@ -79,10 +79,8 @@ def build_cost_matrix(outputs, targets: TargetSet, weights: MatcherWeights,
         values = np.full((n_q, n_q), pad, dtype=np.float64)
         return CostMatrix(values, 0, weights, pad)
 
-    h, w = mask_logits.shape[1:]
-    factor = valid_mask.shape[0] // h
-    vmask = downsample_mask(valid_mask, factor).astype(bool).reshape(-1)
-    n_valid = int(vmask.sum())
+    factor = valid_mask.shape[0] // mask_logits.shape[1]
+    valid = downsample_mask(valid_mask, factor).astype(bool)
 
     shifted = class_logits - class_logits.max(axis=-1, keepdims=True)
     probs = np.exp(shifted)
@@ -90,26 +88,8 @@ def build_cost_matrix(outputs, targets: TargetSet, weights: MatcherWeights,
     labels = np.asarray(targets.labels, dtype=np.int64)
     class_cost = -probs[:, labels - 1].T.astype(np.float64)        # [N, N_q]
 
-    logits_flat = mask_logits.reshape(n_q, -1)[:, vmask]
-    p = np.clip(_sigmoid(logits_flat), _P_CLAMP, 1.0 - _P_CLAMP)
-    gt = np.stack(
-        [downsample_mask(m, factor).reshape(-1)[vmask] for m in targets.masks]
-    ).astype(np.float64)                                            # [N, V]
-
-    # dice, with the same epsilon smoothing as the training loss
-    p64 = p.astype(np.float64)
-    inter = gt @ p64.T
-    sp = p64.sum(axis=1)
-    sg = gt.sum(axis=1)
-    eps = loss_cfg.dice_eps
-    dice_cost = 1.0 - (2.0 * inter + eps) / (sp[None, :] + sg[:, None] + eps)
-
-    # focal, split by ground-truth polarity so pairs reduce to two matmuls
-    alpha, gamma = loss_cfg.focal_alpha, loss_cfg.focal_gamma
-    dt = logits_flat.dtype
-    term_pos = (alpha * (1.0 - p) ** gamma * -np.log(p)).astype(dt).astype(np.float64)
-    term_neg = ((1.0 - alpha) * p ** gamma * -np.log(1.0 - p)).astype(dt).astype(np.float64)
-    focal_cost = (gt @ term_pos.T + (1.0 - gt) @ term_neg.T) / n_valid
+    gt = np.stack([downsample_mask(m, factor) for m in targets.masks])
+    dice_cost, focal_cost = mask_costs(mask_logits, gt, valid, loss_cfg)   # [N, N_q]
 
     real = (
         weights.class_weight * class_cost

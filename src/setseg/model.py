@@ -152,15 +152,7 @@ class MaskClassificationModel:
                      stride=2, padding=1)
         return T.relu(self._norm(x, f"{prefix}.norm"))
 
-    def _attn(self, x, kv, prefix):
-        p = self.params
-        q = T.linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-        k = T.linear(kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-        v = T.linear(kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-        out = T.multi_head_attention(q, k, v, self.cfg.num_heads)
-        return T.linear(out, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-
-    def _cross_attn(self, x, keys, values, prefix):
+    def _attn(self, x, keys, values, prefix):
         p = self.params
         q = T.linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
         k = T.linear(keys, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
@@ -198,7 +190,7 @@ class MaskClassificationModel:
         for i in range(self.cfg.num_encoder_layers):
             pre = f"pixel_decoder.enc{i}"
             t = self._norm(tokens, f"{pre}.norm1")
-            tokens = T.add(tokens, self._attn(t, t, f"{pre}.attn"))
+            tokens = T.add(tokens, self._attn(t, t, t, f"{pre}.attn"))
             t = self._norm(tokens, f"{pre}.norm2")
             tokens = T.add(tokens, self._ffn(t, f"{pre}.ffn"))
         encoded = T.reshape(tokens, (b, h, w, c))
@@ -220,9 +212,9 @@ class MaskClassificationModel:
         for i in range(self.cfg.num_decoder_layers):
             pre = f"decoder.layer{i}"
             t = self._norm(x, f"{pre}.norm1")
-            x = T.add(x, self._attn(t, t, f"{pre}.self_attn"))
+            x = T.add(x, self._attn(t, t, t, f"{pre}.self_attn"))
             t = self._norm(x, f"{pre}.norm2")
-            x = T.add(x, self._cross_attn(t, keys, enc_tokens, f"{pre}.cross_attn"))
+            x = T.add(x, self._attn(t, keys, enc_tokens, f"{pre}.cross_attn"))
             t = self._norm(x, f"{pre}.norm3")
             x = T.add(x, self._ffn(t, f"{pre}.ffn"))
         return x

@@ -6,11 +6,12 @@ Every differentiable op records an entry on the active Tape; ``backward``
 replays the reachable part of the tape in reverse to populate ``grad``
 buffers on the leaves.
 
-Ops: elementwise arithmetic, sigmoid/log/exp/relu/pow/clip, reshape,
-transpose, take, broadcast_batch, concat, sum/mean, softmax/log_softmax,
-matmul/linear, layer_norm, conv2d (im2col GEMM), ``upsample2x_conv3x3``
-(a nearest 2x upsample fused into the following 3x3 conv), multi-head
-attention and the sine position embedding.
+Ops: elementwise arithmetic, relu, reshape, transpose, take,
+broadcast_batch, sum, softmax/log_softmax, matmul/linear, layer_norm,
+conv2d (im2col GEMM), ``upsample2x_conv3x3`` (a nearest 2x upsample fused
+into the following 3x3 conv), multi-head attention and the sine position
+embedding. Ops defined elsewhere (``losses.mask_loss``) record through
+``_make_result`` with their own backward.
 
 There is no broadcasting beyond tensor-scalar (plus the explicit
 ``add_bias`` op); mismatched shapes fail loudly with both shapes named.
@@ -18,7 +19,6 @@ There is no broadcasting beyond tensor-scalar (plus the explicit
 
 from __future__ import annotations
 
-import csv
 import math
 import threading
 
@@ -59,8 +59,11 @@ class Tape:
     """Ordered record of executed ops; replaying it backward fills gradients.
 
     A tape is single-threaded. Use as a context manager to scope recording
-    (the trainer opens a fresh tape per step so entries are freed); outside
-    any explicit tape the thread's ambient tape is used.
+    (the trainer opens a fresh tape per step); outside any explicit tape the
+    thread's ambient tape is used. On exit the tape drops its entries and
+    unlinks each output from its entry, breaking the tensor <-> entry cycle,
+    so the step's activations are freed by reference counting rather than
+    by a later cyclic collection. Run ``backward`` inside the block.
     """
 
     def __init__(self):
@@ -72,6 +75,9 @@ class Tape:
         return entry
 
     def clear(self):
+        """Drop every entry, unlinking each output so the graph frees by refcount."""
+        for entry in self.entries:
+            entry.output._entry = None
         self.entries.clear()
 
     def __enter__(self):
@@ -80,6 +86,7 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb):
         _state().tape_stack.pop()
+        self.clear()
         return False
 
 
@@ -354,48 +361,9 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _make_result(x.data + b.data, (x, b), lambda g: (g, g.sum(axis=axes)))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    xd = x.data
-    out = np.where(xd >= 0, 1.0 / (1.0 + np.exp(-np.clip(xd, -88, None))),
-                   np.exp(np.clip(xd, None, 88)) / (1.0 + np.exp(np.clip(xd, None, 88))))
-    out = out.astype(xd.dtype)
-    return _make_result(out, (x,), lambda g: (g * out * (1.0 - out),))
-
-
-def log(x: Tensor) -> Tensor:
-    xd = x.data
-    return _make_result(np.log(xd), (x,), lambda g: (g / xd,))
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-    return _make_result(out, (x,), lambda g: (g * out,))
-
-
 def relu(x: Tensor) -> Tensor:
     xd = x.data
     return _make_result(np.maximum(xd, 0), (x,), lambda g: (g * (xd > 0),))
-
-
-def pow_scalar(x: Tensor, exponent: float) -> Tensor:
-    c = float(exponent)
-    xd = x.data
-    out = xd ** c
-
-    def bwd(g):
-        if c == 0.0:
-            return (np.zeros_like(xd),)
-        return (g * c * xd ** (c - 1.0),)
-
-    return _make_result(out, (x,), bwd)
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient passes only strictly inside (lo, hi)."""
-    xd = x.data
-    out = np.clip(xd, lo, hi)
-    inside = (xd > lo) & (xd < hi)
-    return _make_result(out, (x,), lambda g: (g * inside,))
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +412,6 @@ def broadcast_batch(x: Tensor, batch: int) -> Tensor:
     return _make_result(out, (x,), lambda g: (g.sum(axis=0),))
 
 
-def concat(tensors, axis: int) -> Tensor:
-    tensors = list(tensors)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
-
-    return _make_result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bwd)
-
-
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
@@ -474,15 +431,6 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, shape).copy(),)
 
     return _make_result(np.asarray(out), (x,), bwd)
-
-
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = x.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        n = int(np.prod([x.shape[a] for a in ax]))
-    return mul(tensor_sum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -791,16 +739,3 @@ def sine_position_embedding(h: int, w: int, channels: int,
         [interleave(ys[..., None] / dim_t), interleave(xs[..., None] / dim_t)], axis=-1
     )[None]
     return Tensor(emb.astype(dtype))
-
-
-# ---------------------------------------------------------------------------
-# Debug / inspection
-# ---------------------------------------------------------------------------
-
-def dump_csv(t: Tensor, path) -> None:
-    """Write a tensor as a flat CSV: header row with the shape, one value per line."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["shape"] + [str(s) for s in t.shape])
-        for v in t.data.reshape(-1):
-            writer.writerow([repr(float(v))])

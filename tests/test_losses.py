@@ -8,7 +8,7 @@ from setseg import losses
 from setseg.losses import LossConfig, classification_loss, dice_loss, focal_loss, total_loss
 from setseg.matcher import Assignment
 from setseg.pipeline import TargetSet
-from setseg.tensor import Tensor, backward
+from setseg.tensor import Tape, Tensor, backward
 
 from conftest import central_difference, max_rel_error
 
@@ -289,26 +289,23 @@ class TestTotalLoss:
             outputs.class_logits[0], np.full(3, 5), no_object_weight=1e-4).item()
         assert abs(bundle.total - expected) < 1e-6
 
-    def test_sum_reduction_scales_with_pair_count(self):
+    def test_one_tape_op_per_image_whatever_the_pair_count(self):
         rng = np.random.default_rng(12)
-        mask_logits = rng.standard_normal((1, 3, 3, 3))
-        class_logits = rng.standard_normal((1, 3, 4))
         outputs = SimpleNamespace(
-            mask_logits=Tensor(mask_logits, dtype=np.float64),
-            class_logits=Tensor(class_logits, dtype=np.float64),
+            mask_logits=Tensor(rng.standard_normal((1, 4, 3, 3)), requires_grad=True),
+            class_logits=Tensor(rng.standard_normal((1, 4, 4)), requires_grad=True),
         )
-        g1 = np.zeros((3, 3), dtype=np.uint8)
-        g1[0] = 1
-        g2 = np.zeros((3, 3), dtype=np.uint8)
-        g2[2] = 1
-        targets = TargetSet([g1, g2], [1, 2])
-        assignment = Assignment(np.array([0, 2]), 0.0)
-        valid = np.ones((3, 3), bool)
-        mean_b = total_loss(outputs, targets, assignment, LossConfig(), valid)
-        sum_b = total_loss(outputs, targets, assignment,
-                           LossConfig(pair_reduction="sum"), valid)
-        assert abs(sum_b.dice - 2.0 * mean_b.dice) < 1e-9
-        assert abs(sum_b.focal - 2.0 * mean_b.focal) < 1e-9
+        masks = [np.zeros((3, 3), dtype=np.uint8) for _ in range(3)]
+        for i, m in enumerate(masks):
+            m[i] = 1
+        counts = []
+        for n in (1, 3):
+            with Tape() as tape:
+                total_loss(outputs, TargetSet(masks[:n], [1, 2, 3][:n]),
+                           Assignment(np.array([3, 0, 2][:n]), 0.0),
+                           LossConfig(), np.ones((3, 3), bool))
+                counts.append(len(tape.entries))
+        assert counts[0] == counts[1]
 
     def test_backward_through_bundle(self):
         rng = np.random.default_rng(11)
@@ -322,3 +319,28 @@ class TestTotalLoss:
         backward(bundle.total_tensor)
         assert ml.grad is not None and np.abs(ml.grad).sum() > 0
         assert cl.grad is not None and np.abs(cl.grad).sum() > 0
+
+    def test_gradient_over_pairs_matches_finite_differences(self):
+        # several pairs in the second image of a batch, some pixels invalid,
+        # some logits past the focal clamp, the loss scaled as a batch mean is
+        rng = np.random.default_rng(13)
+        ml = rng.standard_normal((2, 4, 4, 4)) * 3.0
+        ml[1, :, 1, 1] = [20.0, -20.0, 20.0, -20.0]
+        cl = Tensor(rng.standard_normal((2, 4, 4)), dtype=np.float64)
+        masks = [(rng.random((4, 4)) > 0.5).astype(np.uint8) for _ in range(3)]
+        targets = TargetSet(masks, [1, 2, 3])
+        assignment = Assignment(np.array([2, 0, 3]), 0.0)
+        valid = np.ones((4, 4), bool)
+        valid[3] = False
+        valid[:, 0] = False
+
+        def loss(a):
+            outputs = SimpleNamespace(mask_logits=a, class_logits=cl)
+            return total_loss(outputs, targets, assignment, LossConfig(), valid,
+                              batch_index=1).total_tensor * 0.5
+
+        x = Tensor(ml, requires_grad=True, dtype=np.float64)
+        backward(loss(x))
+        numeric = central_difference(lambda a: loss(Tensor(a, dtype=np.float64)).item(), [ml], 0)
+        assert max_rel_error(x.grad, numeric) <= 1e-4
+        assert not x.grad[0].any() and not x.grad[1, 1].any()

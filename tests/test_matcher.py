@@ -81,23 +81,25 @@ class TestCostMatrix:
             masks.append(m)
             labels.append(i + 1)
         targets = TargetSet(masks, labels)
-        valid = np.ones((h, h), bool)
         weights = MatcherWeights(1.0, 20.0, 1.0)
         cfg = LossConfig()
-        cm = build_cost_matrix(outputs, targets, weights, valid, cfg)
-
         probs = np.exp(outputs.class_logits.data[0])
         probs /= probs.sum(-1, keepdims=True)
-        for i in range(n):
-            for q in range(n_q):
-                logits_q = outputs.mask_logits[0, q]
-                d = dice_loss(logits_q, masks[i], valid, eps=cfg.dice_eps).item()
-                f = focal_loss(logits_q, masks[i], valid,
-                               alpha=cfg.focal_alpha, gamma=cfg.focal_gamma).item()
-                c = -float(probs[q, labels[i] - 1])
-                expected = weights.class_weight * c + weights.focal_weight * f \
-                    + weights.dice_weight * d
-                assert abs(cm.values[i, q] - expected) <= 1e-6
+        partly_invalid = np.ones((h, h), bool)
+        partly_invalid[:, -1] = False
+        partly_invalid[-1, :] = False
+        for valid in (np.ones((h, h), bool), partly_invalid):
+            cm = build_cost_matrix(outputs, targets, weights, valid, cfg)
+            for i in range(n):
+                for q in range(n_q):
+                    logits_q = outputs.mask_logits[0, q]
+                    d = dice_loss(logits_q, masks[i], valid, eps=cfg.dice_eps).item()
+                    f = focal_loss(logits_q, masks[i], valid,
+                                   alpha=cfg.focal_alpha, gamma=cfg.focal_gamma).item()
+                    c = -float(probs[q, labels[i] - 1])
+                    expected = weights.class_weight * c + weights.focal_weight * f \
+                        + weights.dice_weight * d
+                    assert abs(cm.values[i, q] - expected) <= 1e-6
 
     def test_pad_cost_exceeds_real_entries(self):
         rng = np.random.default_rng(2)

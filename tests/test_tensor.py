@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -226,6 +228,19 @@ class TestBackward:
         assert gx is not None and gx_const is None
         assert np.array_equal(gw, gw_const) and np.array_equal(gb, gb_const)
 
+    def test_tape_frees_graph_on_exit(self):
+        gc.disable()  # only reference counting may free the intermediate
+        try:
+            x = Tensor(np.ones((4, 4)), requires_grad=True)
+            with T.Tape():
+                y = T.mul(x, 2.0)
+                backward(T.mul(y, y).sum())
+            ref = weakref.ref(y.data)
+            del y
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_grad_accumulates_once_per_call(self):
         x = Tensor([2.0], requires_grad=True)
         loss = T.mul(x, 3.0).sum()
@@ -285,15 +300,6 @@ class TestFiniteDifferences:
             lambda r: [(2, 2, 3, 4), (2, 2, 4, 2)], seed=15,
         )
 
-    def test_sigmoid(self):
-        _fd_check(lambda a: T.sigmoid(a).sum(), 1, lambda r: [(3, 4)], seed=16)
-
-    def test_log(self):
-        def builder(a):
-            return T.log(T.add(T.mul(a, a), 0.5)).sum()
-
-        _fd_check(builder, 1, lambda r: [(3, 3)], seed=17)
-
     def test_relu(self):
         # shift away from the kink at 0 where FD is ill-defined
         def builder(a):
@@ -311,12 +317,6 @@ class TestFiniteDifferences:
                 lambda a: T.relu(Tensor(a + 0.3, dtype=np.float64)).sum().item(), [arr], 0
             )
             assert max_rel_error(x.grad, numeric) <= 1e-4
-
-    def test_pow_scalar(self):
-        def builder(a):
-            return T.pow_scalar(T.add(T.mul(a, a), 0.1), 2.0).sum()
-
-        _fd_check(builder, 1, lambda r: [(3, 3)], seed=19)
 
     def test_softmax(self):
         _fd_check(lambda a: T.mul(T.softmax(a, axis=-1), a).sum(), 1, lambda r: [(4, 5)], seed=20)
@@ -375,12 +375,6 @@ class TestFiniteDifferences:
 
         _fd_check(builder, 1, lambda r: [(2, 4)], seed=29)
 
-    def test_concat(self):
-        def builder(a, b):
-            return T.mul(T.concat([a, b], axis=1), T.concat([a, b], axis=1)).sum()
-
-        _fd_check(builder, 2, lambda r: [(2, 3), (2, 4)], seed=30)
-
 
 # ---------------------------------------------------------------------------
 # Purity
@@ -394,18 +388,7 @@ class TestPurity:
         s = Tensor(np.ones(3), requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)
         before = [_buffer_hash(t) for t in (x, w, s, b)]
-        out = T.conv2d(T.layer_norm(T.sigmoid(x), s, b), w, stride=1, padding=1)
+        out = T.conv2d(T.layer_norm(T.relu(x), s, b), w, stride=1, padding=1)
         backward(T.mul(out, out).sum())
         after = [_buffer_hash(t) for t in (x, w, s, b)]
         assert before == after
-
-
-class TestDumpCsv:
-    def test_round_trip_values(self, tmp_path):
-        t = Tensor(np.arange(6.0).reshape(2, 3))
-        path = tmp_path / "t.csv"
-        T.dump_csv(t, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "shape,2,3"
-        vals = [float(v) for v in lines[1:]]
-        assert vals == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
