@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .losses import sigmoid
+
 
 class SegmentSetError(ValueError):
     pass
@@ -164,7 +166,7 @@ def postprocess(outputs, cfg: EvalConfig | None = None, batch_index: int = 0) ->
         return SegmentSet([], [])
 
     idx = np.nonzero(keep)[0]
-    mp = 1.0 / (1.0 + np.exp(-mask_logits[idx].astype(np.float64)))   # [n, h, w]
+    mp = sigmoid(mask_logits[idx].astype(np.float64))                  # [n, h, w]
     binary = mp >= cfg.mask_threshold
     # each pixel belongs to the kept query with the highest probability there
     owner = mp.argmax(axis=0)

@@ -68,10 +68,15 @@ def _valid_pixels(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return rows.reshape(len(rows), -1)[:, valid.reshape(-1)].astype(np.float64)
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp only sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def _pixel_terms(x: np.ndarray, cfg: LossConfig):
     """Sigmoid p (used by dice), clamped pc, and the focal terms for target 1 and 0."""
-    e = np.exp(-np.abs(x))
-    p = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    p = sigmoid(x)
     pc = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
     alpha, gamma = cfg.focal_alpha, cfg.focal_gamma
     pos = alpha * (1.0 - pc) ** gamma * -np.log(pc)

@@ -174,17 +174,22 @@ class MaskClassificationModel:
             x = self._conv_stage(x, f"backbone.stage{i}")
         return x
 
-    def _pos_tokens(self, h, w, batch):
-        c = self.cfg.hidden_size
-        pos = T.sine_position_embedding(h, w, c, dtype=self.cfg.np_dtype).data
-        return Tensor(np.broadcast_to(pos.reshape(1, h * w, c), (batch, h * w, c)).copy())
+    def position_embedding(self, h: int, w: int) -> np.ndarray:
+        """The [1, h, w, hidden] sine embedding of the stride-32 grid."""
+        return T.sine_position_embedding(h, w, self.cfg.hidden_size, dtype=self.cfg.np_dtype).data
 
-    def pixel_decoder(self, features: Tensor) -> tuple[Tensor, Tensor]:
-        """Project + position-embed + encode, then upsample to stride 4."""
+    def pixel_decoder(self, features: Tensor,
+                      pos: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+        """Project + position-embed + encode, then upsample to stride 4.
+
+        ``pos`` is ``position_embedding`` of the feature grid; ``forward``
+        computes it once for this stage and the transformer decoder.
+        """
         p = self.params
         x = T.conv2d(features, p["pixel_decoder.proj.w"], p["pixel_decoder.proj.b"])
         b, h, w, c = x.shape
-        pos = T.sine_position_embedding(h, w, c, dtype=self.cfg.np_dtype).data
+        if pos is None:
+            pos = self.position_embedding(h, w)
         x = T.add(x, Tensor(np.broadcast_to(pos, x.shape).copy()))
         tokens = T.reshape(x, (b, h * w, c))
         for i in range(self.cfg.num_encoder_layers):
@@ -201,14 +206,18 @@ class MaskClassificationModel:
             y = T.relu(self._norm(y, f"{pre}.norm"))
         return encoded, y
 
-    def transformer_decoder(self, encoded: Tensor, queries: Tensor | None = None) -> Tensor:
+    def transformer_decoder(self, encoded: Tensor, queries: Tensor | None = None,
+                            pos: np.ndarray | None = None) -> Tensor:
         """Decode learned queries against encoded tokens (pos added to keys)."""
         if queries is None:
             queries = self.params["decoder.queries"]
         b, h, w, c = encoded.shape
+        if pos is None:
+            pos = self.position_embedding(h, w)
         x = T.broadcast_batch(queries, b)
         enc_tokens = T.reshape(encoded, (b, h * w, c))
-        keys = T.add(enc_tokens, self._pos_tokens(h, w, b))
+        pos_tokens = np.broadcast_to(pos.reshape(1, h * w, c), (b, h * w, c)).copy()
+        keys = T.add(enc_tokens, Tensor(pos_tokens))
         for i in range(self.cfg.num_decoder_layers):
             pre = f"decoder.layer{i}"
             t = self._norm(x, f"{pre}.norm1")
@@ -235,8 +244,9 @@ class MaskClassificationModel:
 
     def forward(self, image: Tensor) -> ModelOutputs:
         features = self.backbone_stub(image)
-        encoded, mask_features = self.pixel_decoder(features)
-        decoder_out = self.transformer_decoder(encoded)
+        pos = self.position_embedding(features.shape[1], features.shape[2])
+        encoded, mask_features = self.pixel_decoder(features, pos)
+        decoder_out = self.transformer_decoder(encoded, pos=pos)
         return self.heads(decoder_out, mask_features)
 
     # -- bookkeeping ---------------------------------------------------------

@@ -508,49 +508,87 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # Layer normalization
 # ---------------------------------------------------------------------------
 
+# Rows per layer_norm block: _LN_BLOCK // c rows of float64 are 512 KB, so a
+# block's two (forward) or three (backward) buffers stay in a 2 MB L2 cache.
+_LN_BLOCK = 65536
+
+
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply learnable scale/shift.
 
     Statistics are always computed in float64; reduced-precision normalization
-    is a known convergence hazard.
+    is a known convergence hazard. Forward and backward run over blocks of
+    ``max(1, _LN_BLOCK // c)`` rows in reused float64 buffers, never a
+    full-size float64 copy. Per row the arithmetic is the plain np.mean /
+    np.var formula in the same order, so the blocking changes no bit. The
+    backward keeps only the per-row mean and 1/std ([n, 1] float64) and
+    recomputes xhat block by block.
     """
     c = x.shape[-1]
     if scale.shape != (c,) or shift.shape != (c,):
         raise ShapeError(
             f"layer_norm: scale {scale.shape} / shift {shift.shape} do not match channels ({c},)"
         )
-    # one float64 buffer centred in place, a second reused for the squared
-    # deviations and the affine output; the arithmetic (and so every bit)
-    # matches np.mean / np.var
-    xhat = x.data.astype(np.float64)
-    xhat -= xhat.mean(axis=-1, keepdims=True)
-    tmp = np.multiply(xhat, xhat)
-    var = tmp.sum(axis=-1, keepdims=True) / c
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
-    np.multiply(xhat, scale.data, out=tmp)
-    tmp += shift.data
-    out = tmp.astype(x.dtype)
-    gdat = scale.data
+    xd, sd = x.data.reshape(-1, c), scale.data
+    n = xd.shape[0]
+    rows = max(1, _LN_BLOCK // c)
+    mean = np.empty((n, 1))
+    inv = np.empty((n, 1))
+    out = np.empty(xd.shape, dtype=x.dtype)
+    xb = np.empty((min(rows, n), c))
+    tb = np.empty_like(xb)
+    for i in range(0, n, rows):
+        k = min(rows, n - i)
+        xh, t, m, v = xb[:k], tb[:k], mean[i:i + k], inv[i:i + k]
+        xh[...] = xd[i:i + k]
+        np.mean(xh, axis=-1, keepdims=True, out=m)
+        xh -= m
+        np.multiply(xh, xh, out=t)
+        np.sum(t, axis=-1, keepdims=True, out=v)
+        v /= c
+        v += eps
+        np.sqrt(v, out=v)
+        np.divide(1.0, v, out=v)
+        xh *= v
+        np.multiply(xh, sd, out=t)
+        t += shift.data
+        out[i:i + k] = t
 
     def bwd(g):
-        g64 = g.astype(np.float64)
-        axes = tuple(range(g.ndim - 1))
-        d_scale = (g64 * xhat).sum(axis=axes)
-        d_shift = g64.sum(axis=axes)
-        dxhat = g64 * gdat
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
-        return (
-            dx.astype(x.dtype),
-            d_scale.astype(scale.dtype),
-            d_shift.astype(shift.dtype),
-        )
+        g = g.reshape(-1, c)
+        dx = np.empty(xd.shape, dtype=x.dtype)
+        xb = np.empty((min(rows, n), c))
+        # rows 1..k of gb / pb hold a block of g / g*xhat; from the second
+        # block on, row 0 carries the column sums so far, so the sums add the
+        # rows in the same sequence as one sum(axis=0) over all n rows
+        gb = np.empty((xb.shape[0] + 1, c))
+        pb = np.empty_like(gb)
+        for i in range(0, n, rows):
+            k = min(rows, n - i)
+            xh, gk, pk, v = xb[:k], gb[1:k + 1], pb[1:k + 1], inv[i:i + k]
+            xh[...] = xd[i:i + k]
+            xh -= mean[i:i + k]
+            xh *= v
+            gk[...] = g[i:i + k]
+            np.multiply(gk, xh, out=pk)
+            if i:
+                pb[0], gb[0] = d_scale, d_shift
+            first = 0 if i else 1
+            d_scale = pb[first:k + 1].sum(axis=0)
+            d_shift = gb[first:k + 1].sum(axis=0)
+            gk *= sd                                              # dxhat
+            m1 = gk.mean(axis=-1, keepdims=True)
+            np.multiply(gk, xh, out=pk)
+            m2 = pk.mean(axis=-1, keepdims=True)
+            # inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+            gk -= m1
+            xh *= m2
+            gk -= xh
+            gk *= v
+            dx[i:i + k] = gk
+        return dx.reshape(x.shape), d_scale.astype(scale.dtype), d_shift.astype(shift.dtype)
 
-    return _make_result(out, (x, scale, shift), bwd)
+    return _make_result(out.reshape(x.shape), (x, scale, shift), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +604,6 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
     return col.reshape(b * ho * wo, kh * kw * xp.shape[3]), ho, wo
 
 
-def _conv2d_raw(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    kh, kw, cin, cout = w.shape
-    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else x
-    col, ho, wo = _im2col(xp, kh, kw, stride)
-    out = col @ w.reshape(kh * kw * cin, cout)
-    return out.reshape(x.shape[0], ho, wo, cout)
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution, NHWC input, weights [kh, kw, cin, cout]."""
@@ -585,20 +615,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     padding = int(padding)
     xd, wd = x.data, w.data
     kh, kw, cin, cout = wd.shape
-    out = _conv2d_raw(xd, wd, stride, padding)
-    if b is not None:
-        if b.shape != (cout,):
-            raise ShapeError(f"conv2d: bias shape {b.shape} does not match out channels ({cout},)")
-        out = out + b.data
+    if b is not None and b.shape != (cout,):
+        raise ShapeError(f"conv2d: bias shape {b.shape} does not match out channels ({cout},)")
     bsz, hin, win_ = xd.shape[0], xd.shape[1], xd.shape[2]
-    ho, wo = out.shape[1], out.shape[2]
+    xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else xd
+    col, ho, wo = _im2col(xp, kh, kw, stride)
+    out = (col @ wd.reshape(kh * kw * cin, cout)).reshape(bsz, ho, wo, cout)
+    if b is not None:
+        out += b.data
     inputs = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
         g = np.ascontiguousarray(g)
-        # weight grad: col^T @ g, with the column matrix recomputed
-        xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else xd
-        col, _, _ = _im2col(xp, kh, kw, stride)
+        # weight grad: col^T @ g, with the forward's column matrix
         gw = (col.T @ g.reshape(-1, cout)).reshape(kh, kw, cin, cout)
         gb = () if b is None else (g.sum(axis=(0, 1, 2)),)
         if not x.requires_grad:  # e.g. the image: skip the full-resolution input grad
@@ -613,7 +642,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
         slack_w = win_ + 2 * padding - (gd.shape[2] + kw - 1)
         gdp = np.pad(gd, ((0, 0), (kh - 1, kh - 1 + slack_h), (kw - 1, kw - 1 + slack_w), (0, 0)))
         wf = np.ascontiguousarray(wd[::-1, ::-1].transpose(0, 1, 3, 2))  # [kh,kw,cout,cin]
-        gx_p = _conv2d_raw(gdp, wf, 1, 0)
+        gcol, hp, wp = _im2col(gdp, kh, kw, 1)
+        gx_p = (gcol @ wf.reshape(kh * kw * cout, cin)).reshape(bsz, hp, wp, cin)
         gx = gx_p[:, padding:padding + hin, padding:padding + win_, :]
         return (gx, gw) + gb
 

@@ -44,18 +44,21 @@ class CheckResult:
         return msg
 
 
-def _central_diff(fn, arr, step=1e-5):
-    grad = np.zeros_like(arr)
-    it = np.nditer(arr, flags=["multi_index"])
+def central_difference(fn, arrays, index, step=1e-5):
+    """Numeric gradient of scalar fn w.r.t. arrays[index] (arrays are float64)."""
+    base = [a.copy() for a in arrays]
+    target = base[index]
+    grad = np.zeros_like(target)
+    it = np.nditer(target, flags=["multi_index"])
     while not it.finished:
         idx = it.multi_index
-        orig = arr[idx]
-        arr[idx] = orig + step
-        fp = fn(arr)
-        arr[idx] = orig - step
-        fm = fn(arr)
-        arr[idx] = orig
-        grad[idx] = (fp - fm) / (2 * step)
+        orig = target[idx]
+        target[idx] = orig + step
+        f_plus = fn(*base)
+        target[idx] = orig - step
+        f_minus = fn(*base)
+        target[idx] = orig
+        grad[idx] = (f_plus - f_minus) / (2.0 * step)
         it.iternext()
     return grad
 
@@ -146,8 +149,8 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
             with Tape():
                 x = Tensor(arr, requires_grad=True, dtype=np.float64)
                 backward(fn(x, gt, valid))
-            numeric = _central_diff(
-                lambda a: fn(Tensor(a, dtype=np.float64), gt, valid).item(), arr.copy())
+            numeric = central_difference(
+                lambda a: fn(Tensor(a, dtype=np.float64), gt, valid).item(), [arr], 0)
             worst = max(worst, _rel_err(x.grad, numeric))
 
     arr = rng.standard_normal((4, 5))
@@ -155,8 +158,8 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
     with Tape():
         x = Tensor(arr, requires_grad=True, dtype=np.float64)
         backward(classification_loss(x, labels))
-    numeric = _central_diff(
-        lambda a: classification_loss(Tensor(a, dtype=np.float64), labels).item(), arr.copy())
+    numeric = central_difference(
+        lambda a: classification_loss(Tensor(a, dtype=np.float64), labels).item(), [arr], 0)
     worst = max(worst, _rel_err(x.grad, numeric))
 
     # 2-layer toy network, all inputs and weights checked in 64-bit
@@ -174,14 +177,13 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
         w1t = Tensor(w1a, requires_grad=True, dtype=np.float64)
         w2t = Tensor(w2a, requires_grad=True, dtype=np.float64)
         backward(toy(xt, w1t, w2t))
-    for t, arrs, i in ((xt, [xa, w1a, w2a], 0), (w1t, [xa, w1a, w2a], 1),
-                       (w2t, [xa, w1a, w2a], 2)):
-        def f(a, arrs=arrs, i=i):
-            copies = [np.array(v) for v in arrs]
-            copies[i] = a
-            with no_grad():
-                return toy(*[Tensor(v, dtype=np.float64) for v in copies]).item()
-        numeric = _central_diff(f, arrs[i].copy())
+
+    def f(*arrs):
+        with no_grad():
+            return toy(*[Tensor(v, dtype=np.float64) for v in arrs]).item()
+
+    for i, t in enumerate((xt, w1t, w2t)):
+        numeric = central_difference(f, [xa, w1a, w2a], i)
         worst = max(worst, _rel_err(t.grad, numeric))
 
     # dead-parameter detector on a small full model

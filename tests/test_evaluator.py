@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -153,6 +154,18 @@ class TestPostprocess:
         mask_logits = np.full((1, 4, 4), 10.0)
         out = postprocess(self._outputs(mask_logits, class_logits))
         assert out.masks == []
+
+    def test_very_negative_mask_logits_do_not_overflow(self):
+        k = 3
+        class_logits = np.full((1, k + 1), -10.0)
+        class_logits[0, 0] = 10.0
+        mask_logits = np.full((1, 8, 8), -1000.0)   # exp(1000) overflows float64
+        mask_logits[0, :2, :3] = 10.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = postprocess(self._outputs(mask_logits, class_logits))
+        assert out.labels == [1]
+        assert out.masks[0].sum() == 6
 
     def test_postprocess_disjoint_by_construction(self):
         rng = np.random.default_rng(1)

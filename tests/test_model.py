@@ -46,6 +46,23 @@ class TestShapes:
         assert out.mask_logits.shape == (2, 8, 16, 16)
         assert out.class_logits.shape == (2, 8, 5)
 
+    def test_position_embedding_once_per_forward(self, monkeypatch):
+        calls = []
+        embed = T.sine_position_embedding
+        monkeypatch.setattr(T, "sine_position_embedding",
+                            lambda *a, **k: calls.append(a) or embed(*a, **k))
+        model = MaskClassificationModel(toy_config())
+        image = Tensor(np.random.default_rng(4).standard_normal((2, 64, 64, 3)))
+        with T.no_grad():
+            out = model.forward(image)
+            assert calls == [(2, 2, 32)]
+            # the stages called alone embed the grid themselves, with the same result
+            encoded, mask_features = model.pixel_decoder(model.backbone_stub(image))
+            staged = model.heads(model.transformer_decoder(encoded), mask_features)
+        assert len(calls) == 3
+        assert np.array_equal(out.mask_logits.data, staged.mask_logits.data)
+        assert np.array_equal(out.class_logits.data, staged.class_logits.data)
+
     def test_indivisible_input_rejected(self):
         model = MaskClassificationModel(toy_config())
         with pytest.raises(T.ConfigError):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -119,26 +120,47 @@ class TestLayerNorm:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_exact_against_np_var_formula(self, dtype):
         rng = np.random.default_rng(5)
-        x = (rng.standard_normal((2, 5, 7, 48)) * 3 + 1).astype(dtype)
-        s = rng.standard_normal(48).astype(dtype)
-        b = rng.standard_normal(48).astype(dtype)
-        g = rng.standard_normal(x.shape).astype(dtype)
-        xt, st, bt = (Tensor(a, requires_grad=True) for a in (x, s, b))
-        backward(T.mul(T.layer_norm(xt, st, bt), Tensor(g)).sum())
-        out = T.layer_norm(Tensor(x), Tensor(s), Tensor(b))
+        # 70 rows fit one block; 3000 rows of 256 are 12 blocks, the last partial
+        for shape in ((2, 5, 7, 48), (3, 1000, 256)):
+            c, axes = shape[-1], tuple(range(len(shape) - 1))
+            x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+            s = rng.standard_normal(c).astype(dtype)
+            b = rng.standard_normal(c).astype(dtype)
+            g = rng.standard_normal(x.shape).astype(dtype)
+            xt, st, bt = (Tensor(a, requires_grad=True) for a in (x, s, b))
+            backward(T.mul(T.layer_norm(xt, st, bt), Tensor(g)).sum())
+            out = T.layer_norm(Tensor(x), Tensor(s), Tensor(b))
 
-        # reference: the textbook float64 formula with np.var and its backward
-        xd = x.astype(np.float64)
-        inv = 1.0 / np.sqrt(xd.var(axis=-1, keepdims=True) + 1e-5)
-        xhat = (xd - xd.mean(axis=-1, keepdims=True)) * inv
-        g64 = g.astype(np.float64)
-        dxhat = g64 * s
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        assert np.array_equal(out.data, (xhat * s + b).astype(dtype))
-        assert np.array_equal(xt.grad, dx.astype(dtype))
-        assert np.array_equal(st.grad, (g64 * xhat).sum(axis=(0, 1, 2)).astype(dtype))
-        assert np.array_equal(bt.grad, g64.sum(axis=(0, 1, 2)).astype(dtype))
+            # reference: the textbook float64 formula with np.var and its backward
+            xd = x.astype(np.float64)
+            inv = 1.0 / np.sqrt(xd.var(axis=-1, keepdims=True) + 1e-5)
+            xhat = (xd - xd.mean(axis=-1, keepdims=True)) * inv
+            g64 = g.astype(np.float64)
+            dxhat = g64 * s
+            dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+            assert np.array_equal(out.data, (xhat * s + b).astype(dtype))
+            assert np.array_equal(xt.grad, dx.astype(dtype))
+            assert np.array_equal(st.grad, (g64 * xhat).sum(axis=axes).astype(dtype))
+            assert np.array_equal(bt.grad, g64.sum(axis=axes).astype(dtype))
+
+    def test_no_full_size_float64_buffers(self):
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.standard_normal((1, 128, 128, 64)).astype(np.float32), requires_grad=True)
+        s = Tensor(np.ones(64, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                T.layer_norm(x, s, b)
+            peak = tracemalloc.get_traced_memory()[1]
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.layer_norm(x, s, b)      # recorded: what backward keeps stays allocated
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * x.data.nbytes
+        assert kept <= 0.1 * x.data.nbytes
 
 
 class TestUpsampleConv:
@@ -227,6 +249,20 @@ class TestBackward:
         (gx, gw, gb), (gx_const, gw_const, gb_const) = grads
         assert gx is not None and gx_const is None
         assert np.array_equal(gw, gw_const) and np.array_equal(gb, gb_const)
+
+    def test_conv2d_backward_reuses_forward_columns(self, monkeypatch):
+        calls = []
+        im2col = T._im2col
+        monkeypatch.setattr(T, "_im2col", lambda *a: calls.append(a[1:]) or im2col(*a))
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((2, 8, 8, 3)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3, 3, 4)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
+        out = T.conv2d(x, w, b, stride=2, padding=1)
+        backward(T.mul(out, out).sum())
+        # the forward's columns, then the input grad's stride-1 columns
+        assert calls == [(3, 3, 2), (3, 3, 1)]
+        assert x.grad is not None and w.grad is not None
 
     def test_tape_frees_graph_on_exit(self):
         gc.disable()  # only reference counting may free the intermediate
