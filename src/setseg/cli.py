@@ -12,7 +12,7 @@ import sys
 from . import synth as synth_mod
 from .config import load_config
 from .model import MaskClassificationModel
-from .trainer import TrainError, evaluate, ingest, train
+from .trainer import TrainError, evaluate, ingest, profile, train
 from .verify import run_verify
 
 
@@ -54,7 +54,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the verification suite")
     _add_config_args(p)
 
-    p = sub.add_parser("profile", help="per-stage training step timing")
+    p = sub.add_parser("profile", help="per-stage timing of the training loop; writes nothing")
     _add_config_args(p)
     p.add_argument("--data", required=True)
     p.add_argument("--steps", type=int, default=10)
@@ -113,11 +113,13 @@ def main(argv=None) -> int:
         return 0 if all(r.passed for r in results) else 1
 
     if args.command == "profile":
-        from .profiler import profile_run
-
         cfg = load_config(args.config, args.overrides)
-        report = profile_run(cfg, args.data, args.steps)
-        print(report.as_text(), end="")
+        try:
+            report = profile(cfg, args.data, args.steps)
+        except TrainError as err:
+            print(f"profiling aborted: {err}", file=sys.stderr)
+            return 1
+        print(report, end="")
         return 0
 
     if args.command == "model" and args.model_command == "info":

@@ -31,17 +31,6 @@ class LossError(ValueError):
 
 
 @dataclass
-class LossStats:
-    degenerate_dice_calls: int = 0
-
-    def reset(self):
-        self.degenerate_dice_calls = 0
-
-
-LOSS_STATS = LossStats()
-
-
-@dataclass
 class LossConfig:
     class_weight: float = 1.0
     focal_weight: float = 20.0
@@ -61,6 +50,7 @@ class LossBundle:
     weights: tuple[float, float, float]
     no_object_weight: float
     total_tensor: Tensor          # differentiable; drive backward() from here
+    degenerate_dice: int          # matched pairs with no valid pixel at mask resolution
 
 
 def _valid_pixels(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -109,8 +99,6 @@ def mask_loss(logits: Tensor, index, gt: np.ndarray, valid: np.ndarray, cfg: Los
     data = logits.data
     rows = data[index]
     n = len(rows)
-    if not valid.any():
-        LOSS_STATS.degenerate_dice_calls += n
     dice, focal = mask_costs(rows, gt, valid, cfg)
     dice_v, focal_v = float(dice.diagonal().mean()), float(focal.diagonal().mean())
     out = np.asarray(focal_weight * focal_v + dice_weight * dice_v, dtype=data.dtype)
@@ -152,7 +140,6 @@ def dice_loss(pred_logits: Tensor, gt: np.ndarray, valid: np.ndarray,
     """Soft dice on sigmoid(pred_logits), sums restricted to valid pixels."""
     gt, valid = _check_mask_args("dice_loss", pred_logits, gt, valid)
     if not valid.any():
-        LOSS_STATS.degenerate_dice_calls += 1
         return Tensor(np.zeros((), dtype=pred_logits.dtype))
     return mask_loss(pred_logits, np.newaxis, gt[None], valid,
                      LossConfig(dice_eps=eps), 0.0, 1.0)[0]
@@ -220,9 +207,11 @@ def total_loss(outputs, targets: TargetSet, assignment, cfg: LossConfig,
                                 no_object_weight=cfg.no_object_weight)
     total_t = T.mul(cls_t, cfg.class_weight)
     focal_v = dice_v = 0.0
+    degenerate = 0
     if len(queries):
         gt = np.stack([downsample_mask(m, factor) for m in targets.masks])
         valid_small = downsample_mask(valid_mask, factor).astype(bool)
+        degenerate = 0 if valid_small.any() else len(queries)
         mask_t, focal_v, dice_v = mask_loss(mask_logits, (batch_index, queries), gt,
                                             valid_small, cfg, cfg.focal_weight, cfg.dice_weight)
         total_t = T.add(total_t, mask_t)
@@ -235,4 +224,5 @@ def total_loss(outputs, targets: TargetSet, assignment, cfg: LossConfig,
         weights=(cfg.class_weight, cfg.focal_weight, cfg.dice_weight),
         no_object_weight=cfg.no_object_weight,
         total_tensor=total_t,
+        degenerate_dice=degenerate,
     )

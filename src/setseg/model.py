@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .records import atomic_open
 from .tensor import ConfigError, Tensor
 
 
@@ -266,7 +267,8 @@ class MaskClassificationModel:
 
 
 def save_checkpoint(model: MaskClassificationModel, path) -> None:
-    with open(path, "wb") as f:
+    """Write every parameter; a failed write leaves an existing file at ``path`` as it was."""
+    with atomic_open(path) as f:
         for name, t in model.params.items():
             nb = name.encode("utf-8")
             f.write(struct.pack("<H", len(nb)))

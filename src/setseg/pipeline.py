@@ -87,21 +87,11 @@ class PanopticSample:
 class TargetSet:
     masks: list[np.ndarray]       # per instance, binary uint8 [H, W]
     labels: list[int]             # contiguous class IDs, 1..K
+    dropped: int = 0              # source instances that got no target
 
     @property
     def count(self) -> int:
         return len(self.masks)
-
-
-@dataclass
-class ParseStats:
-    dropped_instances: int = 0
-
-    def reset(self):
-        self.dropped_instances = 0
-
-
-PARSE_STATS = ParseStats()
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +135,7 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
     to ``cfg.target_size`` and the result zero-padded bottom/right to a square.
     """
     rgb, cont, inst, image_id = entry_to_arrays(entry)
+    source_count = int(np.count_nonzero(np.bincount(inst.reshape(-1))[1:]))
 
     bad = np.unique(cont[cont > cfg.num_classes])
     if bad.size:
@@ -201,28 +192,29 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
         valid_mask=valid,
         image_id=image_id,
     )
-    targets = build_targets(cont_full, inst_full, valid)
+    targets = build_targets(cont_full, inst_full, valid, source_count)
     return sample, targets
 
 
 def build_targets(contiguous_mask: np.ndarray, instance_mask: np.ndarray,
-                  valid_mask: np.ndarray) -> TargetSet:
-    """One binary mask + label per distinct instance in the valid region."""
+                  valid_mask: np.ndarray, source_count: int) -> TargetSet:
+    """One binary mask + label per distinct instance in the valid region.
+
+    ``dropped`` is ``source_count``, the record's instance count before
+    cropping and resizing, minus the targets kept: it counts instances
+    labelled background and those the geometry removed.
+    """
     masks: list[np.ndarray] = []
     labels: list[int] = []
     region = valid_mask & (instance_mask != 0)
     for iid in np.unique(instance_mask[region]):
         m = (instance_mask == iid) & valid_mask
-        if not m.any():
-            PARSE_STATS.dropped_instances += 1
-            continue
         label = int(contiguous_mask[m][0])
         if label == 0:
-            PARSE_STATS.dropped_instances += 1
             continue
         masks.append(m.astype(np.uint8))
         labels.append(label)
-    return TargetSet(masks=masks, labels=labels)
+    return TargetSet(masks=masks, labels=labels, dropped=source_count - len(masks))
 
 
 # ---------------------------------------------------------------------------

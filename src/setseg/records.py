@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +45,22 @@ REQUIRED_KEYS = (
 _MAX_RECORD_BYTES = 2**32
 
 MANIFEST_NAME = "manifest.txt"
+
+
+@contextmanager
+def atomic_open(path, mode: str = "wb", **kwargs):
+    """Write through a sibling temp file that replaces ``path`` only if the block completes.
+
+    A failed write removes the temp file and leaves any file at ``path`` as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class RecordFormatError(ValueError):
@@ -206,24 +223,15 @@ def write_shards(entries, shard_count: int, out_dir, class_mapping=None) -> Shar
 
     shard_names = [f"shard-{i:05d}.mfr" for i in range(shard_count)]
     paths = [out_dir / n for n in shard_names]
-    try:
-        handles = [open(p, "wb") for p in paths]
-        try:
-            header = MAGIC + struct.pack("<I", VERSION)
-            counts = [0] * shard_count
-            for f in handles:
-                f.write(header)
-            for payload, shard in zip(payloads, assignment):
-                handles[shard].write(_record_bytes(payload))
-                counts[shard] += 1
-        finally:
-            for f in handles:
-                f.close()
-    except OSError:
-        for p in paths:
-            if p.exists():
-                os.unlink(p)
-        raise
+    counts = [0] * shard_count
+    with ExitStack() as stack:
+        handles = [stack.enter_context(atomic_open(p)) for p in paths]
+        header = MAGIC + struct.pack("<I", VERSION)
+        for f in handles:
+            f.write(header)
+        for payload, shard in zip(payloads, assignment):
+            handles[shard].write(_record_bytes(payload))
+            counts[shard] += 1
 
     shards = [
         ShardInfo(name=n, record_count=c, byte_size=p.stat().st_size)
@@ -248,7 +256,8 @@ def write_manifest(shard_set: ShardSet) -> None:
         lines.append(f"class_mapping {pairs}")
     for s in shard_set.shards:
         lines.append(f"shard {s.name} records={s.record_count} bytes={s.byte_size}")
-    (shard_set.directory / MANIFEST_NAME).write_text("\n".join(lines) + "\n")
+    with atomic_open(shard_set.directory / MANIFEST_NAME, "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def load_manifest(directory) -> ShardSet:

@@ -6,7 +6,7 @@ Every differentiable op records an entry on the active Tape; ``backward``
 replays the reachable part of the tape in reverse to populate ``grad``
 buffers on the leaves.
 
-Ops: elementwise arithmetic, relu, reshape, transpose, take,
+Ops: add, mul (tensor or scalar) and add_bias, relu, reshape, transpose, take,
 broadcast_batch, sum, softmax/log_softmax, matmul/linear, layer_norm,
 conv2d (im2col GEMM), ``upsample2x_conv3x3`` (a nearest 2x upsample fused
 into the following 3x3 conv), multi-head attention and the sine position
@@ -178,20 +178,11 @@ class Tensor:
     def __radd__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor_like(other, self), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -212,10 +203,6 @@ class Tensor:
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-
-def _as_tensor_like(value, ref: Tensor) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(np.asarray(value, dtype=ref.dtype))
 
 
 def _result_dtype(*arrays):
@@ -315,15 +302,6 @@ def add(a: Tensor, b) -> Tensor:
     return _make_result(a.data.astype(dt) + b.data.astype(dt), (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        s = float(b)
-        return _make_result(a.data - np.asarray(s, dtype=a.dtype), (a,), lambda g: (g,))
-    _check_same_shape("sub", a, b)
-    dt = _result_dtype(a.data, b.data)
-    return _make_result(a.data.astype(dt) - b.data.astype(dt), (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b) -> Tensor:
     if not isinstance(b, Tensor):
         s = float(b)
@@ -334,23 +312,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _make_result(
         ad.astype(dt) * bd.astype(dt), (a, b), lambda g: (g * bd, g * ad)
     )
-
-
-def div(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        s = float(b)
-        return _make_result(a.data / np.asarray(s, dtype=a.dtype), (a,), lambda g: (g / s,))
-    if b.size == 1 and a.shape != b.shape:
-        bd = b.data.reshape(())
-        ad = a.data
-        return _make_result(
-            a.data / bd,
-            (a, b),
-            lambda g: (g / bd, np.asarray(-(g * ad).sum() / (bd * bd)).reshape(b.shape)),
-        )
-    _check_same_shape("div", a, b)
-    ad, bd = a.data, b.data
-    return _make_result(ad / bd, (a, b), lambda g: (g / bd, -g * ad / (bd * bd)))
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:

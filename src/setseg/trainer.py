@@ -5,6 +5,11 @@ loss -> backward -> clipped update. A background producer fills a bounded
 batch queue (parse work optionally fanned out to a thread pool); batch
 order and per-record augmentation seeds are derived deterministically from
 the run seed, so a fixed (config, seed) reproduces the loss CSV bit-exactly.
+
+``train_step`` is the one forward -> match -> loss -> backward path and
+``run_steps`` the one loop around it; both read the clock at every stage
+boundary. ``train`` and ``profile`` both run ``run_steps``: one writes
+``loss.csv`` and checkpoints, the other writes nothing and sums the clocks.
 """
 
 from __future__ import annotations
@@ -13,9 +18,13 @@ import csv
 import math
 import queue
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,11 +37,17 @@ from .model import MaskClassificationModel, save_checkpoint
 from .pipeline import (
     Batch, ParserConfig, batch as make_batch, build_id_mapper, downsample_mask, parse,
 )
-from .tensor import Tape, backward, no_grad
+from .tensor import Tape, add, backward, no_grad
 
 
 class TrainError(RuntimeError):
-    pass
+    """A failed run; when a step aborts it, ``step`` and ``image_ids`` name the batch."""
+
+    def __init__(self, message: str, step: int | None = None,
+                 image_ids: list[int] | None = None):
+        super().__init__(message)
+        self.step = step
+        self.image_ids = image_ids
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +189,14 @@ def assemble_batch(entries, cfg: RunConfig, step: int, pool=None) -> Batch:
 
 
 class BatchStream:
-    """Producer thread filling a bounded queue with ready batches."""
+    """Producer thread filling a bounded queue with ready batches; ``close`` stops it."""
 
     def __init__(self, entries, cfg: RunConfig, steps: int):
         self.entries = entries
         self.cfg = cfg
         self.steps = steps
         self.queue: queue.Queue = queue.Queue(maxsize=max(1, cfg.trainer.queue_depth))
+        self._stop = threading.Event()
         self._thread = threading.Thread(target=self._produce, daemon=True)
         self._thread.start()
 
@@ -189,6 +205,8 @@ class BatchStream:
         pool = ThreadPoolExecutor(workers) if workers > 1 else None
         try:
             for step in range(self.steps):
+                if self._stop.is_set():
+                    return
                 self.queue.put(assemble_batch(self.entries, self.cfg, step, pool))
         except BaseException as err:  # surfaced on the consumer side
             self.queue.put(err)
@@ -202,6 +220,18 @@ class BatchStream:
             if isinstance(item, BaseException):
                 raise item
             yield item
+
+    def close(self):
+        """Stop the producer and wait for it to exit; queued batches are dropped.
+
+        The producer checks the stop event before each batch, so it blocks on
+        at most one more ``put``, which emptying the queue lets through.
+        """
+        self._stop.set()
+        with suppress(queue.Empty):
+            while True:
+                self.queue.get_nowait()
+        self._thread.join()
 
 
 # ---------------------------------------------------------------------------
@@ -217,37 +247,99 @@ class TrainResult:
     final_total: float
 
 
-def _dump_nan_diagnostics(out_dir: Path, step: int, batch_data: Batch, detail: str):
-    (out_dir / "nan_batch.txt").write_text(
-        f"step {step}\nimage_ids {batch_data.image_ids}\n{detail}\n"
+class StepResult(NamedTuple):
+    """Mean losses of one step, its stage ``seconds`` and its batch-summed counts."""
+
+    classification: float
+    focal: float
+    dice: float
+    total: float
+    seconds: dict[str, float]
+    dropped_instances: int      # record instances that got no target
+    degenerate_dice: int        # matched pairs with no valid pixel at mask resolution
+
+
+def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
+    """Forward, match every image, build every loss, backward; the caller clips and updates.
+
+    Matching records no tape op, so matching all images first leaves the
+    tape as an image-by-image loop would record it.
+    """
+    t0 = time.perf_counter()
+    with Tape():
+        outputs = model.forward(batch_data.images)
+        t1 = time.perf_counter()
+        per_image = list(enumerate(zip(batch_data.target_sets, batch_data.valid_masks)))
+        with no_grad():
+            assignments = [hungarian(build_cost_matrix(outputs, targets, cfg.matcher, valid,
+                                                       cfg.losses, batch_index=b))
+                           for b, (targets, valid) in per_image]
+        t2 = time.perf_counter()
+        bundles = [total_loss(outputs, targets, assignment, cfg.losses, valid, batch_index=b)
+                   for (b, (targets, valid)), assignment in zip(per_image, assignments)]
+        totals = [bundle.total_tensor for bundle in bundles]
+        mean_total = reduce(add, totals) * (1.0 / len(totals))
+        t3 = time.perf_counter()
+        model.zero_grad()
+        backward(mean_total)
+    t4 = time.perf_counter()
+    comps = np.zeros(3, dtype=np.float64)
+    for bundle in bundles:
+        comps += (bundle.classification, bundle.focal, bundle.dice)
+    comps /= batch_data.size
+    return StepResult(
+        float(comps[0]), float(comps[1]), float(comps[2]), mean_total.item(),
+        {"forward": t1 - t0, "match": t2 - t1, "loss": t3 - t2, "backward": t4 - t3},
+        sum(targets.dropped for targets in batch_data.target_sets),
+        sum(bundle.degenerate_dice for bundle in bundles),
     )
 
 
-def train_step(model, batch_data: Batch, cfg: RunConfig):
-    """One optimization step; returns mean (classification, focal, dice, total)."""
-    with Tape():
-        outputs = model.forward(batch_data.images)
-        totals = []
-        comps = np.zeros(3, dtype=np.float64)
-        for b in range(batch_data.size):
-            targets = batch_data.target_sets[b]
-            valid = batch_data.valid_masks[b]
-            with no_grad():
-                cm = build_cost_matrix(outputs, targets, cfg.matcher, valid,
-                                       cfg.losses, batch_index=b)
-                assignment = hungarian(cm)
-            bundle = total_loss(outputs, targets, assignment, cfg.losses, valid,
-                                batch_index=b)
-            totals.append(bundle.total_tensor)
-            comps += (bundle.classification, bundle.focal, bundle.dice)
-        acc = totals[0]
-        for t in totals[1:]:
-            acc = acc + t
-        mean_total = acc * (1.0 / len(totals))
-        model.zero_grad()
-        backward(mean_total)
-    comps /= batch_data.size
-    return float(comps[0]), float(comps[1]), float(comps[2]), mean_total.item()
+def _step_error(what: str, step: int, batch_data: Batch, detail) -> TrainError:
+    return TrainError(f"{what} at step {step} (batch images {batch_data.image_ids}): {detail}",
+                      step, batch_data.image_ids)
+
+
+def run_steps(model, optimizer, entries, cfg: RunConfig, steps: int,
+              on_step=None) -> list[StepResult]:
+    """The training loop: batch wait, ``train_step``, non-finite checks, clip, update.
+
+    Adds ``wait``, ``clip`` and ``update`` to each result's ``seconds`` and
+    calls ``on_step(step)`` after each update. A non-finite loss or
+    gradient norm raises ``TrainError``. The batch producer is stopped
+    however the loop ends.
+    """
+    results = []
+    stream = BatchStream(entries, cfg, steps)
+    batches = iter(stream)
+    try:
+        for step in range(steps):
+            t0 = time.perf_counter()
+            batch_data = next(batches)
+            t1 = time.perf_counter()
+            try:
+                result = train_step(model, batch_data, cfg)
+            except NanCostError as err:
+                raise _step_error("non-finite loss", step, batch_data, err) from None
+            if not math.isfinite(result.total):
+                raise _step_error("non-finite loss", step, batch_data,
+                                  f"components cls={result.classification} "
+                                  f"focal={result.focal} dice={result.dice}")
+            t2 = time.perf_counter()
+            grad_norm = clip_gradients(model.params, cfg.trainer.grad_clip_norm)
+            if not math.isfinite(grad_norm):
+                # NaN > max_norm is False, so clipping alone would let NaN reach the update
+                raise _step_error("non-finite gradient norm", step, batch_data,
+                                  f"grad norm {grad_norm}")
+            t3 = time.perf_counter()
+            optimizer.step()
+            result.seconds.update(wait=t1 - t0, clip=t3 - t2, update=time.perf_counter() - t3)
+            results.append(result)
+            if on_step is not None:
+                on_step(step)
+    finally:
+        stream.close()
+    return results
 
 
 def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
@@ -256,43 +348,22 @@ def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
     entries = load_entries(data_dir)
     model = MaskClassificationModel(cfg.model)
     optimizer = make_optimizer(cfg, model)
-    steps = cfg.trainer.steps
+    every = cfg.trainer.checkpoint_every
 
-    rows = []
-    stream = BatchStream(entries, cfg, steps)
-    for step, batch_data in enumerate(stream):
-        try:
-            cls_v, focal_v, dice_v, total_v = train_step(model, batch_data, cfg)
-        except NanCostError as err:
-            _dump_nan_diagnostics(out_dir, step, batch_data, detail=str(err))
-            raise TrainError(
-                f"non-finite loss at step {step} (batch images {batch_data.image_ids}): {err}"
-            ) from None
-        if not math.isfinite(total_v):
-            _dump_nan_diagnostics(
-                out_dir, step, batch_data,
-                detail=f"components cls={cls_v} focal={focal_v} dice={dice_v}",
-            )
-            raise TrainError(
-                f"non-finite loss at step {step} (batch images {batch_data.image_ids}); "
-                f"diagnostics in {out_dir / 'nan_batch.txt'}"
-            )
-        grad_norm = clip_gradients(model.params, cfg.trainer.grad_clip_norm)
-        if not math.isfinite(grad_norm):
-            # NaN > max_norm is False, so clipping alone would let NaN reach the update
-            _dump_nan_diagnostics(out_dir, step, batch_data, detail=f"grad norm {grad_norm}")
-            raise TrainError(
-                f"non-finite gradient norm at step {step} "
-                f"(batch images {batch_data.image_ids}); "
-                f"diagnostics in {out_dir / 'nan_batch.txt'}"
-            )
-        optimizer.step()
-        rows.append((step, cls_v, focal_v, dice_v, total_v))
-        if cfg.trainer.checkpoint_every > 0 and (step + 1) % cfg.trainer.checkpoint_every == 0:
+    def checkpoint(step):
+        if every > 0 and (step + 1) % every == 0:
             save_checkpoint(model, out_dir / f"ckpt-{step + 1:06d}.ckpt")
 
+    try:
+        results = run_steps(model, optimizer, entries, cfg, cfg.trainer.steps, checkpoint)
+    except TrainError as err:
+        nan_path = out_dir / "nan_batch.txt"
+        nan_path.write_text(f"step {err.step}\nimage_ids {err.image_ids}\n{err}\n")
+        raise TrainError(f"{err}; diagnostics in {nan_path}", err.step, err.image_ids) from None
+
+    rows = [(step, *result[:4]) for step, result in enumerate(results)]
     csv_path = out_dir / "loss.csv"
-    with open(csv_path, "w", newline="") as f:
+    with records.atomic_open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "classification", "focal", "dice", "total"])
         for row in rows:
@@ -306,6 +377,34 @@ def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
         initial_total=rows[0][4] if rows else float("nan"),
         final_total=rows[-1][4] if rows else float("nan"),
     )
+
+
+STAGES = ("wait", "forward", "match", "loss", "backward", "clip", "update")
+
+
+def profile(cfg: RunConfig, data_dir, steps: int) -> str:
+    """Run the training loop for ``steps`` steps, writing nothing; report its stage clocks.
+
+    The stages partition each step up to a few clock reads, so they sum to
+    the loop's wall time, which is the reported total.
+    """
+    entries = load_entries(data_dir)
+    model = MaskClassificationModel(cfg.model)
+    optimizer = make_optimizer(cfg, model)
+    t0 = time.perf_counter()
+    results = run_steps(model, optimizer, entries, cfg, steps)
+    total = time.perf_counter() - t0
+    if not results:
+        return "no steps profiled\n"
+    n_records = steps * cfg.trainer.batch_size
+    lines = [f"steps {steps}  records {n_records}  total {total:.3f}s  "
+             f"records/sec {n_records / total:.1f}"]
+    for name in STAGES:
+        sec = sum(r.seconds[name] for r in results)
+        lines.append(f"  {name:<9} {sec:8.3f}s  {100.0 * sec / total:5.1f}%")
+    lines.append(f"dropped instances {sum(r.dropped_instances for r in results)}  "
+                 f"degenerate-dice pairs {sum(r.degenerate_dice for r in results)}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,8 @@ def central_difference(fn, arrays, index, step=1e-5):
     return grad
 
 
-def _rel_err(analytic, numeric):
+def max_rel_error(analytic, numeric):
+    """Largest absolute difference, relative to the larger of the two magnitudes."""
     analytic = np.asarray(analytic, dtype=np.float64)
     numeric = np.asarray(numeric, dtype=np.float64)
     scale = max(np.abs(numeric).max(), np.abs(analytic).max(), 1e-8)
@@ -151,7 +152,7 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
                 backward(fn(x, gt, valid))
             numeric = central_difference(
                 lambda a: fn(Tensor(a, dtype=np.float64), gt, valid).item(), [arr], 0)
-            worst = max(worst, _rel_err(x.grad, numeric))
+            worst = max(worst, max_rel_error(x.grad, numeric))
 
     arr = rng.standard_normal((4, 5))
     labels = rng.integers(1, 6, size=4)
@@ -160,7 +161,7 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
         backward(classification_loss(x, labels))
     numeric = central_difference(
         lambda a: classification_loss(Tensor(a, dtype=np.float64), labels).item(), [arr], 0)
-    worst = max(worst, _rel_err(x.grad, numeric))
+    worst = max(worst, max_rel_error(x.grad, numeric))
 
     # 2-layer toy network, all inputs and weights checked in 64-bit
     xa = rng.standard_normal((2, 6))
@@ -184,7 +185,7 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
 
     for i, t in enumerate((xt, w1t, w2t)):
         numeric = central_difference(f, [xa, w1a, w2a], i)
-        worst = max(worst, _rel_err(t.grad, numeric))
+        worst = max(worst, max_rel_error(t.grad, numeric))
 
     # dead-parameter detector on a small full model
     toy_cfg = ModelConfig(input_size=64, n_queries=8, hidden_size=32,

@@ -1,6 +1,8 @@
 import pytest
 
+from setseg import trainer
 from setseg.cli import main
+from setseg.matcher import NanCostError
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,19 @@ class TestSubcommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "records/sec" in out
+        for stage in ("wait", "forward", "match", "loss", "backward", "clip", "update"):
+            assert f"\n  {stage} " in out
+        assert "dropped instances" in out and "degenerate-dice pairs" in out
+
+    def test_profile_abort_exit_code(self, dataset, capsys, monkeypatch):
+        def failing_step(model, batch_data, cfg):
+            raise NanCostError("non-finite cost")
+
+        monkeypatch.setattr(trainer, "train_step", failing_step)
+        code = main(["profile", "--data", str(dataset / "shards"), "--steps", "2",
+                     *TOY_OVERRIDES])
+        assert code == 1
+        assert "aborted" in capsys.readouterr().err
 
     def test_profile_zero_steps(self, dataset, capsys):
         code = main(["profile", "--data", str(dataset / "shards"), "--steps", "0",

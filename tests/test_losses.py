@@ -41,10 +41,8 @@ class TestDice:
         assert abs(base - padded) <= 1e-7
 
     def test_all_invalid_returns_zero_with_counter(self):
-        losses.LOSS_STATS.reset()
         out = dice_loss(Tensor(np.zeros((2, 2))), np.zeros((2, 2)), np.zeros((2, 2), bool))
         assert out.item() == 0.0
-        assert losses.LOSS_STATS.degenerate_dice_calls == 1
 
     def test_range(self):
         rng = np.random.default_rng(1)
@@ -245,6 +243,21 @@ class TestTotalLoss:
         assert abs(bundle.focal - focal) <= 1e-3
         assert abs(bundle.classification - cls) <= 1e-3
         assert abs(bundle.dice - dice) < 1e-6   # observed error far below the 1e-3 gate
+
+    def test_degenerate_dice_counts_pairs_without_valid_pixels(self):
+        rng = np.random.default_rng(4)
+        outputs = SimpleNamespace(
+            mask_logits=Tensor(rng.standard_normal((1, 3, 3, 3))),
+            class_logits=Tensor(rng.standard_normal((1, 3, 4))),
+        )
+        gt = np.ones((3, 3), dtype=np.uint8)
+        targets = TargetSet(masks=[gt, gt], labels=[1, 2])
+        assignment = Assignment(np.array([2, 0]), 0.0)
+        empty = total_loss(outputs, targets, assignment, LossConfig(), np.zeros((3, 3), bool))
+        assert empty.degenerate_dice == 2
+        assert empty.dice == 0.0 and empty.focal == 0.0
+        full = total_loss(outputs, targets, assignment, LossConfig(), np.ones((3, 3), bool))
+        assert full.degenerate_dice == 0
 
     def test_total_is_exact_weighted_sum(self):
         outputs, targets, valid, assignment, _, _ = self._fixture()

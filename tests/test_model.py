@@ -191,6 +191,22 @@ class TestCheckpoint:
         with pytest.raises(T.ConfigError):
             load_checkpoint(bigger, path)
 
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path):
+        class WriteFails(np.ndarray):
+            def astype(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(MaskClassificationModel(toy_config(seed=3)), path)
+        old = path.read_bytes()
+        model = MaskClassificationModel(toy_config(seed=9))
+        second = list(model.params.values())[1]
+        second.data = second.data.view(WriteFails)      # fails after the first parameter
+        with pytest.raises(OSError):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
     def test_parameter_count_reported(self):
         model = MaskClassificationModel(toy_config())
         info = model.info()

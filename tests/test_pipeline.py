@@ -153,7 +153,6 @@ class TestTargetInvariants:
         assert np.array_equal(union, expected)
 
     def test_zero_area_instance_dropped_and_counted(self):
-        pipeline.PARSE_STATS.reset()
         rgb = np.zeros((8, 8, 3), dtype=np.uint8)
         inst = np.zeros((8, 8), dtype=np.uint16)
         inst[7, 7] = 2          # single pixel that vanishes after 4x downscale
@@ -162,6 +161,7 @@ class TestTargetInvariants:
         cfg = ParserConfig(target_size=2, crop_probability=0.0)
         _, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
         assert targets.labels == [1]
+        assert targets.dropped == 1
 
     def test_resize_nearest_identity(self):
         g = np.arange(12).reshape(3, 4)

@@ -1,12 +1,18 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from setseg import synth, trainer
 from setseg.config import RunConfig
+from setseg.matcher import NanCostError
+from setseg.model import MaskClassificationModel
 from setseg.pipeline import PipelineError
-from setseg.profiler import STAGES, profile_run
 from setseg.records import load_manifest
-from setseg.trainer import TrainError, evaluate, ingest, load_entries, train
+from setseg.trainer import (
+    STAGES, TrainError, evaluate, ingest, load_entries, profile, run_steps, train,
+)
 
 
 def toy_run_config(**trainer_overrides) -> RunConfig:
@@ -108,6 +114,30 @@ class TestTrain:
         assert "batch images" in str(err.value)
         assert (tmp_path / "nan_grad" / "nan_batch.txt").read_text().startswith("step 0\n")
 
+    def test_abort_stops_the_batch_producer(self, shard_dir, tmp_path, monkeypatch):
+        def failing_step(model, batch_data, cfg):
+            raise NanCostError("non-finite cost")
+
+        before = set(threading.enumerate())
+        monkeypatch.setattr(trainer, "train_step", failing_step)
+        with pytest.raises(TrainError) as err:
+            train(toy_run_config(steps=50), shard_dir, tmp_path / "abort")
+        assert err.value.step == 0
+        producers = [t for t in set(threading.enumerate()) - before
+                     if t.name.endswith("(_produce)")]
+        for t in producers:
+            t.join(timeout=1.0)
+        assert not any(t.is_alive() for t in producers)
+
+    def test_train_step_result(self, shard_dir):
+        cfg = toy_run_config()
+        batch = trainer.assemble_batch(load_entries(shard_dir), cfg, 0)
+        result = trainer.train_step(MaskClassificationModel(cfg.model), batch, cfg)
+        assert isinstance(result, trainer.StepResult)
+        assert result[3] == result.total
+        assert set(result.seconds) == {"forward", "match", "loss", "backward"}
+        assert result.dropped_instances >= 0 and result.degenerate_dice >= 0
+
     def test_sgd_optimizer_path(self, shard_dir, tmp_path):
         cfg = toy_run_config(optimizer="sgd", steps=2)
         result = train(cfg, shard_dir, tmp_path / "sgd")
@@ -132,22 +162,25 @@ class TestEvaluate:
 
 class TestProfile:
     def test_stage_times_partition_total(self, shard_dir):
-        report = profile_run(toy_run_config(), shard_dir, steps=3)
-        total_from_stages = sum(report.stage_seconds[s] for s in STAGES)
-        assert abs(total_from_stages - report.total_seconds) <= 0.05 * report.total_seconds
-        assert report.records == 6
-        assert report.records_per_second > 0
+        # profile's total is the wall time of run_steps, as timed here
+        cfg = toy_run_config()
+        model = MaskClassificationModel(cfg.model)
+        optimizer = trainer.make_optimizer(cfg, model)
+        t0 = time.perf_counter()
+        results = run_steps(model, optimizer, load_entries(shard_dir), cfg, 3)
+        total = time.perf_counter() - t0
+        assert all(set(r.seconds) == set(STAGES) for r in results)
+        total_from_stages = sum(r.seconds[s] for r in results for s in STAGES)
+        assert abs(total_from_stages - total) <= 0.05 * total
+        assert len(results) * cfg.trainer.batch_size == 6
 
     def test_zero_steps_empty_report(self, shard_dir):
-        report = profile_run(toy_run_config(), shard_dir, steps=0)
-        assert report.steps == 0
-        assert report.as_text() == "no steps profiled\n"
+        assert profile(toy_run_config(), shard_dir, steps=0) == "no steps profiled\n"
 
     def test_two_workers_do_not_regress_parse_time(self, shard_dir):
-        # measured on the exact parse path the trainer and profiler share;
-        # parse must be substantial for worker scaling to matter, and min-
-        # over-repeats damps scheduler noise
-        import time
+        # measured on the parse path the batch producer runs; parse must be
+        # substantial for worker scaling to matter, and min-over-repeats
+        # damps scheduler noise
         from concurrent.futures import ThreadPoolExecutor
 
         from setseg.trainer import assemble_batch, load_entries
