@@ -1,12 +1,14 @@
 """Command-line driver: synth, ingest, train, eval, verify, profile, model info.
 
-Exit codes: 0 on success, 1 on a failed check or aborted run, 2 on usage
+Exit codes: 0 on success, 1 on a failed check, an aborted run or a reader
+that closed stdout early (``setseg ingest ... | head -2``), 2 on usage
 errors (argparse's default).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import synth as synth_mod
@@ -69,7 +71,18 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone; point stdout at devnull so the flush at
+        # interpreter exit cannot raise again (Python docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
+
+def _run(args) -> int:
     if args.command == "synth":
         ann = synth_mod.synth(args.n, args.out, seed=args.seed,
                               min_size=args.min_size, max_size=args.max_size)

@@ -2,7 +2,8 @@
 
 File lines look like ``trainer.learning_rate = 3e-4``; ``#`` starts a
 comment. Values are coerced by the type of the dataclass default they
-replace. Command-line overrides always win over file values.
+replace. Command-line overrides always win over file values. A choice
+that only ever takes one value is a constant in the code, not a key.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from pathlib import Path
 
 from .evaluator import EvalConfig
 from .losses import LossConfig
-from .matcher import MatcherWeights
 from .model import ModelConfig
 from .pipeline import ParserConfig
 
@@ -23,16 +23,13 @@ class ConfigFileError(ValueError):
 
 @dataclass
 class TrainerConfig:
-    optimizer: str = "adam"           # "adam" or "sgd"
-    learning_rate: float = 1e-4
-    momentum: float = 0.9
+    learning_rate: float = 1e-4       # Adam step size and moment decays
+    beta1: float = 0.9
     beta2: float = 0.999
     batch_size: int = 8
     steps: int = 300
     grad_clip_norm: float = 0.1
     checkpoint_every: int = 100
-    parse_workers: int = 1
-    queue_depth: int = 4
 
 
 @dataclass
@@ -40,29 +37,17 @@ class RunConfig:
     parser: ParserConfig = field(default_factory=ParserConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     losses: LossConfig = field(default_factory=LossConfig)
-    matcher: MatcherWeights = field(default_factory=MatcherWeights)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     evaluator: EvalConfig = field(default_factory=EvalConfig)
     seed: int = 0
 
 
 def _coerce(current, raw: str):
-    raw = raw.strip()
-    if isinstance(current, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigFileError(f"cannot parse boolean from {raw!r}")
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
+    """Parse ``raw`` as the type of ``current``: int, float, or a tuple of one of them."""
     if isinstance(current, tuple):
-        parts = [p for p in raw.replace(",", " ").split() if p]
-        elem = current[0] if current else 0.0
-        return tuple(type(elem)(p) if not isinstance(elem, float) else float(p) for p in parts)
-    return raw
+        elem_type = type(current[0]) if current else float
+        return tuple(elem_type(p) for p in raw.replace(",", " ").split())
+    return type(current)(raw)
 
 
 def set_value(cfg: RunConfig, dotted_key: str, raw: str) -> None:
@@ -110,20 +95,13 @@ def load_config(path=None, overrides=None) -> RunConfig:
 
 
 def dump_config(cfg: RunConfig) -> str:
+    """Every leaf key as a ``key = value`` line that ``load_config`` reads back."""
     lines = []
-
-    def walk(obj, prefix):
-        for f in fields(obj):
-            value = getattr(obj, f.name)
-            key = f"{prefix}.{f.name}" if prefix else f.name
-            if is_dataclass(value):
-                walk(value, key)
-            elif isinstance(value, tuple):
-                lines.append(f"{key} = {','.join(str(v) for v in value)}")
-            else:
-                lines.append(f"{key} = {value}")
-
-    walk(cfg, "")
+    for key in leaf_keys(cfg):
+        value = get_value(cfg, key)
+        if isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

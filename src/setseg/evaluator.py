@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import sigmoid
+from .losses import sigmoid, softmax
 
 
 class SegmentSetError(ValueError):
@@ -156,9 +156,7 @@ def postprocess(outputs, cfg: EvalConfig | None = None, batch_index: int = 0) ->
     mask_logits = outputs.mask_logits.data[batch_index]     # [N_q, h, w]
     k = class_logits.shape[-1] - 1
 
-    shifted = class_logits - class_logits.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = softmax(class_logits)
     best = probs.argmax(axis=-1)
     conf = probs.max(axis=-1)
     keep = (best < k) & (conf >= cfg.confidence_threshold)

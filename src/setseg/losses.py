@@ -47,8 +47,6 @@ class LossBundle:
     focal: float
     dice: float
     total: float
-    weights: tuple[float, float, float]
-    no_object_weight: float
     total_tensor: Tensor          # differentiable; drive backward() from here
     degenerate_dice: int          # matched pairs with no valid pixel at mask resolution
 
@@ -62,6 +60,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function that never overflows: exp only sees -|x|."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, shifted by the row max so exp never overflows."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _pixel_terms(x: np.ndarray, cfg: LossConfig):
@@ -221,8 +225,6 @@ def total_loss(outputs, targets: TargetSet, assignment, cfg: LossConfig,
         focal=focal_v,
         dice=dice_v,
         total=cfg.class_weight * cls_v + cfg.focal_weight * focal_v + cfg.dice_weight * dice_v,
-        weights=(cfg.class_weight, cfg.focal_weight, cfg.dice_weight),
-        no_object_weight=cfg.no_object_weight,
         total_tensor=total_t,
         degenerate_dice=degenerate,
     )

@@ -13,7 +13,9 @@ touched. Differential testing compares totals (and, when unique, the
 matching itself) against exhaustive enumeration of injections.
 
 The per-pair focal and dice costs come from ``losses.mask_costs``, the same
-kernel the training loss reduces, so matching and loss cannot disagree.
+kernel the training loss reduces, and the class, focal and dice costs are
+weighed with the loss's own ``LossConfig`` weights (as in MaskFormer), so
+matching and loss cannot disagree.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossConfig, mask_costs
+from .losses import LossConfig, mask_costs, softmax
 from .pipeline import TargetSet, downsample_mask
 from .tensor import ContractError
 
@@ -37,17 +39,9 @@ class NanCostError(MatcherError):
 
 
 @dataclass
-class MatcherWeights:
-    class_weight: float = 1.0
-    focal_weight: float = 20.0
-    dice_weight: float = 1.0
-
-
-@dataclass
 class CostMatrix:
     values: np.ndarray            # [n_queries, n_queries] after padding
     real_rows: int                # ground-truth count N
-    weights: MatcherWeights
     pad_cost: float
 
 
@@ -57,13 +51,13 @@ class Assignment:
     total_real_cost: float
 
 
-def build_cost_matrix(outputs, targets: TargetSet, weights: MatcherWeights,
-                      valid_mask: np.ndarray, loss_cfg: LossConfig,
-                      batch_index: int = 0) -> CostMatrix:
+def build_cost_matrix(outputs, targets: TargetSet, valid_mask: np.ndarray,
+                      loss_cfg: LossConfig, batch_index: int = 0) -> CostMatrix:
     """Square-padded per-pair matching costs for one image.
 
     cell (i, q) = w_class * (-p_q[label_i]) + w_focal * focal(mask_q, gt_i)
-                + w_dice * dice(mask_q, gt_i), mask terms from
+                + w_dice * dice(mask_q, gt_i), with the weights
+    ``loss_cfg.{class,focal,dice}_weight`` and the mask terms from
     ``losses.mask_costs`` over valid pixels only, then padded to
     [n_queries, n_queries] with max(real) + 1.
     """
@@ -77,14 +71,12 @@ def build_cost_matrix(outputs, targets: TargetSet, weights: MatcherWeights,
     if n == 0:
         pad = 1.0
         values = np.full((n_q, n_q), pad, dtype=np.float64)
-        return CostMatrix(values, 0, weights, pad)
+        return CostMatrix(values, 0, pad)
 
     factor = valid_mask.shape[0] // mask_logits.shape[1]
     valid = downsample_mask(valid_mask, factor).astype(bool)
 
-    shifted = class_logits - class_logits.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = softmax(class_logits)
     labels = np.asarray(targets.labels, dtype=np.int64)
     class_cost = -probs[:, labels - 1].T.astype(np.float64)        # [N, N_q]
 
@@ -92,9 +84,9 @@ def build_cost_matrix(outputs, targets: TargetSet, weights: MatcherWeights,
     dice_cost, focal_cost = mask_costs(mask_logits, gt, valid, loss_cfg)   # [N, N_q]
 
     real = (
-        weights.class_weight * class_cost
-        + weights.focal_weight * focal_cost
-        + weights.dice_weight * dice_cost
+        loss_cfg.class_weight * class_cost
+        + loss_cfg.focal_weight * focal_cost
+        + loss_cfg.dice_weight * dice_cost
     )
     if np.isnan(real).any():
         i, q = np.argwhere(np.isnan(real))[0]
@@ -103,7 +95,7 @@ def build_cost_matrix(outputs, targets: TargetSet, weights: MatcherWeights,
     pad = float(real.max()) + 1.0
     values = np.full((n_q, n_q), pad, dtype=np.float64)
     values[:n, :] = real
-    return CostMatrix(values, n, weights, pad)
+    return CostMatrix(values, n, pad)
 
 
 def pad_square(real_costs: np.ndarray, n_queries: int | None = None) -> CostMatrix:
@@ -117,7 +109,7 @@ def pad_square(real_costs: np.ndarray, n_queries: int | None = None) -> CostMatr
     pad = float(real_costs.max()) + 1.0 if real_costs.size else 1.0
     values = np.full((n_queries, n_queries), pad, dtype=np.float64)
     values[:n, :n_q] = real_costs
-    return CostMatrix(values, n, MatcherWeights(), pad)
+    return CostMatrix(values, n, pad)
 
 
 def _solve_rows(a: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ class ModelConfig:
     num_heads: int = 8
     num_classes: int = 4
     seed: int = 0
-    dtype: str = "float32"
 
     def validate(self):
         if self.input_size % 32 != 0:
@@ -43,10 +42,6 @@ class ModelConfig:
             raise ConfigError(
                 f"hidden_size {self.hidden_size} not divisible by {self.num_heads} heads"
             )
-
-    @property
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
 
 
 @dataclass
@@ -66,7 +61,7 @@ class MaskClassificationModel:
     # -- initialization ----------------------------------------------------
 
     def _param(self, name: str, data: np.ndarray) -> Tensor:
-        t = Tensor(data.astype(self.cfg.np_dtype), requires_grad=True)
+        t = Tensor(data.astype(np.float32), requires_grad=True)
         self.params[name] = t
         return t
 
@@ -177,7 +172,7 @@ class MaskClassificationModel:
 
     def position_embedding(self, h: int, w: int) -> np.ndarray:
         """The [1, h, w, hidden] sine embedding of the stride-32 grid."""
-        return T.sine_position_embedding(h, w, self.cfg.hidden_size, dtype=self.cfg.np_dtype).data
+        return T.sine_position_embedding(h, w, self.cfg.hidden_size).data
 
     def pixel_decoder(self, features: Tensor,
                       pos: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
@@ -303,4 +298,4 @@ def load_checkpoint(model: MaskClassificationModel, path) -> None:
         t = model.params[name]
         if tuple(arr.shape) != t.shape:
             raise ConfigError(f"checkpoint shape mismatch for {name}: {arr.shape} != {t.shape}")
-        t.data = np.ascontiguousarray(arr.astype(model.cfg.np_dtype))
+        t.data = np.ascontiguousarray(arr.astype(np.float32))

@@ -317,6 +317,15 @@ def read_shard_file(path):
 
 
 def read_shards(shard_set: ShardSet):
-    """Yield all entries in (shard index, record index) order."""
-    for path in shard_set.shard_paths:
-        yield from read_shard_file(path)
+    """Yield all entries in (shard index, record index) order.
+
+    Each shard must match its manifest line in byte size and record count,
+    so a shard cut at a record boundary raises instead of reading short.
+    """
+    for info, path in zip(shard_set.shards, shard_set.shard_paths):
+        entries = list(read_shard_file(path))
+        found = (path.stat().st_size, len(entries))
+        if found != (info.byte_size, info.record_count):
+            raise RecordParseError(f"{info.name}: {found[0]} bytes and {found[1]} records, "
+                                   f"manifest says {info.byte_size} and {info.record_count}")
+        yield from entries

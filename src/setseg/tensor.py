@@ -703,9 +703,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Ten
 
 def sine_position_embedding(h: int, w: int, channels: int,
                             temperature: float = 10000.0,
-                            eps: float = 1e-6,
-                            dtype=np.float32) -> Tensor:
-    """Deterministic sine/cosine grid embedding, shape [1, h, w, channels].
+                            eps: float = 1e-6) -> Tensor:
+    """Deterministic float32 sine/cosine grid embedding, shape [1, h, w, channels].
 
     channels/2 frequencies per spatial axis; coordinates run 1..extent and are
     normalized to (0, 2*pi].
@@ -729,4 +728,4 @@ def sine_position_embedding(h: int, w: int, channels: int,
     emb = np.concatenate(
         [interleave(ys[..., None] / dim_t), interleave(xs[..., None] / dim_t)], axis=-1
     )[None]
-    return Tensor(emb.astype(dtype))
+    return Tensor(emb.astype(np.float32))

@@ -1,10 +1,10 @@
 """Ingestion and the training/evaluation loops.
 
 Training is an in-process loop: parse -> batch -> forward -> match ->
-loss -> backward -> clipped update. A background producer fills a bounded
-batch queue (parse work optionally fanned out to a thread pool); batch
-order and per-record augmentation seeds are derived deterministically from
-the run seed, so a fixed (config, seed) reproduces the loss CSV bit-exactly.
+loss -> backward -> clipped Adam update. One background thread parses
+batches into a bounded queue; batch order and per-record augmentation
+seeds are derived deterministically from the run seed, so a fixed
+(config, seed) reproduces the loss CSV bit-exactly.
 
 ``train_step`` is the one forward -> match -> loss -> backward path and
 ``run_steps`` the one loop around it; both read the clock at every stage
@@ -19,7 +19,6 @@ import math
 import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import reduce
@@ -33,7 +32,7 @@ from .config import RunConfig
 from .evaluator import SegmentSet, accumulate, postprocess, summarize
 from .losses import total_loss
 from .matcher import NanCostError, build_cost_matrix, hungarian
-from .model import MaskClassificationModel, save_checkpoint
+from .model import MaskClassificationModel, load_checkpoint, save_checkpoint
 from .pipeline import (
     Batch, ParserConfig, batch as make_batch, build_id_mapper, downsample_mask, parse,
 )
@@ -89,7 +88,7 @@ def ingest(annotations_path, shard_count: int, out_dir, known_class_ids=None):
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Optimizer
 # ---------------------------------------------------------------------------
 
 class Adam:
@@ -118,22 +117,6 @@ class Adam:
             p.data = p.data - self.lr * update.astype(p.data.dtype)
 
 
-class SGD:
-    def __init__(self, params: dict, lr: float, momentum: float = 0.9):
-        self.params = params
-        self.lr = lr
-        self.momentum = momentum
-        self.buf = {k: np.zeros_like(p.data) for k, p in params.items()}
-
-    def step(self):
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            self.buf[name] = self.momentum * self.buf[name] + g
-            p.data = p.data - self.lr * self.buf[name].astype(p.data.dtype)
-
-
 def clip_gradients(params: dict, max_norm: float) -> float:
     """Scale all gradients so the global norm is at most max_norm."""
     total = 0.0
@@ -149,13 +132,9 @@ def clip_gradients(params: dict, max_norm: float) -> float:
     return norm
 
 
-def make_optimizer(cfg: RunConfig, model: MaskClassificationModel):
+def make_optimizer(cfg: RunConfig, model: MaskClassificationModel) -> Adam:
     t = cfg.trainer
-    if t.optimizer == "adam":
-        return Adam(model.params, lr=t.learning_rate, beta1=t.momentum, beta2=t.beta2)
-    if t.optimizer == "sgd":
-        return SGD(model.params, lr=t.learning_rate, momentum=t.momentum)
-    raise TrainError(f"unknown optimizer {t.optimizer!r}")
+    return Adam(model.params, lr=t.learning_rate, beta1=t.beta1, beta2=t.beta2)
 
 
 # ---------------------------------------------------------------------------
@@ -171,18 +150,11 @@ def _visit_seed(run_seed: int, visit: int) -> int:
     return (run_seed * 1_000_003 + visit) % (2**63)
 
 
-def parse_visit(entries, cfg: RunConfig, visit: int):
-    entry = entries[visit % len(entries)]
-    return parse(entry, cfg.parser, _visit_seed(cfg.seed, visit))
-
-
-def assemble_batch(entries, cfg: RunConfig, step: int, pool=None) -> Batch:
+def assemble_batch(entries, cfg: RunConfig, step: int) -> Batch:
+    """Parse the b visits of ``step``; visit v reads entry v mod len(entries)."""
     b = cfg.trainer.batch_size
-    visits = [step * b + j for j in range(b)]
-    if pool is not None:
-        parsed = list(pool.map(lambda v: parse_visit(entries, cfg, v), visits))
-    else:
-        parsed = [parse_visit(entries, cfg, v) for v in visits]
+    parsed = [parse(entries[v % len(entries)], cfg.parser, _visit_seed(cfg.seed, v))
+              for v in range(step * b, step * b + b)]
     samples = [s for s, _ in parsed]
     targets = [t for _, t in parsed]
     return make_batch(samples, targets)
@@ -191,28 +163,25 @@ def assemble_batch(entries, cfg: RunConfig, step: int, pool=None) -> Batch:
 class BatchStream:
     """Producer thread filling a bounded queue with ready batches; ``close`` stops it."""
 
+    QUEUE_DEPTH = 4     # batches parsed ahead of the consumer
+
     def __init__(self, entries, cfg: RunConfig, steps: int):
         self.entries = entries
         self.cfg = cfg
         self.steps = steps
-        self.queue: queue.Queue = queue.Queue(maxsize=max(1, cfg.trainer.queue_depth))
+        self.queue: queue.Queue = queue.Queue(maxsize=self.QUEUE_DEPTH)
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._produce, daemon=True)
         self._thread.start()
 
     def _produce(self):
-        workers = self.cfg.trainer.parse_workers
-        pool = ThreadPoolExecutor(workers) if workers > 1 else None
         try:
             for step in range(self.steps):
                 if self._stop.is_set():
                     return
-                self.queue.put(assemble_batch(self.entries, self.cfg, step, pool))
+                self.queue.put(assemble_batch(self.entries, self.cfg, step))
         except BaseException as err:  # surfaced on the consumer side
             self.queue.put(err)
-        finally:
-            if pool is not None:
-                pool.shutdown()
 
     def __iter__(self):
         for _ in range(self.steps):
@@ -271,8 +240,8 @@ def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
         t1 = time.perf_counter()
         per_image = list(enumerate(zip(batch_data.target_sets, batch_data.valid_masks)))
         with no_grad():
-            assignments = [hungarian(build_cost_matrix(outputs, targets, cfg.matcher, valid,
-                                                       cfg.losses, batch_index=b))
+            assignments = [hungarian(build_cost_matrix(outputs, targets, valid, cfg.losses,
+                                                       batch_index=b))
                            for b, (targets, valid) in per_image]
         t2 = time.perf_counter()
         bundles = [total_loss(outputs, targets, assignment, cfg.losses, valid, batch_index=b)
@@ -358,7 +327,8 @@ def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
         results = run_steps(model, optimizer, entries, cfg, cfg.trainer.steps, checkpoint)
     except TrainError as err:
         nan_path = out_dir / "nan_batch.txt"
-        nan_path.write_text(f"step {err.step}\nimage_ids {err.image_ids}\n{err}\n")
+        with records.atomic_open(nan_path, "w") as f:
+            f.write(f"step {err.step}\nimage_ids {err.image_ids}\n{err}\n")
         raise TrainError(f"{err}; diagnostics in {nan_path}", err.step, err.image_ids) from None
 
     rows = [(step, *result[:4]) for step, result in enumerate(results)]
@@ -425,8 +395,6 @@ def ground_truth_segments(targets, valid_mask, factor: int) -> SegmentSet:
 
 
 def evaluate(cfg: RunConfig, data_dir, checkpoint_path, out_dir):
-    from .model import load_checkpoint
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = load_entries(data_dir)
@@ -458,8 +426,10 @@ def evaluate(cfg: RunConfig, data_dir, checkpoint_path, out_dir):
         lines.append(
             f"class {c}: PQ {per_class_pq[c]:.6f} TP {s.tp} FP {s.fp} FN {s.fn}"
         )
-    report_txt.write_text("\n".join(lines) + "\n")
-    with open(report_csv, "w", newline="") as f:
+    # the text report is renamed into place only after the CSV is complete
+    with (records.atomic_open(report_txt, "w") as txt,
+          records.atomic_open(report_csv, "w", newline="") as f):
+        txt.write("\n".join(lines) + "\n")
         writer = csv.writer(f)
         writer.writerow(["class", "pq", "tp", "fp", "fn", "iou_sum"])
         writer.writerow(["all", result.pq, "", "", "", ""])

@@ -21,7 +21,7 @@ import numpy as np
 from . import records, tensor as T
 from .config import RunConfig
 from .losses import classification_loss, dice_loss, focal_loss, total_loss
-from .matcher import MatcherWeights, brute_force_match, build_cost_matrix, hungarian, pad_square
+from .matcher import brute_force_match, build_cost_matrix, hungarian, pad_square
 from .model import MaskClassificationModel, ModelConfig
 from .pipeline import TargetSet, parse
 from .tensor import Tape, Tensor, backward, no_grad
@@ -199,8 +199,7 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
     with Tape():
         outputs = model.forward(Tensor(rng.standard_normal((1, 64, 64, 3)).astype(np.float32)))
         with no_grad():
-            assignment = hungarian(build_cost_matrix(
-                outputs, targets, MatcherWeights(), valid, cfg.losses))
+            assignment = hungarian(build_cost_matrix(outputs, targets, valid, cfg.losses))
         bundle = total_loss(outputs, targets, assignment, cfg.losses, valid)
         backward(bundle.total_tensor)
     dead = [n for n, p in model.params.items() if p.grad is None or not np.abs(p.grad).any()]

@@ -18,9 +18,7 @@ from setseg.cli import main as cli_main
 from setseg.config import RunConfig
 from setseg.evaluator import SegmentSet, panoptic_quality
 from setseg.losses import classification_loss, dice_loss, focal_loss
-from setseg.matcher import (
-    MatcherWeights, brute_force_match, build_cost_matrix, hungarian, pad_square,
-)
+from setseg.matcher import brute_force_match, build_cost_matrix, hungarian, pad_square
 from setseg.model import MaskClassificationModel, ModelConfig
 from setseg.pipeline import TargetSet
 from setseg.tensor import Tape, Tensor, backward
@@ -202,7 +200,7 @@ class TestCriterion6:
                     Tensor(rng.standard_normal((1, 64, 64, 3)).astype(np.float32)))
                 with T.no_grad():
                     assignment = hungarian(build_cost_matrix(
-                        outputs, targets, MatcherWeights(), vmask, run_cfg.losses))
+                        outputs, targets, vmask, run_cfg.losses))
                 bundle = total_loss(outputs, targets, assignment, run_cfg.losses, vmask)
                 backward(bundle.total_tensor)
             dead = [n for n, p in model.params.items()

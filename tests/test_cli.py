@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from setseg import trainer
+import setseg
+from setseg import synth, trainer
 from setseg.cli import main
 from setseg.matcher import NanCostError
 
@@ -101,3 +107,24 @@ class TestSubcommands:
                      *TOY_OVERRIDES])
         assert code == 1
         assert "aborted" in capsys.readouterr().err
+
+    def test_ingest_into_closed_pipe(self, tmp_path):
+        # as in ``setseg ingest ... | head -1``: the class-mapping line is far
+        # larger than a pipe buffer, so ingest is still writing when the
+        # reader closes the pipe after the first line
+        ann = synth.synth(3, tmp_path / "raw", seed=4, min_size=40, max_size=48)
+        classes = ",".join(str(i) for i in range(1, 15001))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(setseg.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "setseg", "ingest", "--annotations", str(ann),
+             "--shards", "2", "--out", str(tmp_path / "shards"), "--classes", classes],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"3 records")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert (tmp_path / "shards" / "manifest.txt").exists()

@@ -1,8 +1,13 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from setseg import config as cfg_mod
-from setseg.config import RunConfig, get_value, leaf_keys, load_config, set_value
+from setseg.config import (
+    RunConfig, dump_config, get_value, leaf_keys, load_config, set_value,
+)
 
 
 class TestParsing:
@@ -11,7 +16,7 @@ class TestParsing:
         assert cfg.parser.target_size == 640
         assert cfg.model.n_queries == 100
         assert cfg.losses.no_object_weight == 1e-4
-        assert cfg.matcher.focal_weight == 20.0
+        assert cfg.losses.focal_weight == 20.0
         assert cfg.trainer.learning_rate == 1e-4
 
     def test_file_values_applied(self, tmp_path):
@@ -20,13 +25,13 @@ class TestParsing:
             "# comment line\n"
             "parser.target_size = 64\n"
             "parser.crop_sizes = 32,48\n"
-            "trainer.optimizer = sgd\n"
+            "trainer.beta1 = 0.8\n"
             "seed = 9\n"
         )
         cfg = load_config(path)
         assert cfg.parser.target_size == 64
         assert cfg.parser.crop_sizes == (32, 48)
-        assert cfg.trainer.optimizer == "sgd"
+        assert cfg.trainer.beta1 == 0.8
         assert cfg.seed == 9
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -34,6 +39,22 @@ class TestParsing:
         path.write_text("parser.bogus = 1\n")
         with pytest.raises(cfg_mod.ConfigFileError):
             load_config(path)
+
+    @pytest.mark.parametrize("key", [
+        "matcher.class_weight", "matcher.focal_weight", "matcher.dice_weight",
+        "trainer.optimizer", "trainer.parse_workers", "trainer.queue_depth", "model.dtype",
+    ])
+    def test_removed_keys_rejected(self, key):
+        with pytest.raises(cfg_mod.ConfigFileError):
+            load_config(overrides=[f"{key}=1"])
+
+    def test_readme_keys_exist(self):
+        # every backticked ``section.key`` in the README names a real key
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sections = {k.split(".")[0] for k in leaf_keys(RunConfig()) if "." in k}
+        named = re.findall(r"`((?:%s)\.[^`]*)`" % "|".join(sections), readme)
+        assert named
+        assert sorted(set(named) - set(leaf_keys(RunConfig()))) == []
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -46,6 +67,13 @@ class TestParsing:
         path.write_text("trainer.steps = 100\n")
         cfg = load_config(path, overrides=["trainer.steps=7"])
         assert cfg.trainer.steps == 7
+
+    def test_dump_config_round_trip(self, tmp_path):
+        cfg = load_config(overrides=["parser.crop_sizes=24,32", "losses.dice_eps=0.5"])
+        path = tmp_path / "dumped.cfg"
+        path.write_text(dump_config(cfg))
+        assert load_config(path) == cfg
+        assert len(path.read_text().splitlines()) == len(leaf_keys(cfg)) == 32
 
     def test_float_tuple_coercion(self):
         cfg = RunConfig()

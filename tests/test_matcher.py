@@ -6,9 +6,7 @@ import pytest
 
 from setseg import matcher
 from setseg.losses import LossConfig, dice_loss, focal_loss
-from setseg.matcher import (
-    MatcherWeights, brute_force_match, build_cost_matrix, hungarian, pad_square,
-)
+from setseg.matcher import brute_force_match, build_cost_matrix, hungarian, pad_square
 from setseg.pipeline import TargetSet
 from setseg.tensor import ContractError, Tensor
 from setseg.verify import COST_KINDS, cost_block
@@ -49,7 +47,7 @@ class TestCostMatrix:
     def test_empty_targets_all_pad(self):
         rng = np.random.default_rng(0)
         outputs = random_outputs(rng, 4, 3, 4, 4)
-        cm = build_cost_matrix(outputs, TargetSet([], []), MatcherWeights(),
+        cm = build_cost_matrix(outputs, TargetSet([], []),
                                np.ones((4, 4), bool), LossConfig())
         assert cm.real_rows == 0
         assert (cm.values == cm.pad_cost).all()
@@ -65,7 +63,7 @@ class TestCostMatrix:
         class_logits[0, 3, 0] = 10.0        # query 3 confident in class 1
         outputs = SimpleNamespace(mask_logits=Tensor(mask_logits),
                                   class_logits=Tensor(class_logits))
-        cm = build_cost_matrix(outputs, TargetSet([gt], [1]), MatcherWeights(),
+        cm = build_cost_matrix(outputs, TargetSet([gt], [1]),
                                np.ones((h, h), bool), LossConfig())
         assert int(np.argmin(cm.values[0])) == 3
 
@@ -81,7 +79,6 @@ class TestCostMatrix:
             masks.append(m)
             labels.append(i + 1)
         targets = TargetSet(masks, labels)
-        weights = MatcherWeights(1.0, 20.0, 1.0)
         cfg = LossConfig()
         probs = np.exp(outputs.class_logits.data[0])
         probs /= probs.sum(-1, keepdims=True)
@@ -89,7 +86,7 @@ class TestCostMatrix:
         partly_invalid[:, -1] = False
         partly_invalid[-1, :] = False
         for valid in (np.ones((h, h), bool), partly_invalid):
-            cm = build_cost_matrix(outputs, targets, weights, valid, cfg)
+            cm = build_cost_matrix(outputs, targets, valid, cfg)
             for i in range(n):
                 for q in range(n_q):
                     logits_q = outputs.mask_logits[0, q]
@@ -97,15 +94,29 @@ class TestCostMatrix:
                     f = focal_loss(logits_q, masks[i], valid,
                                    alpha=cfg.focal_alpha, gamma=cfg.focal_gamma).item()
                     c = -float(probs[q, labels[i] - 1])
-                    expected = weights.class_weight * c + weights.focal_weight * f \
-                        + weights.dice_weight * d
+                    expected = cfg.class_weight * c + cfg.focal_weight * f \
+                        + cfg.dice_weight * d
                     assert abs(cm.values[i, q] - expected) <= 1e-6
+
+    def test_weights_are_the_loss_weights(self):
+        # zero mask-loss weights leave the class cost alone, as in the loss
+        rng = np.random.default_rng(4)
+        n_q, k, h = 6, 3, 4
+        outputs = random_outputs(rng, n_q, k, h, h)
+        masks = [np.eye(h, dtype=np.uint8), np.ones((h, h), dtype=np.uint8)]
+        labels = [2, 3]
+        cm = build_cost_matrix(outputs, TargetSet(masks, labels), np.ones((h, h), bool),
+                               LossConfig(focal_weight=0.0, dice_weight=0.0))
+        probs = np.exp(outputs.class_logits.data[0])
+        probs /= probs.sum(-1, keepdims=True)
+        class_cost = -probs[:, np.array(labels) - 1].T
+        np.testing.assert_allclose(cm.values[:2], class_cost, rtol=0, atol=1e-12)
 
     def test_pad_cost_exceeds_real_entries(self):
         rng = np.random.default_rng(2)
         outputs = random_outputs(rng, 6, 2, 4, 4)
         gt = np.ones((4, 4), dtype=np.uint8)
-        cm = build_cost_matrix(outputs, TargetSet([gt], [1]), MatcherWeights(),
+        cm = build_cost_matrix(outputs, TargetSet([gt], [1]),
                                np.ones((4, 4), bool), LossConfig())
         real = cm.values[:1, :]
         assert cm.pad_cost >= real.max() + 1.0 - 1e-12
@@ -116,7 +127,7 @@ class TestCostMatrix:
         outputs = random_outputs(rng, 2, 2, 4, 4)
         masks = [np.ones((4, 4), dtype=np.uint8)] * 3
         with pytest.raises(matcher.MatcherError):
-            build_cost_matrix(outputs, TargetSet(masks, [1, 1, 1]), MatcherWeights(),
+            build_cost_matrix(outputs, TargetSet(masks, [1, 1, 1]),
                               np.ones((4, 4), bool), LossConfig())
 
     def test_nan_cost_named(self):
@@ -126,7 +137,7 @@ class TestCostMatrix:
         )
         gt = np.ones((2, 2), dtype=np.uint8)
         with pytest.raises(matcher.MatcherError) as err:
-            build_cost_matrix(outputs, TargetSet([gt], [1]), MatcherWeights(),
+            build_cost_matrix(outputs, TargetSet([gt], [1]),
                               np.ones((2, 2), bool), LossConfig())
         assert "query" in str(err.value)
 

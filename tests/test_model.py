@@ -3,7 +3,7 @@ import pytest
 
 from setseg import tensor as T
 from setseg.losses import LossConfig, total_loss
-from setseg.matcher import MatcherWeights, build_cost_matrix, hungarian
+from setseg.matcher import build_cost_matrix, hungarian
 from setseg.model import (
     MaskClassificationModel, ModelConfig, load_checkpoint, save_checkpoint,
 )
@@ -164,7 +164,7 @@ class TestGradientFlow:
         valid = np.ones((64, 64), dtype=bool)
         with Tape():
             outputs = model.forward(image)
-            cm = build_cost_matrix(outputs, targets, MatcherWeights(), valid, LossConfig())
+            cm = build_cost_matrix(outputs, targets, valid, LossConfig())
             assignment = hungarian(cm)
             bundle = total_loss(outputs, targets, assignment, LossConfig(), valid)
             backward(bundle.total_tensor)

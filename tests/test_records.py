@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,3 +206,27 @@ class TestManifest:
         assert [s.name for s in loaded.shards] == [s.name for s in ss.shards]
         assert [s.byte_size for s in loaded.shards] == [s.byte_size for s in ss.shards]
         assert len(list(records.read_shards(loaded))) == 7
+
+    def test_shard_cut_at_record_boundary_named(self, tmp_path):
+        rng = np.random.default_rng(10)
+        entries = [make_entry(rng, image_id=i) for i in range(6)]
+        records.write_shards(entries, 2, tmp_path)
+        path = tmp_path / "shard-00000.mfr"
+        data = path.read_bytes()
+        (length,) = struct.unpack_from("<Q", data, 8)
+        path.write_bytes(data[:8 + 12 + length])   # header + first record only
+        with pytest.raises(records.RecordParseError) as err:
+            list(records.read_shards(records.load_manifest(tmp_path)))
+        assert "shard-00000.mfr" in str(err.value)
+
+    def test_record_count_mismatch_named(self, tmp_path):
+        rng = np.random.default_rng(11)
+        entries = [make_entry(rng, image_id=i) for i in range(6)]
+        records.write_shards(entries, 2, tmp_path)
+        manifest = tmp_path / records.MANIFEST_NAME
+        text = manifest.read_text()
+        assert "shard-00001.mfr records=3" in text
+        manifest.write_text(text.replace("shard-00001.mfr records=3", "shard-00001.mfr records=4"))
+        with pytest.raises(records.RecordParseError) as err:
+            list(records.read_shards(records.load_manifest(tmp_path)))
+        assert "shard-00001.mfr" in str(err.value)
