@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 on a failed check, an aborted run or a reader
 that closed stdout early (``setseg ingest ... | head -2``), 2 on usage
-errors (argparse's default).
+errors, a bad config key or value (file or ``--set``) among them.
 """
 
 from __future__ import annotations
@@ -12,8 +12,10 @@ import os
 import sys
 
 from . import synth as synth_mod
-from .config import load_config
+from .config import ConfigFileError, load_config
 from .model import MaskClassificationModel
+from .records import RecordParseError
+from .tensor import ConfigError
 from .trainer import TrainError, evaluate, ingest, profile, train
 from .verify import run_verify
 
@@ -74,6 +76,9 @@ def main(argv=None) -> int:
     try:
         code = _run(args)
         sys.stdout.flush()
+    except ConfigFileError as err:
+        print(f"setseg: error: {err}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # stdout's reader is gone; point stdout at devnull so the flush at
         # interpreter exit cannot raise again (Python docs, "Note on SIGPIPE")
@@ -83,6 +88,7 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    cfg = load_config(args.config, args.overrides) if "config" in args else None
     if args.command == "synth":
         ann = synth_mod.synth(args.n, args.out, seed=args.seed,
                               min_size=args.min_size, max_size=args.max_size)
@@ -103,7 +109,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "train":
-        cfg = load_config(args.config, args.overrides)
         try:
             result = train(cfg, args.data, args.out)
         except TrainError as err:
@@ -115,18 +120,19 @@ def _run(args) -> int:
         return 0
 
     if args.command == "eval":
-        cfg = load_config(args.config, args.overrides)
-        result = evaluate(cfg, args.data, args.checkpoint, args.out)
+        try:
+            result = evaluate(cfg, args.data, args.checkpoint, args.out)
+        except (OSError, RecordParseError, ConfigError) as err:
+            print(f"eval aborted: {err}", file=sys.stderr)
+            return 1
         print(f"PQ {result.pq:.6f}  SQ {result.sq:.6f}  RQ {result.rq:.6f}")
         return 0
 
     if args.command == "verify":
-        cfg = load_config(args.config, args.overrides)
         results = run_verify(cfg)
         return 0 if all(r.passed for r in results) else 1
 
     if args.command == "profile":
-        cfg = load_config(args.config, args.overrides)
         try:
             report = profile(cfg, args.data, args.steps)
         except TrainError as err:
@@ -136,7 +142,6 @@ def _run(args) -> int:
         return 0
 
     if args.command == "model" and args.model_command == "info":
-        cfg = load_config(args.config, args.overrides)
         print(MaskClassificationModel(cfg.model).info())
         return 0
 

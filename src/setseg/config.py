@@ -60,7 +60,11 @@ def set_value(cfg: RunConfig, dotted_key: str, raw: str) -> None:
     leaf = parts[-1]
     if not hasattr(obj, leaf):
         raise ConfigFileError(f"unknown config key {dotted_key!r}")
-    setattr(obj, leaf, _coerce(getattr(obj, leaf), raw))
+    try:
+        value = _coerce(getattr(obj, leaf), raw)
+    except ValueError:
+        raise ConfigFileError(f"bad value {raw.strip()!r} for config key {dotted_key!r}") from None
+    setattr(obj, leaf, value)
 
 
 def get_value(cfg: RunConfig, dotted_key: str):

@@ -5,21 +5,16 @@ Stages: a five-stage strided conv backbone stub (stride 32), a pixel decoder
 upsample + 3x3 conv stages back to stride 4), a transformer decoder over
 learned queries, and heads producing per-query mask logits
 [B, N_q, H/4, W/4] and class logits [B, N_q, K+1].
-
-Checkpoint format: for each parameter, u16-LE name length, UTF-8 name,
-u8 rank, u32-LE dims, f32-LE data.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .records import atomic_open
+from .records import RecordParseError, payload_parts, read_records, write_records
 from .tensor import ConfigError, Tensor
 
 
@@ -262,40 +257,31 @@ class MaskClassificationModel:
 
 
 def save_checkpoint(model: MaskClassificationModel, path) -> None:
-    """Write every parameter; a failed write leaves an existing file at ``path`` as it was."""
-    with atomic_open(path) as f:
-        for name, t in model.params.items():
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", t.ndim))
-            f.write(struct.pack(f"<{t.ndim}I", *t.shape))
-            f.write(t.data.astype("<f4").tobytes())
+    """Write every parameter and its shape as one record; a failed write leaves ``path`` as it was."""
+    entry = {}
+    for name, t in model.params.items():
+        entry[name] = t.data
+        entry[f"{name}/shape"] = np.array(t.shape, dtype=np.int64)
+    write_records(path, [payload_parts(entry)])
 
 
 def load_checkpoint(model: MaskClassificationModel, path) -> None:
-    data = Path(path).read_bytes()
-    pos = 0
-    loaded: dict[str, np.ndarray] = {}
-    while pos < len(data):
-        (nlen,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        name = data[pos:pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<B", data, pos)
-        pos += 1
-        dims = struct.unpack_from(f"<{rank}I", data, pos)
-        pos += 4 * rank
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=pos).reshape(dims)
-        pos += 4 * count
-        loaded[name] = arr
-    missing = set(model.params) - set(loaded)
-    extra = set(loaded) - set(model.params)
+    """Load every parameter from ``path``; a corrupt or mismatched file raises before any changes."""
+    entries = list(read_records(path))
+    if len(entries) != 1:
+        raise RecordParseError(f"{path}: {len(entries)} records, a checkpoint holds one")
+    (entry,) = entries
+    expected = {key for name in model.params for key in (name, f"{name}/shape")}
+    missing = expected - entry.keys()
+    extra = entry.keys() - expected
     if missing or extra:
-        raise ConfigError(f"checkpoint mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-    for name, arr in loaded.items():
-        t = model.params[name]
-        if tuple(arr.shape) != t.shape:
-            raise ConfigError(f"checkpoint shape mismatch for {name}: {arr.shape} != {t.shape}")
-        t.data = np.ascontiguousarray(arr.astype(np.float32))
+        raise ConfigError(f"{path}: checkpoint mismatch: "
+                          f"missing={sorted(missing)} extra={sorted(extra)}")
+    for name, t in model.params.items():
+        shape = tuple(entry[f"{name}/shape"].tolist())
+        if shape != t.shape or entry[name].size != t.size:
+            raise ConfigError(f"{path}: checkpoint shape mismatch for {name}: "
+                              f"{shape} != {t.shape}")
+    for name, t in model.params.items():
+        # copy one parameter at a time: the peak holds one parameter twice, not two models
+        t.data = entry[name].reshape(t.shape).copy()

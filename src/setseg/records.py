@@ -1,10 +1,14 @@
 """Bit-exact binary record format with size-balanced sharding.
 
+This module alone frames bytes on disk. A data shard holds one record per
+sample; a model checkpoint holds one record, each parameter an f32 list
+under its name and its shape an i64 list under ``<name>/shape``.
+
 Wire format
 -----------
 file    = magic "MFR1" + u32-LE version + record*
 record  = u64-LE payload length + u32-LE CRC32(payload) + payload
-payload = u32-LE key count, then per key:
+payload = u32-LE key count, then per key (in sorted key order):
           u16-LE key length, key bytes (UTF-8),
           u8 type tag (0 = bytes, 1 = i64 list, 2 = f32 list),
           u32-LE count (byte count for bytes, element count for lists),
@@ -20,7 +24,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +36,7 @@ VERSION = 1
 TAG_BYTES = 0
 TAG_I64 = 1
 TAG_F32 = 2
+_WIRE_DTYPES = {TAG_BYTES: np.dtype("u1"), TAG_I64: np.dtype("<i8"), TAG_F32: np.dtype("<f4")}
 
 REQUIRED_KEYS = (
     "image/height",
@@ -68,7 +73,7 @@ class RecordFormatError(ValueError):
 
 
 class RecordParseError(ValueError):
-    """Shard bytes are malformed; message names the shard and byte offset."""
+    """An MFR1 file or manifest is malformed; the message names the file (and byte offset)."""
 
 
 def validate_entry(entry: dict) -> None:
@@ -76,48 +81,39 @@ def validate_entry(entry: dict) -> None:
     for key in REQUIRED_KEYS:
         if key not in entry:
             raise RecordFormatError(f"entry missing required key {key!r}")
-    h = int(entry["image/height"][0])
-    w = int(entry["image/width"][0])
-    if len(entry["image/encoded"]) != 3 * h * w:
-        raise RecordFormatError(
-            f"image/encoded has {len(entry['image/encoded'])} bytes, expected {3 * h * w}"
-        )
-    for key in ("segmentation/contiguous_mask", "segmentation/instance_mask"):
-        if len(entry[key]) != 2 * h * w:
-            raise RecordFormatError(f"{key} has {len(entry[key])} bytes, expected {2 * h * w}")
+    pixels = int(entry["image/height"][0]) * int(entry["image/width"][0])
+    for key, depth in (("image/encoded", 3), ("segmentation/contiguous_mask", 2),
+                       ("segmentation/instance_mask", 2)):
+        if len(entry[key]) != depth * pixels:
+            raise RecordFormatError(f"{key} has {len(entry[key])} bytes, expected {depth * pixels}")
 
 
-def serialize_entry(entry: dict) -> bytes:
-    """Encode a key-value entry into a record payload."""
-    parts = [struct.pack("<I", len(entry))]
+def payload_parts(entry: dict):
+    """Yield the payload of ``entry`` as bytes-like parts, in wire order.
+
+    An array already in its wire dtype and C order is yielded as it is, not copied.
+    """
+    yield struct.pack("<I", len(entry))
     for key in sorted(entry):
         value = entry[key]
         kb = key.encode("utf-8")
         if len(kb) > 0xFFFF:
             raise RecordFormatError(f"key too long: {key!r}")
-        parts.append(struct.pack("<H", len(kb)) + kb)
         if isinstance(value, (bytes, bytearray)):
-            parts.append(struct.pack("<BI", TAG_BYTES, len(value)))
-            parts.append(bytes(value))
+            tag, count = TAG_BYTES, len(value)
         else:
             arr = np.asarray(value)
-            if arr.dtype.kind in "iu":
-                arr = arr.astype("<i8")
-                parts.append(struct.pack("<BI", TAG_I64, arr.size))
-                parts.append(arr.tobytes())
-            elif arr.dtype.kind == "f":
-                arr = arr.astype("<f4")
-                parts.append(struct.pack("<BI", TAG_F32, arr.size))
-                parts.append(arr.tobytes())
-            else:
+            if arr.dtype.kind not in "iuf":
                 raise RecordFormatError(f"unsupported value type for key {key!r}: {arr.dtype}")
-    payload = b"".join(parts)
-    if len(payload) >= _MAX_RECORD_BYTES:
-        raise RecordFormatError(f"record payload of {len(payload)} bytes exceeds 2^32")
-    return payload
+            tag = TAG_F32 if arr.dtype.kind == "f" else TAG_I64
+            value = np.ascontiguousarray(arr, dtype=_WIRE_DTYPES[tag])
+            count = value.size
+        yield struct.pack(f"<H{len(kb)}sBI", len(kb), kb, tag, count)
+        yield value
 
 
 def deserialize_entry(payload: bytes, context: str = "<payload>") -> dict:
+    """Decode a record payload; list values are read-only views over ``payload``."""
     def fail(offset, reason):
         raise RecordParseError(f"{context}: byte {offset}: {reason}")
 
@@ -134,33 +130,20 @@ def deserialize_entry(payload: bytes, context: str = "<payload>") -> dict:
         pos += 2
         if pos + klen + 5 > len(payload):
             fail(pos, "truncated key or value header")
-        key = payload[pos:pos + klen].decode("utf-8")
+        key = str(payload[pos:pos + klen], "utf-8")
         pos += klen
         tag, n = struct.unpack_from("<BI", payload, pos)
         pos += 5
-        if tag == TAG_BYTES:
-            end = pos + n
-        elif tag == TAG_I64:
-            end = pos + 8 * n
-        elif tag == TAG_F32:
-            end = pos + 4 * n
-        else:
+        if tag not in _WIRE_DTYPES:
             fail(pos - 5, f"unknown type tag {tag}")
+        dtype = _WIRE_DTYPES[tag]
+        end = pos + dtype.itemsize * n
         if end > len(payload):
             fail(pos, f"value for key {key!r} runs past payload end")
         raw = payload[pos:end]
         pos = end
-        if tag == TAG_BYTES:
-            entry[key] = raw
-        elif tag == TAG_I64:
-            entry[key] = np.frombuffer(raw, dtype="<i8").copy()
-        else:
-            entry[key] = np.frombuffer(raw, dtype="<f4").copy()
+        entry[key] = bytes(raw) if tag == TAG_BYTES else np.frombuffer(raw, dtype)
     return entry
-
-
-def _record_bytes(payload: bytes) -> bytes:
-    return struct.pack("<QI", len(payload), zlib.crc32(payload)) + payload
 
 
 @dataclass
@@ -203,6 +186,28 @@ def greedy_shard_assignment(sizes, shard_count: int):
     return assignment
 
 
+def write_records(path, payloads) -> None:
+    """Write an ``MFR1`` file: the header, then each payload framed as length + CRC32.
+
+    A payload is an iterable of bytes-like parts (``payload_parts``); the CRC
+    runs over the parts and they are written one by one, never joined. A failed
+    write leaves any file at ``path`` as it was (``atomic_open``).
+    """
+    # a large buffer coalesces record headers and small parts into few write calls
+    with atomic_open(path, buffering=1 << 20) as f:
+        f.write(MAGIC + struct.pack("<I", VERSION))
+        for parts in payloads:
+            parts = list(parts)
+            length = sum(memoryview(part).nbytes for part in parts)
+            if length >= _MAX_RECORD_BYTES:
+                raise RecordFormatError(f"record payload of {length} bytes exceeds 2^32")
+            crc = 0
+            for part in parts:
+                crc = zlib.crc32(part, crc)
+            f.write(struct.pack("<QI", length, crc))
+            f.writelines(parts)
+
+
 def write_shards(entries, shard_count: int, out_dir, class_mapping=None) -> ShardSet:
     """Serialize entries into ``shard_count`` balanced shard files plus a manifest."""
     if shard_count < 1:
@@ -213,7 +218,7 @@ def write_shards(entries, shard_count: int, out_dir, class_mapping=None) -> Shar
     payloads = []
     for entry in entries:
         validate_entry(entry)
-        payloads.append(serialize_entry(entry))
+        payloads.append(b"".join(payload_parts(entry)))   # small: cheaper joined than streamed
     if not payloads:
         raise ValueError("write_shards requires at least one entry")
 
@@ -221,22 +226,11 @@ def write_shards(entries, shard_count: int, out_dir, class_mapping=None) -> Shar
     record_sizes = [len(p) + 12 for p in payloads]
     assignment = greedy_shard_assignment(record_sizes, shard_count)
 
-    shard_names = [f"shard-{i:05d}.mfr" for i in range(shard_count)]
-    paths = [out_dir / n for n in shard_names]
-    counts = [0] * shard_count
-    with ExitStack() as stack:
-        handles = [stack.enter_context(atomic_open(p)) for p in paths]
-        header = MAGIC + struct.pack("<I", VERSION)
-        for f in handles:
-            f.write(header)
-        for payload, shard in zip(payloads, assignment):
-            handles[shard].write(_record_bytes(payload))
-            counts[shard] += 1
-
-    shards = [
-        ShardInfo(name=n, record_count=c, byte_size=p.stat().st_size)
-        for n, c, p in zip(shard_names, counts, paths)
-    ]
+    shards = []
+    for shard in range(shard_count):
+        path = out_dir / f"shard-{shard:05d}.mfr"
+        write_records(path, ([p] for p, s in zip(payloads, assignment) if s == shard))
+        shards.append(ShardInfo(path.name, assignment.count(shard), path.stat().st_size))
     shard_set = ShardSet(
         directory=out_dir,
         shards=shards,
@@ -273,28 +267,31 @@ def load_manifest(directory) -> ShardSet:
         if not line:
             continue
         head, _, rest = line.partition(" ")
-        if head == "record_count":
-            record_count = int(rest)
-        elif head == "class_mapping":
-            for pair in rest.split():
-                orig, cont = pair.split(":")
-                mapping[int(orig)] = int(cont)
-        elif head == "shard":
-            name, *attrs = rest.split()
-            kv = dict(a.split("=") for a in attrs)
-            shards.append(ShardInfo(name, int(kv["records"]), int(kv["bytes"])))
-        else:
+        if head not in ("record_count", "class_mapping", "shard"):
             raise RecordParseError(f"{path}: unknown manifest line {line!r}")
+        try:
+            if head == "record_count":
+                record_count = int(rest)
+            elif head == "class_mapping":
+                for pair in rest.split():
+                    orig, cont = pair.split(":")
+                    mapping[int(orig)] = int(cont)
+            else:
+                name, *attrs = rest.split()
+                kv = dict(a.split("=") for a in attrs)
+                shards.append(ShardInfo(name, int(kv["records"]), int(kv["bytes"])))
+        except (ValueError, KeyError):
+            raise RecordParseError(f"{path}: malformed manifest line {line!r}") from None
     return ShardSet(directory=directory, shards=shards,
                     record_count=record_count, class_mapping=mapping)
 
 
-def read_shard_file(path):
-    """Yield entries from one shard file, validating magic and checksums."""
+def read_records(path):
+    """Yield the entries of one ``MFR1`` file, validating magic and checksums."""
     path = Path(path)
-    data = path.read_bytes()
+    data = memoryview(path.read_bytes())
     if data[:4] != MAGIC:
-        raise RecordParseError(f"{path.name}: byte 0: bad magic {data[:4]!r}")
+        raise RecordParseError(f"{path.name}: byte 0: bad magic {bytes(data[:4])!r}")
     if len(data) < 8:
         raise RecordParseError(f"{path.name}: byte 4: truncated header")
     (version,) = struct.unpack_from("<I", data, 4)
@@ -323,7 +320,9 @@ def read_shards(shard_set: ShardSet):
     so a shard cut at a record boundary raises instead of reading short.
     """
     for info, path in zip(shard_set.shards, shard_set.shard_paths):
-        entries = list(read_shard_file(path))
+        # own every array, so that kept entries do not pin the shard's bytes
+        entries = [{k: v.copy() if isinstance(v, np.ndarray) else v for k, v in e.items()}
+                   for e in read_records(path)]
         found = (path.stat().st_size, len(entries))
         if found != (info.byte_size, info.record_count):
             raise RecordParseError(f"{info.name}: {found[0]} bytes and {found[1]} records, "

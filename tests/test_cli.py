@@ -49,6 +49,26 @@ class TestSubcommands:
                      "--out", str(dataset / "eval"), *TOY_OVERRIDES])
         assert code == 0
 
+    @pytest.mark.parametrize("damage", ["truncate", "mismatch"])
+    def test_eval_bad_checkpoint_named(self, dataset, capsys, damage):
+        run = dataset / f"bad-{damage}"
+        assert main(["train", "--data", str(dataset / "shards"), "--out", str(run),
+                     "--set", "trainer.steps=1", "--set", "trainer.batch_size=2",
+                     *TOY_OVERRIDES]) == 0
+        ckpt = run / "final.ckpt"
+        overrides = list(TOY_OVERRIDES)
+        if damage == "truncate":
+            ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        else:
+            overrides += ["--set", "model.n_queries=4"]
+        capsys.readouterr()
+        code = main(["eval", "--data", str(dataset / "shards"), "--checkpoint", str(ckpt),
+                     "--out", str(run / "eval"), *overrides])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("eval aborted: ") and "final.ckpt" in err
+        assert len(err.splitlines()) == 1
+
     def test_verify_passes_on_pristine_build(self, dataset, capsys):
         assert main(["verify", *TOY_OVERRIDES]) == 0
         out = capsys.readouterr().out
@@ -94,6 +114,20 @@ class TestSubcommands:
         with pytest.raises(SystemExit) as exc:
             main(["train"])        # missing required --data/--out
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("args, named", [
+        (["--set", "trainer.steps=abc"], "'abc'"),
+        (["--set", "trainer.bogus=1"], "trainer.bogus"),
+        (["--config", "FILE"], "bad.cfg:2"),
+    ])
+    def test_config_error_is_a_usage_error(self, tmp_path, capsys, args, named):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("trainer.steps = 5\ntrainer.learning_rate = fast\n")
+        args = [str(cfg) if a == "FILE" else a for a in args]
+        assert main(["model", "info", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("setseg: error: ") and named in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.filterwarnings("ignore:overflow")

@@ -8,6 +8,7 @@ from setseg.model import (
     MaskClassificationModel, ModelConfig, load_checkpoint, save_checkpoint,
 )
 from setseg.pipeline import TargetSet
+from setseg.records import RecordParseError, write_shards
 from setseg.tensor import Tape, Tensor, backward
 
 
@@ -192,20 +193,54 @@ class TestCheckpoint:
             load_checkpoint(bigger, path)
 
     def test_failed_save_keeps_the_old_checkpoint(self, tmp_path):
-        class WriteFails(np.ndarray):
-            def astype(self, *args, **kwargs):
-                raise OSError("disk full")
+        class ReadFails:
+            def __init__(self, shape):
+                self.shape = shape
+
+            def __array__(self, *args, **kwargs):
+                raise OSError("parameter unreadable")
 
         path = tmp_path / "model.ckpt"
         save_checkpoint(MaskClassificationModel(toy_config(seed=3)), path)
         old = path.read_bytes()
         model = MaskClassificationModel(toy_config(seed=9))
-        second = list(model.params.values())[1]
-        second.data = second.data.view(WriteFails)      # fails after the first parameter
+        # the writer streams keys in sorted order, so this fails after the first parameter
+        second = model.params[sorted(model.params)[1]]
+        second.data = ReadFails(second.shape)
         with pytest.raises(OSError):
             save_checkpoint(model, path)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    @pytest.mark.parametrize("damage", ["truncate", "flip_tail"])
+    def test_damaged_checkpoint_named(self, tmp_path, damage):
+        model = MaskClassificationModel(toy_config(seed=3))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        data = bytearray(path.read_bytes())
+        if damage == "truncate":
+            del data[len(data) // 2:]
+        else:
+            data[-8:] = bytes(b ^ 0xFF for b in data[-8:])
+        path.write_bytes(bytes(data))
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        with pytest.raises(RecordParseError) as err:
+            load_checkpoint(model, path)
+        assert "model.ckpt" in str(err.value)
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, before[name]), name
+
+    def test_shard_file_rejected_as_checkpoint(self, tmp_path):
+        rng = np.random.default_rng(0)
+        entries = [{
+            "image/height": np.array([2]), "image/width": np.array([2]),
+            "image/encoded": rng.bytes(12), "segmentation/contiguous_mask": bytes(8),
+            "segmentation/instance_mask": bytes(8), "image/id": np.array([i]),
+        } for i in range(3)]
+        shard_set = write_shards(entries, 1, tmp_path)
+        with pytest.raises(RecordParseError) as err:
+            load_checkpoint(MaskClassificationModel(toy_config()), shard_set.shard_paths[0])
+        assert "shard-00000.mfr" in str(err.value)
 
     def test_parameter_count_reported(self):
         model = MaskClassificationModel(toy_config())

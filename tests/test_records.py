@@ -92,13 +92,13 @@ class TestRoundTrip:
         path = tmp_path / "bogus.mfr"
         path.write_bytes(b"XXXX" + b"\x01\x00\x00\x00")
         with pytest.raises(records.RecordParseError) as err:
-            list(records.read_shard_file(path))
+            list(records.read_records(path))
         assert "magic" in str(err.value)
 
     def test_header_only_shard_is_empty_stream(self, tmp_path):
         path = tmp_path / "empty.mfr"
         path.write_bytes(records.MAGIC + (1).to_bytes(4, "little"))
-        assert list(records.read_shard_file(path)) == []
+        assert list(records.read_records(path)) == []
 
     def test_missing_required_key_rejected(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -190,7 +190,7 @@ class TestPayloadCodec:
         )
     )
     def test_payload_round_trip(self, entry):
-        payload = records.serialize_entry(entry)
+        payload = b"".join(records.payload_parts(entry))
         out = records.deserialize_entry(payload)
         assert entries_equal(out, entry)
 
@@ -218,6 +218,16 @@ class TestManifest:
         with pytest.raises(records.RecordParseError) as err:
             list(records.read_shards(records.load_manifest(tmp_path)))
         assert "shard-00000.mfr" in str(err.value)
+
+    @pytest.mark.parametrize("line", [
+        "record_count abc", "shard s.mfr records=1", "class_mapping 7-1",
+    ])
+    def test_malformed_line_named(self, tmp_path, line):
+        manifest = tmp_path / records.MANIFEST_NAME
+        manifest.write_text(f"{line}\n")
+        with pytest.raises(records.RecordParseError) as err:
+            records.load_manifest(tmp_path)
+        assert str(manifest) in str(err.value) and line in str(err.value)
 
     def test_record_count_mismatch_named(self, tmp_path):
         rng = np.random.default_rng(11)
