@@ -92,6 +92,13 @@ def ingest(annotations_path, shard_count: int, out_dir, known_class_ids=None):
 # ---------------------------------------------------------------------------
 
 class Adam:
+    """Adam that updates each parameter, m and v in place.
+
+    The update runs in two scratch buffers per dtype, sized to the largest
+    parameter, with the elementwise operations of the textbook formula in
+    the same order, so it allocates nothing per step and changes no bit.
+    """
+
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
@@ -102,6 +109,10 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        sizes = {}
+        for p in params.values():
+            sizes[p.dtype] = max(sizes.get(p.dtype, 0), p.size)
+        self._scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in sizes.items()}
 
     def step(self):
         self.t += 1
@@ -111,10 +122,24 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * g * g
-            update = (self.m[name] / b1c) / (np.sqrt(self.v[name] / b2c) + self.eps)
-            p.data = p.data - self.lr * update.astype(p.data.dtype)
+            m, v = self.m[name], self.v[name]
+            a, b = (buf[:p.size].reshape(p.shape) for buf in self._scratch[p.dtype])
+            # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
+            np.multiply(g, 1.0 - self.beta1, out=a)
+            m *= self.beta1
+            m += a
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            a *= g
+            v *= self.beta2
+            v += a
+            # data -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
+            np.divide(v, b2c, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            np.divide(m, b1c, out=a)
+            a /= b
+            a *= self.lr
+            p.data -= a
 
 
 def clip_gradients(params: dict, max_norm: float) -> float:
