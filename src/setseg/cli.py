@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on a failed check, an aborted run or a reader
 that closed stdout early (``setseg ingest ... | head -2``), 2 on usage
-errors, a bad config key or value (file or ``--set``) among them.
+errors, a bad config key or value (file or ``--set``) or an unreadable
+``--config`` file among them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from .records import RecordParseError
 from .tensor import ConfigError
 from .trainer import TrainError, evaluate, ingest, profile, train
 from .verify import run_verify
+
+# a missing, corrupt or mismatched input file: one "<command> aborted:" line, exit 1
+_INPUT_ERRORS = (OSError, RecordParseError, ConfigError)
 
 
 def _add_config_args(p):
@@ -111,7 +115,7 @@ def _run(args) -> int:
     if args.command == "train":
         try:
             result = train(cfg, args.data, args.out)
-        except TrainError as err:
+        except (TrainError, *_INPUT_ERRORS) as err:
             print(f"training aborted: {err}", file=sys.stderr)
             return 1
         print(f"loss curve: {result.csv_path}")
@@ -122,7 +126,7 @@ def _run(args) -> int:
     if args.command == "eval":
         try:
             result = evaluate(cfg, args.data, args.checkpoint, args.out)
-        except (OSError, RecordParseError, ConfigError) as err:
+        except _INPUT_ERRORS as err:
             print(f"eval aborted: {err}", file=sys.stderr)
             return 1
         print(f"PQ {result.pq:.6f}  SQ {result.sq:.6f}  RQ {result.rq:.6f}")
@@ -135,7 +139,7 @@ def _run(args) -> int:
     if args.command == "profile":
         try:
             report = profile(cfg, args.data, args.steps)
-        except TrainError as err:
+        except (TrainError, *_INPUT_ERRORS) as err:
             print(f"profiling aborted: {err}", file=sys.stderr)
             return 1
         print(report, end="")

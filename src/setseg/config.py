@@ -78,7 +78,10 @@ def load_config(path=None, overrides=None) -> RunConfig:
     """Build a RunConfig: defaults, then the file, then CLI overrides."""
     cfg = RunConfig()
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except OSError as err:
+            raise ConfigFileError(f"{path}: cannot read config file: {err.strerror}") from None
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -129,6 +129,28 @@ class TestSubcommands:
         assert err.startswith("setseg: error: ") and named in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["model", "info", "--config", str(tmp_path / "nope.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("setseg: error: ") and "nope.cfg" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, aborted", [
+        (["train", "--out", "OUT"], "training aborted: "),
+        (["profile"], "profiling aborted: "),
+    ], ids=["train", "profile"])
+    @pytest.mark.parametrize("damage", ["missing", "corrupt_manifest"])
+    def test_bad_data_aborts(self, tmp_path, capsys, command, aborted, damage):
+        data = tmp_path / "shards"
+        if damage == "corrupt_manifest":
+            data.mkdir()
+            (data / "manifest.txt").write_text("record_count = many\n")
+        args = [str(tmp_path / "run") if a == "OUT" else a for a in command]
+        assert main([*args, "--data", str(data), *TOY_OVERRIDES]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(aborted) and "manifest" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_train_abort_exit_code(self, dataset, capsys):

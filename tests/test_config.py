@@ -62,6 +62,11 @@ class TestParsing:
         with pytest.raises(cfg_mod.ConfigFileError):
             load_config(path)
 
+    def test_missing_file_named(self, tmp_path):
+        path = tmp_path / "nope.cfg"
+        with pytest.raises(cfg_mod.ConfigFileError, match="nope.cfg"):
+            load_config(path)
+
     def test_override_beats_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("trainer.steps = 100\n")
