@@ -228,8 +228,8 @@ class MaskClassificationModel:
             e = T.relu(T.linear(e, p[f"heads.mask_mlp.w{l}"], p[f"heads.mask_mlp.b{l}"]))
         mask_embed = T.linear(e, p["heads.mask_mlp.w2"], p["heads.mask_mlp.b2"])
         b, hm, wm, c = mask_features.shape
-        mf = T.transpose(T.reshape(mask_features, (b, hm * wm, c)), (0, 2, 1))
-        logits = T.matmul(mask_embed, mf)                     # [B, N_q, hm*wm]
+        mf = T.reshape(mask_features, (b, hm * wm, c))
+        logits = T.matmul_nt(mask_embed, mf)                  # [B, N_q, hm*wm]
         mask_logits = T.reshape(logits, (b, self.cfg.n_queries, hm, wm))
         return ModelOutputs(mask_logits=mask_logits, class_logits=class_logits)
 

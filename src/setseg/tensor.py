@@ -6,12 +6,13 @@ Every differentiable op records an entry on the active Tape; ``backward``
 replays the reachable part of the tape in reverse to populate ``grad``
 buffers on the leaves.
 
-Ops: add, mul (tensor or scalar) and add_bias, relu, reshape, transpose, take,
-broadcast_batch, sum, softmax/log_softmax, matmul/linear, layer_norm,
-conv2d (im2col GEMM), ``upsample2x_conv3x3`` (a nearest 2x upsample fused
-into the following 3x3 conv), multi-head attention and the sine position
-embedding. Ops defined elsewhere (``losses.mask_loss``) record through
-``_make_result`` with their own backward.
+Ops: add, mul (tensor or scalar) and add_bias, relu, reshape, take,
+broadcast_batch, sum, log_softmax, matmul/linear, ``matmul_nt`` (a·bᵀ
+through a strided view), layer_norm, conv2d (im2col GEMM),
+``upsample2x_conv3x3`` (a nearest 2x upsample fused into the following 3x3
+conv), multi-head attention (one op with a hand-written backward) and the
+sine position embedding. Ops defined elsewhere (``losses.mask_loss``)
+record through ``_make_result`` with their own backward.
 
 There is no broadcasting beyond tensor-scalar (plus the explicit
 ``add_bias`` op); mismatched shapes fail loudly with both shapes named.
@@ -198,9 +199,6 @@ class Tensor:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def transpose(self, axes):
-        return transpose(self, axes)
-
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
@@ -339,17 +337,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _make_result(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
-def transpose(x: Tensor, axes) -> Tensor:
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"transpose: axes {axes} invalid for shape {x.shape}")
-    inv = tuple(np.argsort(axes))
-    return _make_result(
-        np.ascontiguousarray(x.data.transpose(axes)), (x,),
-        lambda g: (np.ascontiguousarray(g.transpose(inv)),),
-    )
-
-
 def take(x: Tensor, idx) -> Tensor:
     """Integer indexing on leading axes; gradient scatters back into zeros."""
     if not isinstance(idx, tuple):
@@ -395,22 +382,8 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Softmax family
+# Log-softmax
 # ---------------------------------------------------------------------------
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax; outputs sum to 1 along ``axis``."""
-    xd = x.data
-    shifted = xd - xd.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make_result(out, (x,), bwd)
-
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     xd = x.data
@@ -457,6 +430,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
 
     return _make_result(out, (a, b), bwd_stacked)
+
+
+def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
+    """a·bᵀ over the last two axes: stacked [..., m, k] x [..., n, k] -> [..., m, n].
+
+    bᵀ is a strided view that BLAS reads in place, never a copy.
+    """
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-1]:
+        raise ShapeError(f"matmul_nt: shapes {a.shape} and {b.shape} are not [..., m, k] and [..., n, k]")
+    out = np.matmul(ad, bd.swapaxes(-1, -2))
+    return _make_result(out, (a, b), lambda g: (g @ bd, g.swapaxes(-1, -2) @ ad))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -675,7 +660,14 @@ def upsample2x_conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     """Scaled dot-product attention over [B, N, C] streams, softmax on keys.
 
-    Composed from primitive ops so gradients flow through the tape.
+    One tape op with a hand-written backward. Heads are reshape/transpose
+    views of the inputs and outputs, which BLAS reads and writes in place;
+    the scale, max-subtract, exp and normalise run in place on the one
+    [B, h, Nq, Nk] score buffer, which the backward keeps as P (as
+    FlashAttention does before tiling: Dao et al. 2022, arXiv 2205.14135).
+    Per head, with dO the output grad: dV = Pᵀ·dO, dP = dO·Vᵀ,
+    dS = P ⊙ (dP − rowsum(dP ⊙ P)) · scale, dQ = dS·K and dK = dSᵀ·Q, where
+    rowsum(dP ⊙ P) = rowsum(dO ⊙ O) is taken in the smaller [Nq, dh] form.
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise ShapeError(f"attention expects [B,N,C] inputs, got {q.shape}, {k.shape}, {v.shape}")
@@ -686,15 +678,36 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Ten
     if c % num_heads != 0:
         raise ConfigError(f"hidden size {c} not divisible by {num_heads} heads")
     dh = c // num_heads
+    scale = 1.0 / math.sqrt(dh)
+    dt = _result_dtype(q.data, k.data, v.data)
 
-    def split(t, n):
-        return transpose(reshape(t, (bsz, n, num_heads, dh)), (0, 2, 1, 3))
+    def heads(a, n):                                        # [B, n, C] -> [B, h, n, dh]
+        return a.reshape(bsz, n, num_heads, dh).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = split(q, nq), split(k, nk), split(v, nk)
-    att = matmul(qh, transpose(kh, (0, 1, 3, 2)))          # [B, h, Nq, Nk]
-    att = softmax(mul(att, 1.0 / math.sqrt(dh)), axis=-1)
-    out = matmul(att, vh)                                   # [B, h, Nq, dh]
-    return reshape(transpose(out, (0, 2, 1, 3)), (bsz, nq, c))
+    def merged_matmul(a, b, n):                             # a @ b, written as [B, n, C]
+        out = np.empty((bsz, n, c), dtype=dt)
+        np.matmul(a, b, out=heads(out, n))
+        return out
+
+    qh, kh, vh = heads(q.data, nq), heads(k.data, nk), heads(v.data, nk)
+    p = np.matmul(qh, kh.swapaxes(-1, -2))                 # [B, h, Nq, Nk]
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = merged_matmul(p, vh, nq)
+    oh = heads(out, nq)
+
+    def bwd(g):
+        gh = heads(g, nq)
+        dv = merged_matmul(p.swapaxes(-1, -2), gh, nk)
+        ds = np.matmul(gh, vh.swapaxes(-1, -2))            # dP, then dS in place
+        ds -= (gh * oh).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        return merged_matmul(ds, kh, nq), merged_matmul(ds.swapaxes(-1, -2), qh, nk), dv
+
+    return _make_result(out, (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -55,30 +55,105 @@ class TestMatmul:
         assert np.allclose(out.data, a @ b, atol=1e-5)
 
 
+    def test_nt_equals_matmul_of_transpose(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+        b = rng.standard_normal((2, 3, 6, 5)).astype(np.float32)
+        out = T.matmul_nt(Tensor(a), Tensor(b))
+        assert out.shape == (2, 3, 4, 6)
+        assert np.allclose(out.data, a @ b.swapaxes(-1, -2), rtol=1e-6, atol=1e-6)
+
+    def test_nt_shape_mismatch_names_both_shapes(self):
+        for b in ((2, 4, 4), (3, 5, 3)):
+            with pytest.raises(T.ShapeError) as err:
+                T.matmul_nt(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros(b)))
+            assert "(2, 5, 3)" in str(err.value) and str(b) in str(err.value)
+
+
+def _attend_scores(logits, v=None, dtype=np.float32):
+    """One-head attention whose scores are ``logits``: q = logits * sqrt(dh), k = I.
+
+    With v = I (the default) the output is the softmax of each row itself.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    nk = logits.shape[-1]
+    q = Tensor((logits * math.sqrt(nk))[None], dtype=dtype)
+    k = Tensor(np.eye(nk)[None], dtype=dtype)
+    v = Tensor(np.eye(nk)[None] if v is None else v[None], dtype=dtype)
+    return T.multi_head_attention(q, k, v, num_heads=1).data[0]
+
+
 class TestSoftmax:
+    """The max-subtracted softmax inside ``multi_head_attention``."""
+
     def test_uniform(self):
-        out = T.softmax(Tensor([0.0, 0.0, 0.0]), axis=-1)
-        assert np.allclose(out.data, [1 / 3] * 3)
+        v = np.random.default_rng(0).standard_normal((3, 3))
+        out = _attend_scores([[0.0, 0.0, 0.0]], v=v)
+        assert np.allclose(out, v.mean(axis=0, keepdims=True), atol=1e-6)
 
     def test_large_logit_stability(self):
-        out = T.softmax(Tensor([1000.0, 0.0]), axis=-1)
-        assert np.all(np.isfinite(out.data))
-        assert abs(out.data[0] - 1.0) < 1e-12
-        assert abs(out.data[1]) < 1e-12
+        out = _attend_scores([[1000.0, 0.0]])
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out, [[1.0, 0.0]])
 
     def test_hand_value(self):
-        out = T.softmax(Tensor([math.log(2.0), 0.0], dtype=np.float64), axis=-1)
-        assert np.allclose(out.data, [2 / 3, 1 / 3], atol=1e-12)
+        out = _attend_scores([[math.log(2.0), 0.0]], dtype=np.float64)
+        assert np.allclose(out, [[2 / 3, 1 / 3]], atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.standard_normal((7, 11)) * 5)
-        out = T.softmax(x, axis=-1)
-        assert np.allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
+        out = _attend_scores(rng.standard_normal((7, 11)) * 5)
+        assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_nan_propagates(self):
-        out = T.softmax(Tensor([np.nan, 0.0]), axis=-1)
-        assert np.isnan(out.data).any()
+        out = _attend_scores([[np.nan, 0.0], [0.0, 0.0]])
+        assert np.isnan(out[0]).all()
+        assert np.allclose(out[1], [0.5, 0.5])
+
+
+def _reference_attention(q, k, v, num_heads, g):
+    """Float64 attention and its textbook adjoint, composed from copied transposes."""
+    q, k, v, g = (np.asarray(a, dtype=np.float64) for a in (q, k, v, g))
+    bsz, nq, c = q.shape
+    dh = c // num_heads
+
+    def split(a):
+        return np.ascontiguousarray(a.reshape(bsz, -1, num_heads, dh).transpose(0, 2, 1, 3))
+
+    def merge(a):
+        return np.ascontiguousarray(a.transpose(0, 2, 1, 3)).reshape(bsz, -1, c)
+
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    s = qh @ np.ascontiguousarray(kh.transpose(0, 1, 3, 2)) / math.sqrt(dh)
+    e = np.exp(s - s.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    dp = gh @ vh.transpose(0, 1, 3, 2)
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) / math.sqrt(dh)
+    return (merge(p @ vh),
+            merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh), merge(p.transpose(0, 1, 3, 2) @ gh))
+
+
+class TestAttention:
+    @pytest.mark.parametrize("nq, nk", [(6, 6), (5, 9)], ids=["self", "cross"])
+    def test_matches_composed_reference(self, nq, nk):
+        rng = np.random.default_rng(40)
+        arrays = [rng.standard_normal(s).astype(np.float32) for s in
+                  ((2, nq, 16), (2, nk, 16), (2, nk, 16), (2, nq, 16))]
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
+        out = T.multi_head_attention(q, k, v, num_heads=4)
+        backward(T.mul(out, Tensor(arrays[3])).sum())
+        ref = _reference_attention(*arrays[:3], 4, arrays[3])
+        for got, want in zip((out.data, q.grad, k.grad, v.grad), ref):
+            assert got.dtype == np.float32
+            assert np.allclose(got, want, rtol=1e-5, atol=2e-6)
+
+    def test_one_tape_entry_per_call(self):
+        rng = np.random.default_rng(41)
+        q = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
+        kv = Tensor(rng.standard_normal((2, 7, 8)), requires_grad=True)
+        with T.Tape() as tape:
+            T.multi_head_attention(q, kv, kv, num_heads=2)
+            assert len(tape.entries) == 1
 
 
 class TestSinePositionEmbedding:
@@ -341,8 +416,22 @@ class TestFiniteDifferences:
             )
             assert max_rel_error(x.grad, numeric) <= 1e-4
 
+    def test_matmul_nt(self):
+        def builder(a, b):
+            out = T.matmul_nt(a, b)
+            return T.mul(out, out).sum()
+
+        _fd_check(builder, 2, lambda r: [(2, 3, 4), (2, 5, 4)], seed=16)
+
     def test_softmax(self):
-        _fd_check(lambda a: T.mul(T.softmax(a, axis=-1), a).sum(), 1, lambda r: [(4, 5)], seed=20)
+        # v = I: the gradient reaches q and k through the softmax adjoint alone
+        eye = Tensor(np.broadcast_to(np.eye(5), (2, 5, 5)), dtype=np.float64)
+
+        def builder(q, k):
+            out = T.multi_head_attention(q, k, eye, 1)
+            return T.mul(out, out).sum()
+
+        _fd_check(builder, 2, lambda r: [(2, 4, 5), (2, 5, 5)], seed=20, trials=5)
 
     def test_log_softmax(self):
         _fd_check(lambda a: T.mul(T.log_softmax(a, axis=-1), a).sum(),
@@ -381,13 +470,20 @@ class TestFiniteDifferences:
 
         _fd_check(builder, 3, lambda r: [(1, 3, 4), (1, 5, 4), (1, 5, 4)], seed=26, trials=5)
 
+    def test_self_attention(self):
+        def builder(x):
+            out = T.multi_head_attention(x, x, x, 2)
+            return T.mul(out, out).sum()
+
+        _fd_check(builder, 1, lambda r: [(2, 4, 6)], seed=30, trials=5)
+
     def test_add_bias(self):
         _fd_check(lambda x, b: T.mul(T.add_bias(x, b), x).sum(),
                   2, lambda r: [(2, 3, 4), (4,)], seed=27)
 
-    def test_take_and_reshape_transpose(self):
+    def test_take_and_reshape(self):
         def builder(x):
-            y = T.transpose(T.reshape(x, (2, 6)), (1, 0))
+            y = T.reshape(x, (6, 2))
             return T.mul(y[3], y[3]).sum()
 
         _fd_check(builder, 1, lambda r: [(3, 4)], seed=28)
@@ -415,3 +511,18 @@ class TestPurity:
         backward(T.mul(out, out).sum())
         after = [_buffer_hash(t) for t in (x, w, s, b)]
         assert before == after
+
+    def test_attention_leaves_inputs_and_grad_unmodified(self):
+        rng = np.random.default_rng(32)
+        q = Tensor(rng.standard_normal((2, 3, 8)), requires_grad=True)
+        k = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
+        v = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
+        g = Tensor(rng.standard_normal((2, 3, 8)))
+        before = [_buffer_hash(t) for t in (q, k, v, g)]
+        out = T.multi_head_attention(q, k, v, num_heads=2)
+        first = out._entry.backward_fn(g.data)
+        second = out._entry.backward_fn(g.data)   # the kept P is unchanged by a backward
+        backward(T.mul(out, g).sum())
+        assert [_buffer_hash(t) for t in (q, k, v, g)] == before
+        for a, b, leaf in zip(first, second, (q, k, v)):
+            assert np.array_equal(a, b) and np.array_equal(a, leaf.grad)

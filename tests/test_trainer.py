@@ -1,13 +1,15 @@
 import csv
+import re
 import threading
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from setseg import synth, trainer
-from setseg.config import RunConfig
+from setseg import synth, tensor, trainer
+from setseg.config import RunConfig, load_config
 from setseg.matcher import NanCostError
 from setseg.model import MaskClassificationModel, save_checkpoint
 from setseg.pipeline import PipelineError
@@ -139,6 +141,24 @@ class TestTrain:
         assert result[3] == result.total
         assert set(result.seconds) == {"forward", "match", "loss", "backward"}
         assert result.dropped_instances >= 0 and result.degenerate_dice >= 0
+
+    def test_readme_toy_step_tape_ops(self, shard_dir, tmp_path, monkeypatch):
+        # 226 = 138 forward ops (six attention calls at one op each, the
+        # heads' a·bᵀ without a copied transpose) + 10 loss ops for each of
+        # the 8 images + 8 for the batch mean; a copied transpose or a
+        # composed attention brings the count back up
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        toy = re.search(r"cat > toy.cfg <<'EOF'\n(.*?)\nEOF", readme, re.S).group(1)
+        (tmp_path / "toy.cfg").write_text(toy)
+        cfg = load_config(tmp_path / "toy.cfg")
+        batch = trainer.assemble_batch(load_entries(shard_dir), cfg, 0)
+        assert batch.size == 8 and all(len(t.labels) for t in batch.target_sets)
+        recorded = []
+        record = tensor.Tape.record
+        monkeypatch.setattr(tensor.Tape, "record",
+                            lambda tape, *a: recorded.append(a) or record(tape, *a))
+        trainer.train_step(MaskClassificationModel(cfg.model), batch, cfg)
+        assert len(recorded) == 226
 
     def test_checkpoint_cadence(self, shard_dir, tmp_path):
         cfg = toy_run_config(steps=4, checkpoint_every=2)
