@@ -20,8 +20,9 @@ from .tensor import ConfigError
 from .trainer import TrainError, evaluate, ingest, profile, train
 from .verify import run_verify
 
-# a missing, corrupt or mismatched input file: one "<command> aborted:" line, exit 1
-_INPUT_ERRORS = (OSError, RecordParseError, ConfigError)
+# these commands report a failed run or a missing, corrupt or mismatched input
+# file as one "<what> aborted: ..." line on stderr, with exit code 1
+_ABORTED = {"train": "training", "eval": "eval", "profile": "profiling"}
 
 
 def _add_config_args(p):
@@ -88,6 +89,11 @@ def main(argv=None) -> int:
         # interpreter exit cannot raise again (Python docs, "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (TrainError, OSError, RecordParseError, ConfigError) as err:
+        if args.command not in _ABORTED:
+            raise
+        print(f"{_ABORTED[args.command]} aborted: {err}", file=sys.stderr)
+        return 1
     return code
 
 
@@ -113,22 +119,14 @@ def _run(args) -> int:
         return 0
 
     if args.command == "train":
-        try:
-            result = train(cfg, args.data, args.out)
-        except (TrainError, *_INPUT_ERRORS) as err:
-            print(f"training aborted: {err}", file=sys.stderr)
-            return 1
+        result = train(cfg, args.data, args.out)
         print(f"loss curve: {result.csv_path}")
         print(f"checkpoint: {result.checkpoint_path}")
         print(f"total loss {result.initial_total:.4f} -> {result.final_total:.4f}")
         return 0
 
     if args.command == "eval":
-        try:
-            result = evaluate(cfg, args.data, args.checkpoint, args.out)
-        except _INPUT_ERRORS as err:
-            print(f"eval aborted: {err}", file=sys.stderr)
-            return 1
+        result = evaluate(cfg, args.data, args.checkpoint, args.out)
         print(f"PQ {result.pq:.6f}  SQ {result.sq:.6f}  RQ {result.rq:.6f}")
         return 0
 
@@ -137,12 +135,7 @@ def _run(args) -> int:
         return 0 if all(r.passed for r in results) else 1
 
     if args.command == "profile":
-        try:
-            report = profile(cfg, args.data, args.steps)
-        except (TrainError, *_INPUT_ERRORS) as err:
-            print(f"profiling aborted: {err}", file=sys.stderr)
-            return 1
-        print(report, end="")
+        print(profile(cfg, args.data, args.steps), end="")
         return 0
 
     if args.command == "model" and args.model_command == "info":

@@ -7,12 +7,11 @@ replays the reachable part of the tape in reverse to populate ``grad``
 buffers on the leaves.
 
 Ops: add, mul (tensor or scalar) and add_bias, relu, reshape, take,
-broadcast_batch, sum, log_softmax, matmul/linear, ``matmul_nt`` (a·bᵀ
-through a strided view), layer_norm, conv2d (im2col GEMM),
-``upsample2x_conv3x3`` (a nearest 2x upsample fused into the following 3x3
-conv), multi-head attention (one op with a hand-written backward) and the
-sine position embedding. Ops defined elsewhere (``losses.mask_loss``)
-record through ``_make_result`` with their own backward.
+broadcast_batch, sum, log_softmax, matmul/linear, matmul_nt (a·bᵀ), layer_norm,
+conv2d (im2col GEMM), ``upsample2x_conv3x3`` (a nearest 2x upsample fused
+into the following 3x3 conv), multi-head attention (one op with a
+hand-written backward) and the sine position embedding. Ops defined
+elsewhere (``losses.mask_loss``) record through ``_make_result`` too.
 
 There is no broadcasting beyond tensor-scalar (plus the explicit
 ``add_bias`` op); mismatched shapes fail loudly with both shapes named.
@@ -166,38 +165,15 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar; all shape checks live in the op functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
+    # sugar the callers use; all shape checks live in the op functions
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -433,10 +409,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
-    """a·bᵀ over the last two axes: stacked [..., m, k] x [..., n, k] -> [..., m, n].
-
-    bᵀ is a strided view that BLAS reads in place, never a copy.
-    """
+    """a·bᵀ, [..., m, k] x [..., n, k] -> [..., m, n]; BLAS reads bᵀ as a strided view."""
     ad, bd = a.data, b.data
     if ad.ndim < 2 or ad.shape[:-2] != bd.shape[:-2] or ad.shape[-1] != bd.shape[-1]:
         raise ShapeError(f"matmul_nt: shapes {a.shape} and {b.shape} are not [..., m, k] and [..., n, k]")
@@ -660,14 +633,11 @@ def upsample2x_conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     """Scaled dot-product attention over [B, N, C] streams, softmax on keys.
 
-    One tape op with a hand-written backward. Heads are reshape/transpose
-    views of the inputs and outputs, which BLAS reads and writes in place;
-    the scale, max-subtract, exp and normalise run in place on the one
-    [B, h, Nq, Nk] score buffer, which the backward keeps as P (as
-    FlashAttention does before tiling: Dao et al. 2022, arXiv 2205.14135).
-    Per head, with dO the output grad: dV = Pᵀ·dO, dP = dO·Vᵀ,
-    dS = P ⊙ (dP − rowsum(dP ⊙ P)) · scale, dQ = dS·K and dK = dSᵀ·Q, where
-    rowsum(dP ⊙ P) = rowsum(dO ⊙ O) is taken in the smaller [Nq, dh] form.
+    One tape op. Heads are views of the inputs and outputs that BLAS reads
+    and writes in place; the softmax runs in place on the [B, h, Nq, Nk]
+    scores, kept as P for the backward (Dao et al. 2022, before tiling):
+    dV = Pᵀ·dO, dS = P ⊙ (dO·Vᵀ − rowsum(dO ⊙ O)) · scale, dQ = dS·K and
+    dK = dSᵀ·Q, where rowsum(dO ⊙ O) equals rowsum(dP ⊙ P) at less cost.
     """
     if q.ndim != 3 or k.ndim != 3 or v.ndim != 3:
         raise ShapeError(f"attention expects [B,N,C] inputs, got {q.shape}, {k.shape}, {v.shape}")

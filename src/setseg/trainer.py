@@ -92,11 +92,9 @@ def ingest(annotations_path, shard_count: int, out_dir, known_class_ids=None):
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam that updates each parameter, m and v in place.
+    """Adam updating m, v and the parameters in place, in two scratch buffers per dtype.
 
-    The update runs in two scratch buffers per dtype, sized to the largest
-    parameter, with the elementwise operations of the textbook formula in
-    the same order, so it allocates nothing per step and changes no bit.
+    The operations keep the textbook formula's order, so no bit changes.
     """
 
     def __init__(self, params: dict, lr: float, beta1: float = 0.9,
@@ -109,10 +107,9 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
-        sizes = {}
-        for p in params.values():
-            sizes[p.dtype] = max(sizes.get(p.dtype, 0), p.size)
-        self._scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in sizes.items()}
+        n = max((p.size for p in params.values()), default=0)
+        self._scratch = {dt: (np.empty(n, dt), np.empty(n, dt))
+                         for dt in {p.dtype for p in params.values()}}
 
     def step(self):
         self.t += 1
@@ -124,16 +121,14 @@ class Adam:
                 continue
             m, v = self.m[name], self.v[name]
             a, b = (buf[:p.size].reshape(p.shape) for buf in self._scratch[p.dtype])
-            # m = beta1 * m + (1 - beta1) * g;  v = beta2 * v + (1 - beta2) * g * g
-            np.multiply(g, 1.0 - self.beta1, out=a)
+            np.multiply(g, 1.0 - self.beta1, out=a)    # m = beta1 * m + (1 - beta1) * g
             m *= self.beta1
             m += a
-            np.multiply(g, 1.0 - self.beta2, out=a)
+            np.multiply(g, 1.0 - self.beta2, out=a)    # v = beta2 * v + (1 - beta2) * g * g
             a *= g
             v *= self.beta2
             v += a
-            # data -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
-            np.divide(v, b2c, out=b)
+            np.divide(v, b2c, out=b)                   # data -= lr * m/b1c / (sqrt(v/b2c) + eps)
             np.sqrt(b, out=b)
             b += self.eps
             np.divide(m, b1c, out=a)
