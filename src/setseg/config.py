@@ -75,7 +75,10 @@ def get_value(cfg: RunConfig, dotted_key: str):
 
 
 def load_config(path=None, overrides=None) -> RunConfig:
-    """Build a RunConfig: defaults, then the file, then CLI overrides."""
+    """Build a RunConfig: defaults, then the file, then CLI overrides.
+
+    The parser may not emit more classes than the model's class head has.
+    """
     cfg = RunConfig()
     if path is not None:
         try:
@@ -98,6 +101,10 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigFileError(f"override must be key=value, got {item!r}")
         key, _, value = item.partition("=")
         set_value(cfg, key.strip(), value)
+    if cfg.parser.num_classes > cfg.model.num_classes:
+        # a label above the class head would land in its no-object column
+        raise ConfigFileError(f"parser.num_classes = {cfg.parser.num_classes} exceeds "
+                              f"model.num_classes = {cfg.model.num_classes}")
     return cfg
 
 

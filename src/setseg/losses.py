@@ -1,13 +1,19 @@
 """Padding-aware dice, focal, and classification losses plus the weighted total.
 
-The focal and dice formulas exist once, in ``mask_costs``: per-pixel terms
-from one sigmoid, reduced pairwise to ``dice[N, R]`` and ``focal[N, R]`` by
-two float64 matmuls over the valid pixels only. The matcher calls it on
-every (target, query) pair. ``mask_loss`` calls it on the matched rows,
-takes the diagonal and records the result as one tape op with a
-hand-written backward; ``dice_loss`` and ``focal_loss`` are one-row calls
-of that op. Invalid pixels are dropped before any arithmetic, so appending
-padding never changes a value.
+Each formula has one numpy home, in float64:
+
+- focal and dice values: ``mask_costs``, per-pixel terms from one sigmoid
+  reduced pairwise to ``dice[N, R]`` and ``focal[N, R]`` by two matmuls over
+  the valid pixels only. The matcher calls it on every (target, query)
+  pair, the loss on the matched rows (the diagonal);
+- their gradient: ``_mask_grad``;
+- the weighted cross-entropy and its gradient: ``_class_terms``.
+
+``total_loss`` records the whole batch's loss as one tape op over
+(mask_logits, class_logits) with a hand-written backward built from these
+helpers. ``dice_loss``, ``focal_loss`` and ``classification_loss`` are
+one-op wrappers over the same helpers. Invalid pixels are dropped before
+any arithmetic, so appending padding never changes a value.
 
 Class logits are laid out with contiguous class c at column c-1 and the
 no-object class at the last column (index K).
@@ -43,6 +49,8 @@ class LossConfig:
 
 @dataclass
 class LossBundle:
+    """Batch means of the three losses and their weighted total; counts summed over the batch."""
+
     classification: float
     focal: float
     dice: float
@@ -92,41 +100,47 @@ def mask_costs(logits: np.ndarray, gt: np.ndarray, valid: np.ndarray, cfg: LossC
     return dice, focal
 
 
-def mask_loss(logits: Tensor, index, gt: np.ndarray, valid: np.ndarray, cfg: LossConfig,
-              focal_weight: float, dice_weight: float) -> tuple[Tensor, float, float]:
-    """Mean over rows of focal_weight * focal + dice_weight * dice, as one tape op.
+def _mask_grad(rows: np.ndarray, gt: np.ndarray, valid: np.ndarray, cfg: LossConfig,
+               fw: float, dw: float) -> np.ndarray:
+    """d/d rows of the sum over pairs of fw * focal + dw * dice, float64 in ``rows``' shape.
 
-    Row i is ``logits.data[index][i]`` paired with target ``gt[i]``; the
-    gradient scatters back into a ``logits``-shaped buffer. Returns the
-    scalar tensor and the mean focal and dice values.
+    Row i pairs with target ``gt[i]``; invalid pixels get zero.
     """
-    data = logits.data
-    rows = data[index]
-    n = len(rows)
-    dice, focal = mask_costs(rows, gt, valid, cfg)
-    dice_v, focal_v = float(dice.diagonal().mean()), float(focal.diagonal().mean())
-    out = np.asarray(focal_weight * focal_v + dice_weight * dice_v, dtype=data.dtype)
+    x, g = _valid_pixels(rows, valid), _valid_pixels(gt, valid)
+    p, pc, _, _ = _pixel_terms(x, cfg)
+    a, gam = cfg.focal_alpha, cfg.focal_gamma
+    # d focal / d pc per target polarity; the clamp passes grad only inside it
+    d_pos = -a * (gam * (1.0 - pc) ** (gam - 1.0) * -np.log(pc) + (1.0 - pc) ** gam / pc)
+    d_neg = (1.0 - a) * (gam * pc ** (gam - 1.0) * -np.log1p(-pc) + pc ** gam / (1.0 - pc))
+    inside = (p > _P_CLAMP) & (p < 1.0 - _P_CLAMP)
+    d_focal = (g * d_pos + (1.0 - g) * d_neg) * inside / max(x.shape[1], 1)
+    num = 2.0 * (g * p).sum(axis=1, keepdims=True) + cfg.dice_eps
+    den = p.sum(axis=1, keepdims=True) + g.sum(axis=1, keepdims=True) + cfg.dice_eps
+    d_dice = num / (den * den) - 2.0 * g / den
+    out = np.zeros((len(rows), valid.size))
+    out[:, valid.reshape(-1)] = (fw * d_focal + dw * d_dice) * (p * (1.0 - p))
+    return out.reshape(rows.shape)
 
-    def bwd(g_out):
-        x, g = _valid_pixels(rows, valid), _valid_pixels(gt, valid)
-        p, pc, _, _ = _pixel_terms(x, cfg)
-        a, gam = cfg.focal_alpha, cfg.focal_gamma
-        # d focal / d pc per target polarity; the clamp passes grad only inside it
-        d_pos = -a * (gam * (1.0 - pc) ** (gam - 1.0) * -np.log(pc) + (1.0 - pc) ** gam / pc)
-        d_neg = (1.0 - a) * (gam * pc ** (gam - 1.0) * -np.log1p(-pc) + pc ** gam / (1.0 - pc))
-        inside = (p > _P_CLAMP) & (p < 1.0 - _P_CLAMP)
-        d_focal = (g * d_pos + (1.0 - g) * d_neg) * inside / max(x.shape[1], 1)
-        num = 2.0 * (g * p).sum(axis=1, keepdims=True) + cfg.dice_eps
-        den = p.sum(axis=1, keepdims=True) + g.sum(axis=1, keepdims=True) + cfg.dice_eps
-        d_dice = num / (den * den) - 2.0 * g / den
-        dx = (focal_weight * d_focal + dice_weight * d_dice) * (p * (1.0 - p)) * (g_out[0] / n)
-        g_rows = np.zeros((n, valid.size), dtype=data.dtype)
-        g_rows[:, valid.reshape(-1)] = dx
-        full = np.zeros_like(data)
-        full[index] = g_rows.reshape(rows.shape)
-        return (full,)
 
-    return T._make_result(out, (logits,), bwd), focal_v, dice_v
+def _class_terms(logits: np.ndarray, cols: np.ndarray, no_object_weight: float):
+    """Weighted cross-entropy of logits [Q, K+1] against columns ``cols`` [Q], and its grad.
+
+    Query q weighs w_q = ``no_object_weight`` if ``cols[q]`` is the
+    no-object column K, else 1. The loss is -sum_q w_q log p[q, cols[q]] / W
+    with W = sum(w), and its grad w/W * (softmax - onehot); both float64.
+    """
+    z = logits.astype(np.float64)
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    rows = np.arange(len(z))
+    w = np.where(cols == z.shape[-1] - 1, no_object_weight, 1.0)
+    w_sum = w.sum()
+    value = -(w * (z[rows, cols] - np.log(s[:, 0]))).sum() / w_sum
+    grad = e / s
+    grad[rows, cols] -= 1.0
+    grad *= (w / w_sum)[:, None]
+    return float(value), grad
 
 
 def _check_mask_args(name: str, pred_logits: Tensor, gt, valid):
@@ -139,14 +153,24 @@ def _check_mask_args(name: str, pred_logits: Tensor, gt, valid):
     return gt, valid
 
 
+def _one_mask_loss(name: str, pred_logits: Tensor, gt, valid, cfg: LossConfig,
+                   fw: float, dw: float) -> Tensor:
+    """fw * focal + dw * dice of one logit map against one target, as one tape op."""
+    gt, valid = _check_mask_args(name, pred_logits, gt, valid)
+    dtype = pred_logits.dtype
+    if not valid.any():
+        return Tensor(np.zeros((), dtype=dtype))
+    rows, gt = pred_logits.data[None], gt[None]
+    dice, focal = mask_costs(rows, gt, valid, cfg)
+    out = np.asarray(fw * focal[0, 0] + dw * dice[0, 0], dtype=dtype)
+    return T._make_result(out, (pred_logits,), lambda g: (
+        (_mask_grad(rows, gt, valid, cfg, fw, dw)[0] * g[0]).astype(dtype),))
+
+
 def dice_loss(pred_logits: Tensor, gt: np.ndarray, valid: np.ndarray,
               eps: float = 1.0) -> Tensor:
     """Soft dice on sigmoid(pred_logits), sums restricted to valid pixels."""
-    gt, valid = _check_mask_args("dice_loss", pred_logits, gt, valid)
-    if not valid.any():
-        return Tensor(np.zeros((), dtype=pred_logits.dtype))
-    return mask_loss(pred_logits, np.newaxis, gt[None], valid,
-                     LossConfig(dice_eps=eps), 0.0, 1.0)[0]
+    return _one_mask_loss("dice_loss", pred_logits, gt, valid, LossConfig(dice_eps=eps), 0.0, 1.0)
 
 
 def focal_loss(pred_logits: Tensor, gt: np.ndarray, valid: np.ndarray,
@@ -156,11 +180,8 @@ def focal_loss(pred_logits: Tensor, gt: np.ndarray, valid: np.ndarray,
         raise LossError(f"alpha must be in [0, 1], got {alpha}")
     if gamma < 0.0:
         raise LossError(f"gamma must be >= 0, got {gamma}")
-    gt, valid = _check_mask_args("focal_loss", pred_logits, gt, valid)
-    if not valid.any():
-        return Tensor(np.zeros((), dtype=pred_logits.dtype))
-    return mask_loss(pred_logits, np.newaxis, gt[None], valid,
-                     LossConfig(focal_alpha=alpha, focal_gamma=gamma), 1.0, 0.0)[0]
+    return _one_mask_loss("focal_loss", pred_logits, gt, valid,
+                          LossConfig(focal_alpha=alpha, focal_gamma=gamma), 1.0, 0.0)
 
 
 def classification_loss(class_logits: Tensor, matched_labels: np.ndarray,
@@ -178,53 +199,58 @@ def classification_loss(class_logits: Tensor, matched_labels: np.ndarray,
     if labels.min() < 1 or labels.max() > k + 1:
         bad = labels[(labels < 1) | (labels > k + 1)][0]
         raise LossError(f"label {int(bad)} out of range 1..{k + 1}")
-    cols = labels - 1                      # class c -> column c-1, no-object -> K
-    onehot = np.zeros((n_q, n_cols), dtype=class_logits.dtype)
-    onehot[np.arange(n_q), cols] = 1.0
-    weights = np.where(cols == k, no_object_weight, 1.0).astype(class_logits.dtype)
-    w_sum = float(weights.sum())
-    logp = T.log_softmax(class_logits, axis=-1)
-    picked = T.mul(logp, Tensor(onehot)).sum(axis=-1)     # [N_q]
-    weighted = T.mul(picked, Tensor(weights))
-    return T.mul(weighted.sum(), -1.0 / w_sum)
+    value, grad = _class_terms(class_logits.data, labels - 1, no_object_weight)
+    dtype = class_logits.dtype
+    return T._make_result(np.asarray(value, dtype=dtype), (class_logits,),
+                          lambda g: ((grad * g[0]).astype(dtype),))
 
 
-def total_loss(outputs, targets: TargetSet, assignment, cfg: LossConfig,
-               valid_mask: np.ndarray, batch_index: int = 0) -> LossBundle:
-    """Combine the three losses for one image of a batch.
+def total_loss(outputs, target_sets: list[TargetSet], assignments, cfg: LossConfig,
+               valid_masks: np.ndarray) -> LossBundle:
+    """The weighted loss of a batch, as one tape op over (mask_logits, class_logits).
 
-    Mask losses are means over matched pairs (at mask-logit resolution, with
-    targets and the validity mask downsampled by nearest-neighbor), recorded
-    as one tape op whatever the pair count; classification covers all
-    queries.
+    Each component is a mean over the images. Per image, the mask losses
+    are means over matched pairs (at mask-logit resolution, with targets and
+    the validity mask ``valid_masks[b]`` downsampled by nearest-neighbor),
+    0 without pairs; classification covers all queries. The backward writes
+    one grad per input, scaled by 1/B, 1/pairs and the loss weights.
     """
-    mask_logits = outputs.mask_logits       # [B, N_q, h, w]
-    class_logits = outputs.class_logits     # [B, N_q, K+1]
-    n_q, mh = mask_logits.shape[1], mask_logits.shape[2]
-    k = class_logits.shape[-1] - 1
-
-    factor = valid_mask.shape[0] // mh
-    queries = np.asarray(assignment.query_for_gt, dtype=np.int64)
-    matched_labels = np.full(n_q, k + 1, dtype=np.int64)
-    matched_labels[queries] = targets.labels
-    cls_t = classification_loss(class_logits[batch_index], matched_labels,
-                                no_object_weight=cfg.no_object_weight)
-    total_t = T.mul(cls_t, cfg.class_weight)
-    focal_v = dice_v = 0.0
+    mask_logits, class_logits = outputs.mask_logits, outputs.class_logits
+    ml, cl = mask_logits.data, class_logits.data        # [B, N_q, h, w], [B, N_q, K+1]
+    bsz, n_q = cl.shape[:2]
+    k = cl.shape[-1] - 1
+    factor = valid_masks.shape[1] // ml.shape[2]
+    sums = np.zeros(3)                                   # classification, focal, dice
+    g_class = np.empty(cl.shape)
+    pairs = []                                           # (b, queries, gt, valid) with a match
     degenerate = 0
-    if len(queries):
-        gt = np.stack([downsample_mask(m, factor) for m in targets.masks])
-        valid_small = downsample_mask(valid_mask, factor).astype(bool)
-        degenerate = 0 if valid_small.any() else len(queries)
-        mask_t, focal_v, dice_v = mask_loss(mask_logits, (batch_index, queries), gt,
-                                            valid_small, cfg, cfg.focal_weight, cfg.dice_weight)
-        total_t = T.add(total_t, mask_t)
-    cls_v = cls_t.item()
-    return LossBundle(
-        classification=cls_v,
-        focal=focal_v,
-        dice=dice_v,
-        total=cfg.class_weight * cls_v + cfg.focal_weight * focal_v + cfg.dice_weight * dice_v,
-        total_tensor=total_t,
-        degenerate_dice=degenerate,
-    )
+    for b, (targets, assignment, valid) in enumerate(zip(target_sets, assignments, valid_masks)):
+        labels = np.asarray(targets.labels, dtype=np.int64)
+        if len(labels) and (labels.min() < 1 or labels.max() > k):
+            bad = labels[(labels < 1) | (labels > k)][0]
+            raise LossError(f"image {b}: target label {int(bad)} outside 1..K with K = {k}")
+        queries = np.asarray(assignment.query_for_gt, dtype=np.int64)
+        cols = np.full(n_q, k)
+        cols[queries] = labels - 1                       # class c -> column c-1, no-object -> K
+        value, g_class[b] = _class_terms(cl[b], cols, cfg.no_object_weight)
+        sums[0] += value
+        if len(queries):
+            gt = np.stack([downsample_mask(m, factor) for m in targets.masks])
+            valid_small = downsample_mask(valid, factor).astype(bool)
+            dice, focal = mask_costs(ml[b, queries], gt, valid_small, cfg)
+            sums[1:] += focal.diagonal().mean(), dice.diagonal().mean()
+            degenerate += 0 if valid_small.any() else len(queries)
+            pairs.append((b, queries, gt, valid_small))
+    cls_v, focal_v, dice_v = (float(v) for v in sums / bsz)
+    total = cfg.class_weight * cls_v + cfg.focal_weight * focal_v + cfg.dice_weight * dice_v
+
+    def bwd(g_out):
+        scale = float(g_out[0]) / bsz
+        g_mask = np.zeros_like(ml)
+        for b, queries, gt, valid_small in pairs:
+            g = _mask_grad(ml[b, queries], gt, valid_small, cfg, cfg.focal_weight, cfg.dice_weight)
+            g_mask[b, queries] = g * (scale / len(queries))
+        return g_mask, (g_class * (scale * cfg.class_weight)).astype(cl.dtype)
+
+    total_t = T._make_result(np.asarray(total, dtype=ml.dtype), (mask_logits, class_logits), bwd)
+    return LossBundle(cls_v, focal_v, dice_v, total, total_t, degenerate)

@@ -6,12 +6,12 @@ Every differentiable op records an entry on the active Tape; ``backward``
 replays the reachable part of the tape in reverse to populate ``grad``
 buffers on the leaves.
 
-Ops: add, mul (tensor or scalar) and add_bias, relu, reshape, take,
-broadcast_batch, sum, log_softmax, matmul/linear, matmul_nt (a·bᵀ), layer_norm,
-conv2d (im2col GEMM), ``upsample2x_conv3x3`` (a nearest 2x upsample fused
-into the following 3x3 conv), multi-head attention (one op with a
-hand-written backward) and the sine position embedding. Ops defined
-elsewhere (``losses.mask_loss``) record through ``_make_result`` too.
+Ops: add, mul (tensor or scalar) and add_bias, relu, reshape,
+broadcast_batch, sum, matmul/linear, matmul_nt (a·bᵀ), layer_norm, conv2d
+(im2col GEMM), ``upsample2x_conv3x3`` (a nearest 2x upsample fused into the
+following 3x3 conv), multi-head attention (one op with a hand-written
+backward) and the sine position embedding. Ops defined elsewhere (the
+losses in ``losses``) record through ``_make_result`` too.
 
 There is no broadcasting beyond tensor-scalar (plus the explicit
 ``add_bias`` op); mismatched shapes fail loudly with both shapes named.
@@ -169,12 +169,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
     # sugar the callers use; all shape checks live in the op functions
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __getitem__(self, idx):
-        return take(self, idx)
-
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
 
@@ -313,23 +307,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _make_result(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
-def take(x: Tensor, idx) -> Tensor:
-    """Integer indexing on leading axes; gradient scatters back into zeros."""
-    if not isinstance(idx, tuple):
-        idx = (idx,)
-    if not all(isinstance(i, (int, np.integer)) for i in idx):
-        raise ContractError("take supports integer indices on leading axes only")
-    idx = tuple(int(i) for i in idx)
-    xd = x.data
-
-    def bwd(g):
-        full = np.zeros_like(xd)
-        full[idx] = g
-        return (full,)
-
-    return _make_result(xd[idx].copy(), (x,), bwd)
-
-
 def broadcast_batch(x: Tensor, batch: int) -> Tensor:
     """Repeat x along a new leading batch axis; gradient sums it away."""
     out = np.broadcast_to(x.data, (int(batch),) + x.shape).copy()
@@ -355,23 +332,6 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, shape).copy(),)
 
     return _make_result(np.asarray(out), (x,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# Log-softmax
-# ---------------------------------------------------------------------------
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    xd = x.data
-    shifted = xd - xd.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
-    soft = np.exp(out)
-
-    def bwd(g):
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
-
-    return _make_result(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

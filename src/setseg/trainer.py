@@ -9,7 +9,8 @@ seeds are derived deterministically from the run seed, so a fixed
 ``train_step`` is the one forward -> match -> loss -> backward path and
 ``run_steps`` the one loop around it; both read the clock at every stage
 boundary. ``train`` and ``profile`` both run ``run_steps``: one writes
-``loss.csv`` and checkpoints, the other writes nothing and sums the clocks.
+``config.txt`` (the resolved config), ``loss.csv`` and checkpoints, the
+other writes nothing and sums the clocks.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import records, synth
-from .config import RunConfig
+from .config import RunConfig, dump_config
 from .evaluator import SegmentSet, accumulate, postprocess, summarize
 from .losses import total_loss
 from .matcher import NanCostError, build_cost_matrix, hungarian
@@ -36,7 +36,7 @@ from .model import MaskClassificationModel, load_checkpoint, save_checkpoint
 from .pipeline import (
     Batch, ParserConfig, batch as make_batch, build_id_mapper, downsample_mask, parse,
 )
-from .tensor import Tape, add, backward, no_grad
+from .tensor import Tape, backward, no_grad
 
 
 class TrainError(RuntimeError):
@@ -148,7 +148,7 @@ def clip_gradients(params: dict, max_norm: float) -> float:
         scale = max_norm / norm
         for p in params.values():
             if p.grad is not None:
-                p.grad = p.grad * scale
+                p.grad *= scale
     return norm
 
 
@@ -249,38 +249,28 @@ class StepResult(NamedTuple):
 
 
 def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
-    """Forward, match every image, build every loss, backward; the caller clips and updates.
-
-    Matching records no tape op, so matching all images first leaves the
-    tape as an image-by-image loop would record it.
-    """
+    """Forward, match every image, build the batch loss, backward; the caller clips and updates."""
     t0 = time.perf_counter()
     with Tape():
         outputs = model.forward(batch_data.images)
         t1 = time.perf_counter()
-        per_image = list(enumerate(zip(batch_data.target_sets, batch_data.valid_masks)))
+        per_image = enumerate(zip(batch_data.target_sets, batch_data.valid_masks))
         with no_grad():
             assignments = [hungarian(build_cost_matrix(outputs, targets, valid, cfg.losses,
                                                        batch_index=b))
                            for b, (targets, valid) in per_image]
         t2 = time.perf_counter()
-        bundles = [total_loss(outputs, targets, assignment, cfg.losses, valid, batch_index=b)
-                   for (b, (targets, valid)), assignment in zip(per_image, assignments)]
-        totals = [bundle.total_tensor for bundle in bundles]
-        mean_total = reduce(add, totals) * (1.0 / len(totals))
+        loss = total_loss(outputs, batch_data.target_sets, assignments, cfg.losses,
+                          batch_data.valid_masks)
         t3 = time.perf_counter()
         model.zero_grad()
-        backward(mean_total)
+        backward(loss.total_tensor)
     t4 = time.perf_counter()
-    comps = np.zeros(3, dtype=np.float64)
-    for bundle in bundles:
-        comps += (bundle.classification, bundle.focal, bundle.dice)
-    comps /= batch_data.size
     return StepResult(
-        float(comps[0]), float(comps[1]), float(comps[2]), mean_total.item(),
+        loss.classification, loss.focal, loss.dice, loss.total,
         {"forward": t1 - t0, "match": t2 - t1, "loss": t3 - t2, "backward": t4 - t3},
         sum(targets.dropped for targets in batch_data.target_sets),
-        sum(bundle.degenerate_dice for bundle in bundles),
+        loss.degenerate_dice,
     )
 
 
@@ -334,6 +324,8 @@ def run_steps(model, optimizer, entries, cfg: RunConfig, steps: int,
 def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    with records.atomic_open(out_dir / "config.txt", "w") as f:
+        f.write(dump_config(cfg))
     entries = load_entries(data_dir)
     model = MaskClassificationModel(cfg.model)
     optimizer = make_optimizer(cfg, model)

@@ -201,7 +201,8 @@ class TestCriterion6:
                 with T.no_grad():
                     assignment = hungarian(build_cost_matrix(
                         outputs, targets, vmask, run_cfg.losses))
-                bundle = total_loss(outputs, targets, assignment, run_cfg.losses, vmask)
+                bundle = total_loss(outputs, [targets], [assignment], run_cfg.losses,
+                                    vmask[None])
                 backward(bundle.total_tensor)
             dead = [n for n, p in model.params.items()
                     if p.grad is None or not np.abs(p.grad).any()]

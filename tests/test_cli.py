@@ -119,6 +119,7 @@ class TestSubcommands:
         (["--set", "trainer.steps=abc"], "'abc'"),
         (["--set", "trainer.bogus=1"], "trainer.bogus"),
         (["--config", "FILE"], "bad.cfg:2"),
+        (["--set", "parser.num_classes=5"], "model.num_classes"),
     ])
     def test_config_error_is_a_usage_error(self, tmp_path, capsys, args, named):
         cfg = tmp_path / "bad.cfg"

@@ -80,6 +80,12 @@ class TestParsing:
         assert load_config(path) == cfg
         assert len(path.read_text().splitlines()) == len(leaf_keys(cfg)) == 32
 
+    def test_more_parser_classes_than_class_head_rejected(self):
+        assert load_config(overrides=["parser.num_classes=3"]).parser.num_classes == 3
+        with pytest.raises(cfg_mod.ConfigFileError) as err:
+            load_config(overrides=["parser.num_classes=5"])
+        assert "parser.num_classes" in str(err.value) and "model.num_classes" in str(err.value)
+
     def test_float_tuple_coercion(self):
         cfg = RunConfig()
         set_value(cfg, "parser.mean", "0.5, 0.5, 0.5")
@@ -115,10 +121,16 @@ class TestPrecedenceProperty:
             v = _typed_value(k, 200 + i)
             cli_values[k] = v
             overrides.append(f"{k}={v}")
+        expected = {k: cli_values.get(k, file_values.get(k)) for k in keys}
+        parser_k, model_k = (expected.get(k, get_value(RunConfig(), k))
+                             for k in ("parser.num_classes", "model.num_classes"))
+        if parser_k > model_k:      # the resolved config is invalid, so loading fails
+            with pytest.raises(cfg_mod.ConfigFileError):
+                load_config(tmp / "run.cfg", overrides)
+            return
         cfg = load_config(tmp / "run.cfg", overrides)
         for k in keys:
-            expected = cli_values.get(k, file_values.get(k))
-            assert get_value(cfg, k) == expected
+            assert get_value(cfg, k) == expected[k]
 
 
 def _typed_value(key, n):

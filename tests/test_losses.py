@@ -219,7 +219,7 @@ class TestTotalLoss:
     def test_components_match_independent_recomputation(self):
         outputs, targets, valid, assignment, ml, cl = self._fixture()
         cfg = LossConfig()
-        bundle = total_loss(outputs, targets, assignment, cfg, valid)
+        bundle = total_loss(outputs, [targets], [assignment], cfg, valid[None])
 
         # independent recomputation, plain numpy
         logits = ml[0, 1]
@@ -253,16 +253,17 @@ class TestTotalLoss:
         gt = np.ones((3, 3), dtype=np.uint8)
         targets = TargetSet(masks=[gt, gt], labels=[1, 2])
         assignment = Assignment(np.array([2, 0]), 0.0)
-        empty = total_loss(outputs, targets, assignment, LossConfig(), np.zeros((3, 3), bool))
+        empty = total_loss(outputs, [targets], [assignment], LossConfig(),
+                           np.zeros((1, 3, 3), bool))
         assert empty.degenerate_dice == 2
         assert empty.dice == 0.0 and empty.focal == 0.0
-        full = total_loss(outputs, targets, assignment, LossConfig(), np.ones((3, 3), bool))
+        full = total_loss(outputs, [targets], [assignment], LossConfig(), np.ones((1, 3, 3), bool))
         assert full.degenerate_dice == 0
 
     def test_total_is_exact_weighted_sum(self):
         outputs, targets, valid, assignment, _, _ = self._fixture()
         cfg = LossConfig()
-        bundle = total_loss(outputs, targets, assignment, cfg, valid)
+        bundle = total_loss(outputs, [targets], [assignment], cfg, valid[None])
         expected = (cfg.class_weight * bundle.classification
                     + cfg.focal_weight * bundle.focal
                     + cfg.dice_weight * bundle.dice)
@@ -282,8 +283,8 @@ class TestTotalLoss:
             class_logits=Tensor(class_logits, dtype=np.float64),
         )
         targets = TargetSet(masks=[gt], labels=[1])
-        bundle = total_loss(outputs, targets, Assignment(np.array([0]), 0.0),
-                            LossConfig(), np.ones((4, 4), bool))
+        bundle = total_loss(outputs, [targets], [Assignment(np.array([0]), 0.0)],
+                            LossConfig(), np.ones((1, 4, 4), bool))
         assert bundle.classification < 1e-3
         assert bundle.focal < 1e-3
         assert bundle.dice < 1e-3
@@ -295,30 +296,39 @@ class TestTotalLoss:
             class_logits=Tensor(rng.standard_normal((1, 3, 5))),
         )
         targets = TargetSet(masks=[], labels=[])
-        bundle = total_loss(outputs, targets, Assignment(np.zeros(0, dtype=int), 0.0),
-                            LossConfig(), np.ones((4, 4), bool))
+        bundle = total_loss(outputs, [targets], [Assignment(np.zeros(0, dtype=int), 0.0)],
+                            LossConfig(), np.ones((1, 4, 4), bool))
         assert bundle.focal == 0.0 and bundle.dice == 0.0
         expected = classification_loss(
-            outputs.class_logits[0], np.full(3, 5), no_object_weight=1e-4).item()
+            Tensor(outputs.class_logits.data[0]), np.full(3, 5), no_object_weight=1e-4).item()
         assert abs(bundle.total - expected) < 1e-6
 
-    def test_one_tape_op_per_image_whatever_the_pair_count(self):
+    def test_one_tape_op_per_batch_whatever_the_image_and_pair_count(self):
         rng = np.random.default_rng(12)
-        outputs = SimpleNamespace(
-            mask_logits=Tensor(rng.standard_normal((1, 4, 3, 3)), requires_grad=True),
-            class_logits=Tensor(rng.standard_normal((1, 4, 4)), requires_grad=True),
-        )
         masks = [np.zeros((3, 3), dtype=np.uint8) for _ in range(3)]
         for i, m in enumerate(masks):
             m[i] = 1
         counts = []
-        for n in (1, 3):
-            with Tape() as tape:
-                total_loss(outputs, TargetSet(masks[:n], [1, 2, 3][:n]),
-                           Assignment(np.array([3, 0, 2][:n]), 0.0),
-                           LossConfig(), np.ones((3, 3), bool))
-                counts.append(len(tape.entries))
-        assert counts[0] == counts[1]
+        for bsz in (1, 3):
+            outputs = SimpleNamespace(
+                mask_logits=Tensor(rng.standard_normal((bsz, 4, 3, 3)), requires_grad=True),
+                class_logits=Tensor(rng.standard_normal((bsz, 4, 4)), requires_grad=True),
+            )
+            for n in (0, 1, 3):
+                with Tape() as tape:
+                    total_loss(outputs, [TargetSet(masks[:n], [1, 2, 3][:n])] * bsz,
+                               [Assignment(np.array([3, 0, 2][:n], dtype=int), 0.0)] * bsz,
+                               LossConfig(), np.ones((bsz, 3, 3), bool))
+                    counts.append(len(tape.entries))
+        assert counts == [1] * 6
+
+    def test_target_label_above_the_class_head_rejected(self):
+        # K = 3 classes: label 4 would land in the no-object column
+        outputs, _, valid, assignment, _, _ = self._fixture()
+        with pytest.raises(losses.LossError) as err:
+            total_loss(outputs, [TargetSet([np.ones((3, 3), np.uint8)], [4])], [assignment],
+                       LossConfig(), valid[None])
+        assert "label 4" in str(err.value) and "K = 3" in str(err.value)
 
     def test_backward_through_bundle(self):
         rng = np.random.default_rng(11)
@@ -327,33 +337,41 @@ class TestTotalLoss:
         outputs = SimpleNamespace(mask_logits=ml, class_logits=cl)
         gt = np.zeros((3, 3), dtype=np.uint8)
         gt[0] = 1
-        bundle = total_loss(outputs, TargetSet([gt], [1]), Assignment(np.array([0]), 0.0),
-                            LossConfig(), np.ones((3, 3), bool))
+        bundle = total_loss(outputs, [TargetSet([gt], [1])], [Assignment(np.array([0]), 0.0)],
+                            LossConfig(), np.ones((1, 3, 3), bool))
         backward(bundle.total_tensor)
         assert ml.grad is not None and np.abs(ml.grad).sum() > 0
         assert cl.grad is not None and np.abs(cl.grad).sum() > 0
 
     def test_gradient_over_pairs_matches_finite_differences(self):
-        # several pairs in the second image of a batch, some pixels invalid,
-        # some logits past the focal clamp, the loss scaled as a batch mean is
+        # a 2-image batch: image 0 has several pairs, invalid pixels and logits
+        # past the focal clamp; image 1 has no targets
         rng = np.random.default_rng(13)
         ml = rng.standard_normal((2, 4, 4, 4)) * 3.0
-        ml[1, :, 1, 1] = [20.0, -20.0, 20.0, -20.0]
-        cl = Tensor(rng.standard_normal((2, 4, 4)), dtype=np.float64)
+        ml[0, :, 1, 1] = [20.0, -20.0, 20.0, -20.0]
+        cl = rng.standard_normal((2, 4, 4))
         masks = [(rng.random((4, 4)) > 0.5).astype(np.uint8) for _ in range(3)]
-        targets = TargetSet(masks, [1, 2, 3])
-        assignment = Assignment(np.array([2, 0, 3]), 0.0)
-        valid = np.ones((4, 4), bool)
-        valid[3] = False
-        valid[:, 0] = False
+        targets = [TargetSet(masks, [1, 2, 3]), TargetSet([], [])]
+        assignments = [Assignment(np.array([2, 0, 3]), 0.0),
+                       Assignment(np.zeros(0, dtype=int), 0.0)]
+        valid = np.ones((2, 4, 4), bool)
+        valid[0, 3] = False
+        valid[0, :, 0] = False
 
-        def loss(a):
-            outputs = SimpleNamespace(mask_logits=a, class_logits=cl)
-            return total_loss(outputs, targets, assignment, LossConfig(), valid,
-                              batch_index=1).total_tensor * 0.5
+        cfg = LossConfig(class_weight=2.0)
+
+        def loss(m, c):
+            outputs = SimpleNamespace(mask_logits=m, class_logits=c)
+            return total_loss(outputs, targets, assignments, cfg, valid).total_tensor
 
         x = Tensor(ml, requires_grad=True, dtype=np.float64)
-        backward(loss(x))
-        numeric = central_difference(lambda a: loss(Tensor(a, dtype=np.float64)).item(), [ml], 0)
-        assert max_rel_error(x.grad, numeric) <= 1e-4
-        assert not x.grad[0].any() and not x.grad[1, 1].any()
+        y = Tensor(cl, requires_grad=True, dtype=np.float64)
+        backward(loss(x, y))
+
+        def value(a, b):
+            return loss(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).item()
+
+        assert max_rel_error(x.grad, central_difference(value, [ml, cl], 0)) <= 1e-4
+        assert max_rel_error(y.grad, central_difference(value, [ml, cl], 1)) <= 1e-4
+        assert not x.grad[0, 1].any() and not x.grad[1].any()
+        assert not x.grad[0, :, 3].any() and not x.grad[0, :, :, 0].any()

@@ -89,7 +89,7 @@ class TestCostMatrix:
             cm = build_cost_matrix(outputs, targets, valid, cfg)
             for i in range(n):
                 for q in range(n_q):
-                    logits_q = outputs.mask_logits[0, q]
+                    logits_q = Tensor(outputs.mask_logits.data[0, q])
                     d = dice_loss(logits_q, masks[i], valid, eps=cfg.dice_eps).item()
                     f = focal_loss(logits_q, masks[i], valid,
                                    alpha=cfg.focal_alpha, gamma=cfg.focal_gamma).item()

@@ -77,6 +77,15 @@ class TestTrain:
         assert result.checkpoint_path.exists()
         assert len(result.rows) == 3
 
+    def test_run_directory_holds_the_resolved_config(self, shard_dir, tmp_path):
+        cfg = toy_run_config()
+        train(cfg, shard_dir, tmp_path / "run")
+        loaded = load_config(tmp_path / "run" / "config.txt")
+        assert loaded == cfg
+        assert loaded.parser.crop_sizes == (24, 32) and loaded.parser.mean == cfg.parser.mean
+        with (tmp_path / "run" / "loss.csv").open() as f:
+            assert next(csv.reader(f)) == ["step", "classification", "focal", "dice", "total"]
+
     def test_deterministic_loss_csv(self, shard_dir, tmp_path):
         r1 = train(toy_run_config(), shard_dir, tmp_path / "a")
         r2 = train(toy_run_config(), shard_dir, tmp_path / "b")
@@ -143,10 +152,10 @@ class TestTrain:
         assert result.dropped_instances >= 0 and result.degenerate_dice >= 0
 
     def test_readme_toy_step_tape_ops(self, shard_dir, tmp_path, monkeypatch):
-        # 226 = 138 forward ops (six attention calls at one op each, the
-        # heads' a·bᵀ without a copied transpose) + 10 loss ops for each of
-        # the 8 images + 8 for the batch mean; a copied transpose or a
-        # composed attention brings the count back up
+        # 139 = 138 forward ops (six attention calls at one op each, the
+        # heads' a·bᵀ without a copied transpose) + 1 loss op for the whole
+        # batch of 8 images; a copied transpose, a composed attention or a
+        # per-image loss brings the count back up
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         toy = re.search(r"cat > toy.cfg <<'EOF'\n(.*?)\nEOF", readme, re.S).group(1)
         (tmp_path / "toy.cfg").write_text(toy)
@@ -158,13 +167,31 @@ class TestTrain:
         monkeypatch.setattr(tensor.Tape, "record",
                             lambda tape, *a: recorded.append(a) or record(tape, *a))
         trainer.train_step(MaskClassificationModel(cfg.model), batch, cfg)
-        assert len(recorded) == 226
+        assert len(recorded) == 139
 
     def test_checkpoint_cadence(self, shard_dir, tmp_path):
         cfg = toy_run_config(steps=4, checkpoint_every=2)
         train(cfg, shard_dir, tmp_path / "ck")
         assert (tmp_path / "ck" / "ckpt-000002.ckpt").exists()
         assert (tmp_path / "ck" / "ckpt-000004.ckpt").exists()
+
+
+class TestClipGradients:
+    def test_scales_each_grad_in_place(self):
+        rng = np.random.default_rng(0)
+        params = {name: tensor.Tensor(rng.standard_normal(shape), requires_grad=True,
+                                      dtype=np.float32)
+                  for name, shape in (("a", (3, 4)), ("b", (5,)))}
+        for p in params.values():
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        grads = {name: p.grad for name, p in params.items()}
+        before = {name: g.copy() for name, g in grads.items()}
+        norm = trainer.clip_gradients(params, 0.5)
+        scale = 0.5 / norm
+        assert norm > 0.5
+        for name, p in params.items():
+            assert p.grad is grads[name]
+            assert np.array_equal(p.grad, before[name] * scale)
 
 
 class TestEvaluate:
