@@ -344,34 +344,47 @@ class TestTotalLoss:
         assert cl.grad is not None and np.abs(cl.grad).sum() > 0
 
     def test_gradient_over_pairs_matches_finite_differences(self):
-        # a 2-image batch: image 0 has several pairs, invalid pixels and logits
-        # past the focal clamp; image 1 has no targets
+        # a 2-image batch: image 0 has no targets; the second image has several
+        # pairs, invalid pixels and logits past the focal clamp, so the forward
+        # slice and the gradient scatter must both use its index
         rng = np.random.default_rng(13)
         ml = rng.standard_normal((2, 4, 4, 4)) * 3.0
-        ml[0, :, 1, 1] = [20.0, -20.0, 20.0, -20.0]
+        ml[1, :, 1, 1] = [20.0, -20.0, 20.0, -20.0]
         cl = rng.standard_normal((2, 4, 4))
         masks = [(rng.random((4, 4)) > 0.5).astype(np.uint8) for _ in range(3)]
-        targets = [TargetSet(masks, [1, 2, 3]), TargetSet([], [])]
-        assignments = [Assignment(np.array([2, 0, 3]), 0.0),
-                       Assignment(np.zeros(0, dtype=int), 0.0)]
+        targets = [TargetSet([], []), TargetSet(masks, [1, 2, 3])]
+        assignments = [Assignment(np.zeros(0, dtype=int), 0.0),
+                       Assignment(np.array([2, 0, 3]), 0.0)]
         valid = np.ones((2, 4, 4), bool)
-        valid[0, 3] = False
-        valid[0, :, 0] = False
+        valid[1, 3] = False
+        valid[1, :, 0] = False
 
         cfg = LossConfig(class_weight=2.0)
 
-        def loss(m, c):
-            outputs = SimpleNamespace(mask_logits=m, class_logits=c)
-            return total_loss(outputs, targets, assignments, cfg, valid).total_tensor
+        def bundle(m, c, images=(0, 1)):
+            outputs = SimpleNamespace(mask_logits=Tensor(m[list(images)], dtype=np.float64),
+                                      class_logits=Tensor(c[list(images)], dtype=np.float64))
+            return total_loss(outputs, [targets[i] for i in images],
+                              [assignments[i] for i in images], cfg, valid[list(images)])
+
+        # the batch value is the mean of the two images' values
+        alone = [bundle(ml, cl, (i,)) for i in (0, 1)]
+        both = bundle(ml, cl)
+        for name in ("classification", "focal", "dice", "total"):
+            expected = (getattr(alone[0], name) + getattr(alone[1], name)) / 2
+            assert getattr(both, name) == pytest.approx(expected, rel=1e-12)
+        assert alone[1].focal > 0 and alone[1].dice > 0
 
         x = Tensor(ml, requires_grad=True, dtype=np.float64)
         y = Tensor(cl, requires_grad=True, dtype=np.float64)
-        backward(loss(x, y))
+        backward(total_loss(SimpleNamespace(mask_logits=x, class_logits=y), targets,
+                            assignments, cfg, valid).total_tensor)
 
         def value(a, b):
-            return loss(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64)).item()
+            return bundle(a, b).total
 
         assert max_rel_error(x.grad, central_difference(value, [ml, cl], 0)) <= 1e-4
         assert max_rel_error(y.grad, central_difference(value, [ml, cl], 1)) <= 1e-4
-        assert not x.grad[0, 1].any() and not x.grad[1].any()
-        assert not x.grad[0, :, 3].any() and not x.grad[0, :, :, 0].any()
+        assert not x.grad[0].any() and not x.grad[1, 1].any()
+        assert not x.grad[1, :, 3].any() and not x.grad[1, :, :, 0].any()
+        assert y.grad[0].any() and x.grad[1, [0, 2, 3]].any(axis=(1, 2)).all()
