@@ -6,15 +6,15 @@ Every differentiable op records an entry on the active Tape; ``backward``
 replays the reachable part of the tape in reverse to populate ``grad``
 buffers on the leaves.
 
-Ops: add, mul (tensor or scalar) and add_bias, relu, reshape,
-broadcast_batch, sum, matmul/linear, matmul_nt (a·bᵀ), layer_norm, conv2d
+Ops: add, mul (tensor or scalar), relu, reshape, broadcast_batch, sum,
+matmul, ``linear`` (x·w + b as one op), matmul_nt (a·bᵀ), layer_norm, conv2d
 (im2col GEMM), ``upsample2x_conv3x3`` (a nearest 2x upsample fused into the
 following 3x3 conv), multi-head attention (one op with a hand-written
 backward) and the sine position embedding. Ops defined elsewhere (the
 losses in ``losses``) record through ``_make_result`` too.
 
-There is no broadcasting beyond tensor-scalar (plus the explicit
-``add_bias`` op); mismatched shapes fail loudly with both shapes named.
+There is no broadcasting beyond tensor-scalar (plus ``linear``'s bias);
+mismatched shapes fail loudly with the shapes named.
 """
 
 from __future__ import annotations
@@ -282,14 +282,6 @@ def mul(a: Tensor, b) -> Tensor:
     )
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """x[..., c] + b[c]: the one sanctioned non-scalar broadcast."""
-    if b.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise ShapeError(f"add_bias: shape {x.shape} does not match bias shape {b.shape}")
-    axes = tuple(range(x.ndim - 1))
-    return _make_result(x.data + b.data, (x, b), lambda g: (g, g.sum(axis=axes)))
-
-
 def relu(x: Tensor) -> Tensor:
     xd = x.data
     return _make_result(np.maximum(xd, 0), (x,), lambda g: (g * (xd > 0),))
@@ -339,33 +331,20 @@ def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes.
+    """Matrix product over the last two axes, [..., m, k] x [..., k, n].
 
-    Supported forms: [m,k]x[k,n]; stacked [...,m,k]x[...,k,n] with identical
-    leading dims; and [...,m,k]x[k,n] (shared right operand).
+    Both operands have the same leading dims (none for plain [m, k] x [k, n]);
+    a weight shared across the leading dims goes through ``linear``.
     """
     ad, bd = a.data, b.data
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} do not match")
-    if bd.ndim == 2:
-        out = ad @ bd
-
-        def bwd(g):
-            ga = g @ bd.swapaxes(-1, -2)
-            gb = np.tensordot(ad, g, axes=(tuple(range(ad.ndim - 1)), tuple(range(g.ndim - 1))))
-            return (ga, gb)
-
-        return _make_result(out, (a, b), bwd)
     if ad.shape[:-2] != bd.shape[:-2]:
         raise ShapeError(f"matmul: leading dims of {a.shape} and {b.shape} do not match")
-    out = ad @ bd
-
-    def bwd_stacked(g):
-        return (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g)
-
-    return _make_result(out, (a, b), bwd_stacked)
+    return _make_result(ad @ bd, (a, b),
+                        lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
@@ -377,10 +356,19 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
     return _make_result(out, (a, b), lambda g: (g @ bd, g.swapaxes(-1, -2) @ ad))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x[..., in] @ w[in, out] (+ bias)."""
-    out = matmul(x, w)
-    return add_bias(out, b) if b is not None else out
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x[..., in] @ w[in, out] + b[out], one op; w and b are shared across the leading dims."""
+    xd, wd = x.data, w.data
+    if wd.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: input {x.shape}, weights {w.shape} and bias {b.shape} do not match")
+    out = xd @ wd
+    out += b.data
+    lead = tuple(range(xd.ndim - 1))
+
+    def bwd(g):
+        return g @ wd.T, np.tensordot(xd, g, axes=(lead, lead)), g.sum(axis=lead)
+
+    return _make_result(out, (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,12 @@ class TestMatmul:
             T.matmul(a, b)
         assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
 
+    def test_linear_shape_mismatch_names_all_shapes(self):
+        for w, b in (((3, 5), (5,)), ((4, 5), (4,)), ((4, 5, 1), (5,))):
+            with pytest.raises(T.ShapeError) as err:
+                T.linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(w)), Tensor(np.zeros(b)))
+            assert all(str(s) in str(err.value) for s in ((2, 3, 4), w, b))
+
     def test_stacked_leading_dims(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((2, 3, 4, 5))
@@ -473,9 +479,12 @@ class TestFiniteDifferences:
 
         _fd_check(builder, 1, lambda r: [(2, 4, 6)], seed=30, trials=5)
 
-    def test_add_bias(self):
-        _fd_check(lambda x, b: T.mul(T.add_bias(x, b), x).sum(),
-                  2, lambda r: [(2, 3, 4), (4,)], seed=27)
+    def test_linear(self):
+        def builder(x, w, b):
+            out = T.linear(x, w, b)
+            return T.mul(out, out).sum()
+
+        _fd_check(builder, 3, lambda r: [(2, 3, 4), (4, 5), (5,)], seed=27)
 
     def test_reshape(self):
         def builder(x):

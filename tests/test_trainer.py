@@ -152,9 +152,10 @@ class TestTrain:
         assert result.dropped_instances >= 0 and result.degenerate_dice >= 0
 
     def test_readme_toy_step_tape_ops(self, shard_dir, tmp_path, monkeypatch):
-        # 139 = 138 forward ops (six attention calls at one op each, the
-        # heads' a·bᵀ without a copied transpose) + 1 loss op for the whole
-        # batch of 8 images; a copied transpose, a composed attention or a
+        # 103 = 102 forward ops (each linear layer, its bias included, and
+        # each of the six attention calls at one op, the heads' a·bᵀ without
+        # a copied transpose) + 1 loss op for the whole batch of 8 images; a
+        # split linear, a copied transpose, a composed attention or a
         # per-image loss brings the count back up
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         toy = re.search(r"cat > toy.cfg <<'EOF'\n(.*?)\nEOF", readme, re.S).group(1)
@@ -167,7 +168,7 @@ class TestTrain:
         monkeypatch.setattr(tensor.Tape, "record",
                             lambda tape, *a: recorded.append(a) or record(tape, *a))
         trainer.train_step(MaskClassificationModel(cfg.model), batch, cfg)
-        assert len(recorded) == 139
+        assert len(recorded) == 103
 
     def test_checkpoint_cadence(self, shard_dir, tmp_path):
         cfg = toy_run_config(steps=4, checkpoint_every=2)
