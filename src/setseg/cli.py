@@ -15,6 +15,7 @@ import sys
 from . import synth as synth_mod
 from .config import ConfigFileError, load_config
 from .model import MaskClassificationModel
+from .pipeline import PipelineError
 from .records import RecordParseError
 from .tensor import ConfigError
 from .trainer import TrainError, evaluate, ingest, profile, train
@@ -89,7 +90,7 @@ def main(argv=None) -> int:
         # interpreter exit cannot raise again (Python docs, "Note on SIGPIPE")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (TrainError, OSError, RecordParseError, ConfigError) as err:
+    except (TrainError, OSError, RecordParseError, ConfigError, PipelineError) as err:
         if args.command not in _ABORTED:
             raise
         print(f"{_ABORTED[args.command]} aborted: {err}", file=sys.stderr)

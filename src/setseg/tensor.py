@@ -10,8 +10,10 @@ Ops: add, mul (tensor or scalar), relu, reshape, broadcast_batch, sum,
 matmul, ``linear`` (x·w + b as one op), matmul_nt (a·bᵀ), layer_norm, conv2d
 (im2col GEMM), ``upsample2x_conv3x3`` (a nearest 2x upsample fused into the
 following 3x3 conv), multi-head attention (one op with a hand-written
-backward) and the sine position embedding. Ops defined elsewhere (the
-losses in ``losses``) record through ``_make_result`` too.
+backward) and the sine position embedding. Both convolutions get their
+input grad as col2im of the column grad (``_col2im``, the adjoint of
+``_im2col``). Ops defined elsewhere (the losses in ``losses``) record
+through ``_make_result`` too.
 
 There is no broadcasting beyond tensor-scalar (plus ``linear``'s bias);
 mismatched shapes fail loudly with the shapes named.
@@ -267,7 +269,8 @@ def add(a: Tensor, b) -> Tensor:
         return _make_result(a.data + np.asarray(s, dtype=a.dtype), (a,), lambda g: (g,))
     _check_same_shape("add", a, b)
     dt = _result_dtype(a.data, b.data)
-    return _make_result(a.data.astype(dt) + b.data.astype(dt), (a, b), lambda g: (g, g))
+    return _make_result(a.data.astype(dt, copy=False) + b.data.astype(dt, copy=False), (a, b),
+                        lambda g: (g, g))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -278,7 +281,7 @@ def mul(a: Tensor, b) -> Tensor:
     dt = _result_dtype(a.data, b.data)
     ad, bd = a.data, b.data
     return _make_result(
-        ad.astype(dt) * bd.astype(dt), (a, b), lambda g: (g * bd, g * ad)
+        ad.astype(dt, copy=False) * bd.astype(dt, copy=False), (a, b), lambda g: (g * bd, g * ad)
     )
 
 
@@ -471,6 +474,18 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int):
     return col.reshape(b * ho * wo, kh * kw * xp.shape[3]), ho, wo
 
 
+def _col2im(gcol: np.ndarray, shape, stride: int) -> np.ndarray:
+    # adjoint of _im2col: scatter-add gcol [B,Ho,Wo,kh,kw,C] into a zero
+    # [B,H,W,C] array, one strided slice per kernel tap
+    _, ho, wo, kh, kw, _ = gcol.shape
+    hs, ws = stride * (ho - 1) + 1, stride * (wo - 1) + 1
+    gx = np.zeros(shape, dtype=gcol.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, i:i + hs:stride, j:j + ws:stride] += gcol[:, :, :, i, j]
+    return gx
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution, NHWC input, weights [kh, kw, cin, cout]."""
@@ -494,25 +509,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
 
     def bwd(g):
         g = np.ascontiguousarray(g)
+        g2 = g.reshape(-1, cout)
         # weight grad: col^T @ g, with the forward's column matrix
-        gw = (col.T @ g.reshape(-1, cout)).reshape(kh, kw, cin, cout)
+        gw = (col.T @ g2).reshape(kh, kw, cin, cout)
         gb = () if b is None else (g.sum(axis=(0, 1, 2)),)
         if not x.requires_grad:  # e.g. the image: skip the full-resolution input grad
             return (None, gw) + gb
-        # input grad: full correlation of the (dilated) grad with the flipped kernel
-        if stride > 1:
-            gd = np.zeros((bsz, (ho - 1) * stride + 1, (wo - 1) * stride + 1, cout), dtype=g.dtype)
-            gd[:, ::stride, ::stride] = g
-        else:
-            gd = g
-        slack_h = hin + 2 * padding - (gd.shape[1] + kh - 1)
-        slack_w = win_ + 2 * padding - (gd.shape[2] + kw - 1)
-        gdp = np.pad(gd, ((0, 0), (kh - 1, kh - 1 + slack_h), (kw - 1, kw - 1 + slack_w), (0, 0)))
-        wf = np.ascontiguousarray(wd[::-1, ::-1].transpose(0, 1, 3, 2))  # [kh,kw,cout,cin]
-        gcol, hp, wp = _im2col(gdp, kh, kw, 1)
-        gx_p = (gcol @ wf.reshape(kh * kw * cout, cin)).reshape(bsz, hp, wp, cin)
-        gx = gx_p[:, padding:padding + hin, padding:padding + win_, :]
-        return (gx, gw) + gb
+        # input grad: col2im of the column grad g·Wᵀ, then crop the padding
+        gcol = (g2 @ wd.reshape(kh * kw * cin, cout).T).reshape(bsz, ho, wo, kh, kw, cin)
+        gx = _col2im(gcol, xp.shape, stride)
+        return (gx[:, padding:padding + hin, padding:padding + win_], gw) + gb
 
     return _make_result(out, inputs, bwd)
 
@@ -565,10 +571,7 @@ def upsample2x_conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gw = np.tensordot(taps, gwy, axes=([0, 1], [3, 1])).transpose(1, 0, 2, 3)
         # input grad: col2im of the column grad, one slice per 2x2 tap
         gcol = (gph @ wf.T).reshape(bsz, h + 1, wdt + 1, 2, 2, cin)
-        gxp = np.zeros((bsz, h + 2, wdt + 2, cin), dtype=gcol.dtype)
-        for tr in (0, 1):
-            for tc in (0, 1):
-                gxp[:, tr:tr + h + 1, tc:tc + wdt + 1] += gcol[:, :, :, tr, tc]
+        gxp = _col2im(gcol, (bsz, h + 2, wdt + 2, cin), 1)
         return (gxp[:, 1:-1, 1:-1], gw, g.sum(axis=(0, 1, 2)))
 
     return _make_result(out, (x, w, b), bwd)

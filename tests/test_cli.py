@@ -152,6 +152,19 @@ class TestSubcommands:
         assert err.startswith(aborted) and "manifest" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command, aborted", [
+        (["train", "--out", "OUT"], "training aborted: "),
+        (["profile"], "profiling aborted: "),
+    ], ids=["train", "profile"])
+    def test_unknown_class_aborts(self, dataset, tmp_path, capsys, command, aborted):
+        # a 3-class mapper meets the shards' class 4
+        args = [str(tmp_path / "run") if a == "OUT" else a for a in command]
+        assert main([*args, "--data", str(dataset / "shards"), *TOY_OVERRIDES,
+                     "--set", "parser.num_classes=3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(aborted) and "class ID 4" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_train_abort_exit_code(self, dataset, capsys):

@@ -341,8 +341,8 @@ class TestBackward:
         b = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
         out = T.conv2d(x, w, b, stride=2, padding=1)
         backward(T.mul(out, out).sum())
-        # the forward's columns, then the input grad's stride-1 columns
-        assert calls == [(3, 3, 2), (3, 3, 1)]
+        # the forward's columns only: the input grad is col2im of g·Wᵀ
+        assert calls == [(3, 3, 2)]
         assert x.grad is not None and w.grad is not None
 
     def test_tape_frees_graph_on_exit(self):
@@ -446,11 +446,17 @@ class TestFiniteDifferences:
         _fd_check(builder, 3, lambda r: [(2, 3, 5), (5,), (5,)], seed=22)
 
     def test_conv2d(self):
-        def builder(x, w, b):
-            return T.mul(T.conv2d(x, w, b, stride=2, padding=1),
-                         T.conv2d(x, w, b, stride=2, padding=1)).sum()
+        # stride 2: padded 5x5; padded even h != w, as every backbone stage
+        # sees; unpadded 6x7, whose last row lies in no window
+        for shape, padding in (((1, 5, 5, 2), 1), ((1, 6, 8, 2), 1), ((2, 6, 7, 2), 0)):
+            def builder(x, w, b):
+                return T.mul(T.conv2d(x, w, b, stride=2, padding=padding),
+                             T.conv2d(x, w, b, stride=2, padding=padding)).sum()
 
-        _fd_check(builder, 3, lambda r: [(1, 5, 5, 2), (3, 3, 2, 3), (3,)], seed=23, trials=5)
+            _fd_check(builder, 3, lambda r: [shape, (3, 3, 2, 3), (3,)], seed=23, trials=5)
+        x = Tensor(np.ones((2, 6, 7, 2)), requires_grad=True, dtype=np.float64)
+        backward(T.conv2d(x, Tensor(np.ones((3, 3, 2, 3)), dtype=np.float64), stride=2).sum())
+        assert not x.grad[:, 5].any() and x.grad[:, :5].all()
 
     def test_conv2d_stride1_no_pad(self):
         def builder(x, w):
