@@ -508,15 +508,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     inputs = (x, w) if b is None else (x, w, b)
 
     def bwd(g):
-        g = np.ascontiguousarray(g)
-        g2 = g.reshape(-1, cout)
+        g = np.ascontiguousarray(g).reshape(-1, cout)
         # weight grad: col^T @ g, with the forward's column matrix
-        gw = (col.T @ g2).reshape(kh, kw, cin, cout)
-        gb = () if b is None else (g.sum(axis=(0, 1, 2)),)
+        gw = (col.T @ g).reshape(kh, kw, cin, cout)
+        gb = () if b is None else (g.sum(axis=0),)
         if not x.requires_grad:  # e.g. the image: skip the full-resolution input grad
             return (None, gw) + gb
         # input grad: col2im of the column grad g·Wᵀ, then crop the padding
-        gcol = (g2 @ wd.reshape(kh * kw * cin, cout).T).reshape(bsz, ho, wo, kh, kw, cin)
+        gcol = (g @ wd.reshape(kh * kw * cin, cout).T).reshape(bsz, ho, wo, kh, kw, cin)
         gx = _col2im(gcol, xp.shape, stride)
         return (gx[:, padding:padding + hin, padding:padding + win_], gw) + gb
 
