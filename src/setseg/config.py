@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .evaluator import EvalConfig
-from .losses import LossConfig
+from .losses import LossConfig, LossError
 from .model import ModelConfig
 from .pipeline import ParserConfig
 
@@ -46,7 +46,10 @@ def _coerce(current, raw: str):
     """Parse ``raw`` as the type of ``current``: int, float, or a tuple of one of them."""
     if isinstance(current, tuple):
         elem_type = type(current[0]) if current else float
-        return tuple(elem_type(p) for p in raw.replace(",", " ").split())
+        values = tuple(elem_type(p) for p in raw.replace(",", " ").split())
+        if not values:
+            raise ValueError("empty tuple")
+        return values
     return type(current)(raw)
 
 
@@ -77,7 +80,8 @@ def get_value(cfg: RunConfig, dotted_key: str):
 def load_config(path=None, overrides=None) -> RunConfig:
     """Build a RunConfig: defaults, then the file, then CLI overrides.
 
-    The parser may not emit more classes than the model's class head has.
+    The focal alpha and gamma must lie in their formula's domain, and the
+    parser may not emit more classes than the model's class head has.
     """
     cfg = RunConfig()
     if path is not None:
@@ -101,6 +105,10 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigFileError(f"override must be key=value, got {item!r}")
         key, _, value = item.partition("=")
         set_value(cfg, key.strip(), value)
+    try:
+        cfg.losses.validate()
+    except LossError as err:
+        raise ConfigFileError(f"losses.{err}") from None   # the message starts with the key
     if cfg.parser.num_classes > cfg.model.num_classes:
         # a label above the class head would land in its no-object column
         raise ConfigFileError(f"parser.num_classes = {cfg.parser.num_classes} exceeds "

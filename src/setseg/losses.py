@@ -46,6 +46,13 @@ class LossConfig:
     focal_gamma: float = 2.0
     no_object_weight: float = 1e-4
 
+    def validate(self) -> None:
+        """Raise LossError naming the key of a value outside its formula's domain."""
+        if not 0.0 <= self.focal_alpha <= 1.0:
+            raise LossError(f"focal_alpha must be in [0, 1], got {self.focal_alpha}")
+        if not self.focal_gamma >= 0.0:
+            raise LossError(f"focal_gamma must be >= 0, got {self.focal_gamma}")
+
 
 @dataclass
 class LossBundle:
@@ -176,12 +183,9 @@ def dice_loss(pred_logits: Tensor, gt: np.ndarray, valid: np.ndarray,
 def focal_loss(pred_logits: Tensor, gt: np.ndarray, valid: np.ndarray,
                alpha: float = 0.25, gamma: float = 2.0) -> Tensor:
     """Modulated cross-entropy, mean over valid pixels."""
-    if not (0.0 <= alpha <= 1.0):
-        raise LossError(f"alpha must be in [0, 1], got {alpha}")
-    if gamma < 0.0:
-        raise LossError(f"gamma must be >= 0, got {gamma}")
-    return _one_mask_loss("focal_loss", pred_logits, gt, valid,
-                          LossConfig(focal_alpha=alpha, focal_gamma=gamma), 1.0, 0.0)
+    cfg = LossConfig(focal_alpha=alpha, focal_gamma=gamma)
+    cfg.validate()
+    return _one_mask_loss("focal_loss", pred_logits, gt, valid, cfg, 1.0, 0.0)
 
 
 def classification_loss(class_logits: Tensor, matched_labels: np.ndarray,

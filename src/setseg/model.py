@@ -197,15 +197,12 @@ class MaskClassificationModel:
             y = T.relu(self._norm(y, f"{pre}.norm"))
         return encoded, y
 
-    def transformer_decoder(self, encoded: Tensor, queries: Tensor | None = None,
-                            pos: np.ndarray | None = None) -> Tensor:
-        """Decode learned queries against encoded tokens (pos added to keys)."""
-        if queries is None:
-            queries = self.params["decoder.queries"]
+    def transformer_decoder(self, encoded: Tensor, pos: np.ndarray | None = None) -> Tensor:
+        """Decode the learned queries against encoded tokens (pos added to keys)."""
         b, h, w, c = encoded.shape
         if pos is None:
             pos = self.position_embedding(h, w)
-        x = T.broadcast_batch(queries, b)
+        x = T.broadcast_batch(self.params["decoder.queries"], b)
         enc_tokens = T.reshape(encoded, (b, h * w, c))
         pos_tokens = np.broadcast_to(pos.reshape(1, h * w, c), (b, h * w, c)).copy()
         keys = T.add(enc_tokens, Tensor(pos_tokens))

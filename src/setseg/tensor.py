@@ -2,20 +2,20 @@
 
 Values live in contiguous numpy float32 buffers (float64 for gradient
 checking); image-like tensors are laid out [batch, height, width, channels].
-Every differentiable op records an entry on the active Tape; ``backward``
-replays the reachable part of the tape in reverse to populate ``grad``
-buffers on the leaves.
+Inside a ``with Tape():`` block every differentiable op records an entry
+on that tape; ``backward`` replays the reachable part of the tape in
+reverse to populate ``grad`` buffers on the leaves.
 
-Ops: add, mul (tensor or scalar), relu, reshape, broadcast_batch, sum,
-matmul, ``linear`` (x·w + b as one op), matmul_nt (a·bᵀ), layer_norm, conv2d
-(im2col GEMM), ``upsample2x_conv3x3`` (a nearest 2x upsample fused into the
-following 3x3 conv), multi-head attention (one op with a hand-written
-backward) and the sine position embedding. Both convolutions get their
-input grad as col2im of the column grad (``_col2im``, the adjoint of
-``_im2col``). Ops defined elsewhere (the losses in ``losses``) record
-through ``_make_result`` too.
+The ops are the ones the model and the losses record, each with one call
+form: add, relu, reshape, broadcast_batch, ``linear`` (x·w + b as one op),
+matmul_nt (a·bᵀ), layer_norm, conv2d (im2col GEMM, with its bias),
+``upsample2x_conv3x3`` (a nearest 2x upsample fused into the following 3x3
+conv), multi-head attention (one op with a hand-written backward) and the
+sine position embedding. Both convolutions get their input grad as col2im
+of the column grad (``_col2im``, the adjoint of ``_im2col``). Ops defined
+elsewhere (the losses in ``losses``) record through ``_make_result`` too.
 
-There is no broadcasting beyond tensor-scalar (plus ``linear``'s bias);
+There is no broadcasting beyond ``linear``'s and ``conv2d``'s bias;
 mismatched shapes fail loudly with the shapes named.
 """
 
@@ -60,12 +60,13 @@ class _TapeEntry:
 class Tape:
     """Ordered record of executed ops; replaying it backward fills gradients.
 
-    A tape is single-threaded. Use as a context manager to scope recording
-    (the trainer opens a fresh tape per step); outside any explicit tape the
-    thread's ambient tape is used. On exit the tape drops its entries and
-    unlinks each output from its entry, breaking the tensor <-> entry cycle,
-    so the step's activations are freed by reference counting rather than
-    by a later cyclic collection. Run ``backward`` inside the block.
+    A tape is single-threaded. Ops record only inside a ``with Tape():``
+    block (the trainer opens a fresh tape per step); outside one they record
+    nothing, and ``backward`` on their result raises ``ContractError``. On
+    exit the tape drops its entries and unlinks each output from its entry,
+    breaking the tensor <-> entry cycle, so the step's activations are freed
+    by reference counting rather than by a later cyclic collection. Run
+    ``backward`` inside the block.
     """
 
     def __init__(self):
@@ -97,18 +98,9 @@ _LOCAL = threading.local()
 
 def _state():
     if not hasattr(_LOCAL, "tape_stack"):
-        _LOCAL.tape_stack = [Tape()]
+        _LOCAL.tape_stack = []
         _LOCAL.grad_enabled = True
     return _LOCAL
-
-
-def _active_tape() -> Tape:
-    return _state().tape_stack[-1]
-
-
-def reset_ambient_tape():
-    """Replace the thread's bottom-of-stack tape (used by tests)."""
-    _state().tape_stack[0] = Tape()
 
 
 class no_grad:
@@ -170,23 +162,18 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    # sugar the callers use; all shape checks live in the op functions
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
 
 def _result_dtype(*arrays):
     return np.float64 if any(a.dtype == np.float64 for a in arrays) else np.float32
 
 
 def _make_result(data, inputs, backward_fn) -> Tensor:
-    """Wrap an op result, recording on the active tape when grads are needed."""
+    """Wrap an op result, recording on the innermost open tape when grads are needed."""
     out = Tensor(data)
     st = _state()
-    if st.grad_enabled and any(t.requires_grad for t in inputs if isinstance(t, Tensor)):
+    if st.grad_enabled and st.tape_stack and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tensor_inputs = tuple(t for t in inputs if isinstance(t, Tensor))
-        out._entry = _active_tape().record(tensor_inputs, out, backward_fn)
+        out._entry = st.tape_stack[-1].record(inputs, out, backward_fn)
     return out
 
 
@@ -258,31 +245,12 @@ def _accumulate_leaf(t: Tensor, g: np.ndarray):
 # Elementwise ops
 # ---------------------------------------------------------------------------
 
-def _check_same_shape(op: str, a: Tensor, b: Tensor):
+def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
-        raise ShapeError(f"{op}: shape {a.shape} does not match shape {b.shape}")
-
-
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        s = float(b)
-        return _make_result(a.data + np.asarray(s, dtype=a.dtype), (a,), lambda g: (g,))
-    _check_same_shape("add", a, b)
+        raise ShapeError(f"add: shape {a.shape} does not match shape {b.shape}")
     dt = _result_dtype(a.data, b.data)
     return _make_result(a.data.astype(dt, copy=False) + b.data.astype(dt, copy=False), (a, b),
                         lambda g: (g, g))
-
-
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        s = float(b)
-        return _make_result(a.data * np.asarray(s, dtype=a.dtype), (a,), lambda g: (g * s,))
-    _check_same_shape("mul", a, b)
-    dt = _result_dtype(a.data, b.data)
-    ad, bd = a.data, b.data
-    return _make_result(
-        ad.astype(dt, copy=False) * bd.astype(dt, copy=False), (a, b), lambda g: (g * bd, g * ad)
-    )
 
 
 def relu(x: Tensor) -> Tensor:
@@ -309,46 +277,8 @@ def broadcast_batch(x: Tensor, batch: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Reductions
+# Products
 # ---------------------------------------------------------------------------
-
-def tensor_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Sum with float64 accumulation (keeps masked reductions padding-exact)."""
-    xd = x.data
-    out = xd.sum(axis=axis, keepdims=keepdims, dtype=np.float64).astype(xd.dtype)
-    shape = xd.shape
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).astype(xd.dtype).copy(),)
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        if not keepdims:
-            g = np.expand_dims(g, ax)
-        return (np.broadcast_to(g, shape).copy(),)
-
-    return _make_result(np.asarray(out), (x,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# matmul
-# ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, [..., m, k] x [..., k, n].
-
-    Both operands have the same leading dims (none for plain [m, k] x [k, n]);
-    a weight shared across the leading dims goes through ``linear``.
-    """
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul: inner dims of {a.shape} and {b.shape} do not match")
-    if ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul: leading dims of {a.shape} and {b.shape} do not match")
-    return _make_result(ad @ bd, (a, b),
-                        lambda g: (g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g))
-
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
     """a·bᵀ, [..., m, k] x [..., n, k] -> [..., m, n]; BLAS reads bᵀ as a strided view."""
@@ -486,9 +416,8 @@ def _col2im(gcol: np.ndarray, shape, stride: int) -> np.ndarray:
     return gx
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution, NHWC input, weights [kh, kw, cin, cout]."""
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """2-D convolution plus bias, NHWC input, weights [kh, kw, cin, cout], bias [cout]."""
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input/weights, got {x.shape} and {w.shape}")
     if x.shape[3] != w.shape[2]:
@@ -497,29 +426,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None,
     padding = int(padding)
     xd, wd = x.data, w.data
     kh, kw, cin, cout = wd.shape
-    if b is not None and b.shape != (cout,):
+    if b.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {b.shape} does not match out channels ({cout},)")
     bsz, hin, win_ = xd.shape[0], xd.shape[1], xd.shape[2]
     xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else xd
     col, ho, wo = _im2col(xp, kh, kw, stride)
     out = (col @ wd.reshape(kh * kw * cin, cout)).reshape(bsz, ho, wo, cout)
-    if b is not None:
-        out += b.data
-    inputs = (x, w) if b is None else (x, w, b)
+    out += b.data
 
     def bwd(g):
         g = np.ascontiguousarray(g).reshape(-1, cout)
         # weight grad: col^T @ g, with the forward's column matrix
         gw = (col.T @ g).reshape(kh, kw, cin, cout)
-        gb = () if b is None else (g.sum(axis=0),)
+        gb = g.sum(axis=0)
         if not x.requires_grad:  # e.g. the image: skip the full-resolution input grad
-            return (None, gw) + gb
+            return None, gw, gb
         # input grad: col2im of the column grad g·Wᵀ, then crop the padding
         gcol = (g @ wd.reshape(kh * kw * cin, cout).T).reshape(bsz, ho, wo, kh, kw, cin)
         gx = _col2im(gcol, xp.shape, stride)
-        return (gx[:, padding:padding + hin, padding:padding + win_], gw) + gb
+        return gx[:, padding:padding + hin, padding:padding + win_], gw, gb
 
-    return _make_result(out, inputs, bwd)
+    return _make_result(out, (x, w, b), bwd)
 
 
 # Along one axis, a nearest 2x upsample followed by a pad-1 3-tap kernel

@@ -158,28 +158,25 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
         lambda a: classification_loss(Tensor(a, dtype=np.float64), labels).item(), [arr], 0)
     worst = max(worst, max_rel_error(x.grad, numeric))
 
-    # 2-layer toy network, all inputs and weights checked in 64-bit
-    xa = rng.standard_normal((2, 6))
-    w1a = rng.standard_normal((6, 8)) * 0.5
-    w2a = rng.standard_normal((8, 4)) * 0.5
+    # 2-layer toy network, all inputs, weights and biases checked in 64-bit
+    arrays = [rng.standard_normal((2, 6)), rng.standard_normal((6, 8)) * 0.5,
+              rng.standard_normal((8, 4)) * 0.5, rng.standard_normal(8) * 0.5,
+              rng.standard_normal(4) * 0.5]
 
-    def toy(x_, w1_, w2_):
-        h = T.relu(T.matmul(x_, w1_))
-        y = T.matmul(h, w2_)
-        return T.mul(y, y).sum()
+    def toy(x_, w1_, w2_, b1_, b2_):
+        y = T.reshape(T.linear(T.relu(T.linear(x_, w1_, b1_)), w2_, b2_), (1, 8))
+        return T.matmul_nt(y, y)                            # sum(y²)
 
     with Tape():
-        xt = Tensor(xa, requires_grad=True, dtype=np.float64)
-        w1t = Tensor(w1a, requires_grad=True, dtype=np.float64)
-        w2t = Tensor(w2a, requires_grad=True, dtype=np.float64)
-        backward(toy(xt, w1t, w2t))
+        tensors = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+        backward(toy(*tensors))
 
     def f(*arrs):
         with no_grad():
             return toy(*[Tensor(v, dtype=np.float64) for v in arrs]).item()
 
-    for i, t in enumerate((xt, w1t, w2t)):
-        numeric = central_difference(f, [xa, w1a, w2a], i)
+    for i, t in enumerate(tensors):
+        numeric = central_difference(f, arrays, i)
         worst = max(worst, max_rel_error(t.grad, numeric))
 
     # dead-parameter detector on a small full model

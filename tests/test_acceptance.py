@@ -25,7 +25,7 @@ from setseg.tensor import Tape, Tensor, backward
 from setseg.trainer import ingest, train
 from setseg.losses import total_loss
 
-from conftest import central_difference, max_rel_error
+from conftest import central_difference, inner, max_rel_error
 
 BIG = 40.0
 
@@ -161,22 +161,19 @@ class TestCriterion6:
                 [carr.copy()], 0)
             assert max_rel_error(x.grad, numeric) <= 1e-4
 
-            # 2-layer toy network in 64-bit
-            xa = rng.standard_normal((2, 6))
-            w1a = rng.standard_normal((6, 8)) * 0.5
-            w2a = rng.standard_normal((8, 4)) * 0.5
+            # 2-layer toy network in 64-bit, weights and biases, ending in sum(y²)
+            arrays = [rng.standard_normal((2, 6)), rng.standard_normal((6, 8)) * 0.5,
+                      rng.standard_normal((8, 4)) * 0.5, rng.standard_normal(8) * 0.5,
+                      rng.standard_normal(4) * 0.5]
 
-            def toy(x_, w1_, w2_):
-                return T.mul(T.matmul(T.relu(T.matmul(x_, w1_)), w2_),
-                             T.matmul(T.relu(T.matmul(x_, w1_)), w2_)).sum()
+            def toy(x_, w1_, w2_, b1_, b2_):
+                y = T.linear(T.relu(T.linear(x_, w1_, b1_)), w2_, b2_)
+                return inner(y, y)
 
             with Tape():
-                xt = Tensor(xa, requires_grad=True, dtype=np.float64)
-                w1t = Tensor(w1a, requires_grad=True, dtype=np.float64)
-                w2t = Tensor(w2a, requires_grad=True, dtype=np.float64)
-                backward(toy(xt, w1t, w2t))
-            arrays = [xa, w1a, w2a]
-            for i, t in enumerate((xt, w1t, w2t)):
+                tensors = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+                backward(toy(*tensors))
+            for i, t in enumerate(tensors):
                 def scalar(*arrs):
                     with T.no_grad():
                         return toy(*[Tensor(a, dtype=np.float64) for a in arrs]).item()

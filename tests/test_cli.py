@@ -130,6 +130,12 @@ class TestSubcommands:
         assert err.startswith("setseg: error: ") and named in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    def test_out_of_domain_focal_alpha_is_a_usage_error(self, capsys):
+        assert main(["verify", "--set", "losses.focal_alpha=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("setseg: error: ") and "losses.focal_alpha" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["model", "info", "--config", str(tmp_path / "nope.cfg")]) == 2
         err = capsys.readouterr().err

@@ -86,6 +86,16 @@ class TestParsing:
             load_config(overrides=["parser.num_classes=5"])
         assert "parser.num_classes" in str(err.value) and "model.num_classes" in str(err.value)
 
+    @pytest.mark.parametrize("override, named", [
+        ("losses.focal_alpha=2", "losses.focal_alpha"),
+        ("losses.focal_gamma=-1", "losses.focal_gamma"),
+        ("parser.crop_sizes=", "parser.crop_sizes"),
+    ])
+    def test_out_of_domain_value_rejected(self, override, named):
+        with pytest.raises(cfg_mod.ConfigFileError) as err:
+            load_config(overrides=[override])
+        assert named in str(err.value)
+
     def test_float_tuple_coercion(self):
         cfg = RunConfig()
         set_value(cfg, "parser.mean", "0.5, 0.5, 0.5")
@@ -132,5 +142,8 @@ def _typed_value(key, n):
         # file 2, command line 3: distinct, and never above any model.num_classes
         # (default 4, drawn >= 100), so the resolved config stays valid
         return 1 + n // 100
+    if key == "losses.focal_alpha":
+        # distinct values inside alpha's domain [0, 1]
+        return n / 1000
     current = get_value(RunConfig(), key)
     return n if isinstance(current, int) else float(n) + 0.5
