@@ -25,11 +25,43 @@ def _buffer_hash(t):
 # ---------------------------------------------------------------------------
 
 class TestMatmul:
+    def test_identity(self):
+        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        out = T.matmul_nt(a, Tensor(np.eye(2)))
+        assert np.allclose(out.data, [[1, 2], [3, 4]])
+
+    def test_hand_product(self):
+        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        bt = Tensor([[5.0, 7.0], [6.0, 8.0]])   # b = [[5, 6], [7, 8]], given transposed
+        out = T.matmul_nt(a, bt)
+        assert np.allclose(out.data, [[19, 22], [43, 50]])
+
+    def test_empty_inner_dim(self):
+        a = Tensor(np.zeros((1, 0)))
+        b = Tensor(np.zeros((3, 0)))
+        out = T.matmul_nt(a, b)
+        assert out.shape == (1, 3)
+        assert np.all(out.data == 0.0)
+
+    def test_shape_mismatch_names_both_shapes(self):
+        # a vector is not [..., m, k]
+        with pytest.raises(T.ShapeError) as err:
+            T.matmul_nt(Tensor(np.zeros(3)), Tensor(np.zeros((2, 3))))
+        assert "(3,)" in str(err.value) and "(2, 3)" in str(err.value)
+
     def test_linear_shape_mismatch_names_all_shapes(self):
         for w, b in (((3, 5), (5,)), ((4, 5), (4,)), ((4, 5, 1), (5,))):
             with pytest.raises(T.ShapeError) as err:
                 T.linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros(w)), Tensor(np.zeros(b)))
             assert all(str(s) in str(err.value) for s in ((2, 3, 4), w, b))
+
+    def test_stacked_leading_dims(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((5, 6))
+        b = rng.standard_normal(6)
+        out = T.linear(Tensor(x), Tensor(w), Tensor(b))
+        assert np.allclose(out.data, x @ w + b, atol=1e-5)
 
     def test_nt_equals_matmul_of_transpose(self):
         rng = np.random.default_rng(3)
@@ -259,6 +291,11 @@ class TestShapes:
 # ---------------------------------------------------------------------------
 
 class TestBackward:
+    def test_sum_gradient(self):
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        backward(inner(x, Tensor(np.ones(3))))
+        assert np.allclose(x.grad, [1, 1, 1])
+
     def test_square_gradient(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         backward(inner(x, x))
@@ -369,6 +406,24 @@ class TestFiniteDifferences:
             return inner(out, out)
 
         _fd_check(builder, 2, lambda r: [(3, 4), (3, 4)], seed=10)
+
+    def test_mul(self):
+        # sum(a ⊙ b), the reduction every other check here ends in
+        _fd_check(inner, 2, lambda r: [(4, 3), (4, 3)], seed=12)
+
+    def test_matmul(self):
+        def builder(a, b):
+            out = T.matmul_nt(a, b)
+            return inner(out, out)
+
+        _fd_check(builder, 2, lambda r: [(3, 4), (2, 4)], seed=14)
+
+    def test_matmul_stacked(self):
+        def builder(a, b):
+            out = T.matmul_nt(a, b)
+            return inner(out, out)
+
+        _fd_check(builder, 2, lambda r: [(2, 2, 3, 4), (2, 2, 2, 4)], seed=15)
 
     def test_relu(self):
         # keep inputs away from the kink at 0 where FD is ill-defined
