@@ -135,13 +135,14 @@ class MaskClassificationModel:
 
     # -- stages ------------------------------------------------------------
 
-    def _norm(self, x, prefix):
-        return T.layer_norm(x, self.params[f"{prefix}.scale"], self.params[f"{prefix}.shift"])
+    def _norm(self, x, prefix, relu=False):
+        return T.layer_norm(x, self.params[f"{prefix}.scale"], self.params[f"{prefix}.shift"],
+                            relu=relu)
 
     def _conv_stage(self, x, prefix):
         x = T.conv2d(x, self.params[f"{prefix}.conv.w"], self.params[f"{prefix}.conv.b"],
                      stride=2, padding=1)
-        return T.relu(self._norm(x, f"{prefix}.norm"))
+        return self._norm(x, f"{prefix}.norm", relu=True)
 
     def _attn(self, x, keys, values, prefix):
         p = self.params
@@ -194,7 +195,7 @@ class MaskClassificationModel:
         for j in range(3):
             pre = f"pixel_decoder.up{j}"
             y = T.upsample2x_conv3x3(y, p[f"{pre}.conv.w"], p[f"{pre}.conv.b"])
-            y = T.relu(self._norm(y, f"{pre}.norm"))
+            y = self._norm(y, f"{pre}.norm", relu=True)
         return encoded, y
 
     def transformer_decoder(self, encoded: Tensor, pos: np.ndarray | None = None) -> Tensor:

@@ -8,12 +8,14 @@ reverse to populate ``grad`` buffers on the leaves.
 
 The ops are the ones the model and the losses record, each with one call
 form: add, relu, reshape, broadcast_batch, ``linear`` (x·w + b as one op),
-matmul_nt (a·bᵀ), layer_norm, conv2d (im2col GEMM, with its bias),
-``upsample2x_conv3x3`` (a nearest 2x upsample fused into the following 3x3
-conv), multi-head attention (one op with a hand-written backward) and the
-sine position embedding. Both convolutions get their input grad as col2im
-of the column grad (``_col2im``, the adjoint of ``_im2col``). Ops defined
-elsewhere (the losses in ``losses``) record through ``_make_result`` too.
+matmul_nt (a·bᵀ), layer_norm (``relu=True`` applies a following ReLU in the
+same op), conv2d (im2col GEMM, with its bias), ``upsample2x_conv3x3`` (a
+nearest 2x upsample fused into the following 3x3 conv, computed one output
+phase at a time), multi-head attention (one op with a hand-written
+backward) and the sine position embedding. Both convolutions get their
+input grad as col2im of the column grad (``_col2im``, the adjoint of
+``_im2col``). Ops defined elsewhere (the losses in ``losses``) record
+through ``_make_result`` too.
 
 There is no broadcasting beyond ``linear``'s and ``conv2d``'s bias;
 mismatched shapes fail loudly with the shapes named.
@@ -313,8 +315,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 _LN_BLOCK = 65536
 
 
-def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then apply learnable scale/shift.
+def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
+               relu: bool = False) -> Tensor:
+    """Normalize over the last axis, then apply learnable scale/shift (and a ReLU).
 
     Statistics are always computed in float64; reduced-precision normalization
     is a known convergence hazard. Forward and backward run over blocks of
@@ -323,6 +326,11 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
     np.var formula in the same order, so the blocking changes no bit. The
     backward keeps only the per-row mean and 1/std ([n, 1] float64) and
     recomputes xhat block by block.
+
+    ``relu=True`` is ``relu(layer_norm(...))`` as one op: each float64 block
+    is clamped at 0 before its store, and the backward zeroes the incoming
+    grad where the output is not positive, block by block, so neither a
+    second full-size output nor a mask is kept.
     """
     c = x.shape[-1]
     if scale.shape != (c,) or shift.shape != (c,):
@@ -352,6 +360,8 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
         xh *= v
         np.multiply(xh, sd, out=t)
         t += shift.data
+        if relu:
+            np.maximum(t, 0.0, out=t)
         out[i:i + k] = t
 
     def bwd(g):
@@ -370,6 +380,8 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5) -> Te
             xh -= mean[i:i + k]
             xh *= v
             gk[...] = g[i:i + k]
+            if relu:
+                gk *= out[i:i + k] > 0
             np.multiply(gk, xh, out=pk)
             if i:
                 pb[0], gb[0] = d_scale, d_shift
@@ -452,8 +464,48 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 # Along one axis, a nearest 2x upsample followed by a pad-1 3-tap kernel
 # (k0, k1, k2) is a 2-tap kernel on the low-resolution rows: even outputs
 # apply (k0, k1+k2) to rows (i-1, i), odd outputs (k0+k1, k2) to rows
-# (i, i+1). _PHASE_TAPS[phase, tap, k] says which k each tap sums.
-_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]])
+# (i, i+1).
+
+def _fold_taps(k, out):
+    """Fold taps k[0..2] into out[phase][tap]: (k0, k1+k2), then (k0+k1, k2)."""
+    out[0][0][...] = k[0]
+    np.add(k[1], k[2], out=out[0][1])
+    np.add(k[0], k[1], out=out[1][0])
+    out[1][1][...] = k[2]
+
+
+def _unfold_taps(g, out):
+    """Adjoint of ``_fold_taps``: out[k] sums the g[phase][tap] that k entered."""
+    np.add(g[0][0], g[1][0], out=out[0])
+    np.add(g[0][1], g[1][0], out=out[1])
+    np.add(g[0][1], g[1][1], out=out[2])
+
+
+def _fold(wd: np.ndarray) -> np.ndarray:
+    """3x3 kernel [ky, kx, cin, cout] -> per-phase 2x2 kernels [tr, tc, cin, p, q, cout].
+
+    Rows fold first, then columns, by slab adds; a folded tap sums one to
+    four kernel taps.
+    """
+    _, _, cin, cout = wd.shape
+    rows = np.empty((2, 2, 3, cin, cout), dtype=wd.dtype)      # [p, tr, kx, cin, cout]
+    _fold_taps(wd, rows)
+    wf = np.empty((2, 2, cin, 2, 2, cout), dtype=wd.dtype)
+    for p in (0, 1):
+        for tr in (0, 1):
+            _fold_taps(rows[p, tr], wf[tr, :, :, p].transpose(2, 0, 1, 3))  # [q, tc, cin, cout]
+    return wf
+
+
+def _fold_adjoint(gwf: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_fold``: [tr, tc, cin, p, q, cout] -> [ky, kx, cin, cout], rows first."""
+    _, _, cin, _, _, cout = gwf.shape
+    gy = np.empty((3, 2, cin, 2, cout), dtype=gwf.dtype)       # [ky, tc, cin, q, cout]
+    _unfold_taps(gwf.transpose(3, 0, 1, 2, 4, 5), gy)
+    gw = np.empty((3, 3, cin, cout), dtype=gwf.dtype)
+    for ky in range(3):
+        _unfold_taps(gy[ky].transpose(2, 0, 1, 3), gw[ky])       # [q, tc, cin, cout]
+    return gw
 
 
 def upsample2x_conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -461,9 +513,12 @@ def upsample2x_conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     Each output phase (row parity p, column parity q) is a 2x2 conv on the
     1-padded low-resolution input, as in sub-pixel convolution (Shi et al.
-    2016). One 2x2 im2col and one GEMM against the folded [4*cin, 4*cout]
-    weight compute all four phases: 16 instead of 36 MACs per 2x2 output
-    block per cin*cout. Output [B, 2h, 2w, cout].
+    2016): 16 instead of 36 MACs per 2x2 output block per cin*cout. One 2x2
+    im2col feeds one GEMM per phase against that phase's columns of the
+    folded [4*cin, 4*cout] weight. The phases run one at a time through one
+    reused [B*(h+1)*(w+1), cout] buffer, and each is written to its strided
+    slice of the output with the bias added, so the four phases never exist
+    at once. Output [B, 2h, 2w, cout].
     """
     if x.ndim != 4 or w.ndim != 4 or w.shape[:2] != (3, 3) or x.shape[3] != w.shape[2]:
         raise ShapeError(f"upsample2x_conv3x3: input {x.shape} does not match 3x3 weights {w.shape}")
@@ -472,18 +527,16 @@ def upsample2x_conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data
     bsz, h, wdt, cin = xd.shape
     cout = wd.shape[3]
-    taps = _PHASE_TAPS.astype(wd.dtype)
-    # fold the kernel per phase: row taps tr, column taps tc
-    wf = np.tensordot(taps, np.tensordot(taps, wd, axes=(2, 0)), axes=(2, 2))  # [q,tc,p,tr,cin,cout]
-    wf = wf.transpose(3, 1, 4, 2, 0, 5).reshape(4 * cin, 4 * cout)  # rows (tr,tc,cin), cols (p,q,cout)
-    xp = np.pad(xd, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    col, _, _ = _im2col(xp, 2, 2, 1)  # window (i, j) covers source rows i-1, i and cols j-1, j
-    phases = (col @ wf).reshape(bsz, h + 1, wdt + 1, 2, 2, cout)
-    out = np.empty((bsz, 2 * h, 2 * wdt, cout), dtype=phases.dtype)
-    for p in (0, 1):
-        for q in (0, 1):
-            out[:, p::2, q::2] = phases[:, p:p + h, q:q + wdt, p, q]
-    out += b.data
+    wf = _fold(wd).reshape(4 * cin, 4 * cout)  # rows (tr,tc,cin), cols (p,q,cout)
+    # window (i, j) covers source rows i-1, i and cols j-1, j; the padded copy dies here
+    col, _, _ = _im2col(np.pad(xd, ((0, 0), (1, 1), (1, 1), (0, 0))), 2, 2, 1)
+    dt = _result_dtype(xd, wd)
+    phase = np.empty((col.shape[0], cout), dtype=dt)
+    grid = phase.reshape(bsz, h + 1, wdt + 1, cout)
+    out = np.empty((bsz, 2 * h, 2 * wdt, cout), dtype=dt)
+    for k, (p, q) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        np.matmul(col, wf[:, k * cout:(k + 1) * cout], out=phase)
+        np.add(grid[:, p:p + h, q:q + wdt], b.data, out=out[:, p::2, q::2])
 
     def bwd(g):
         gph = np.zeros((bsz, h + 1, wdt + 1, 2, 2, cout), dtype=g.dtype)
@@ -492,9 +545,7 @@ def upsample2x_conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 gph[:, p:p + h, q:q + wdt, p, q] = g[:, p::2, q::2]
         gph = gph.reshape(-1, 4 * cout)
         # weight grad: col^T @ g on the folded weight, then the fold's adjoint
-        gwf = (col.T @ gph).reshape(2, 2, cin, 2, 2, cout)              # [tr,tc,cin,p,q,cout]
-        gwy = np.tensordot(taps, gwf, axes=([0, 1], [3, 0]))            # [ky,tc,cin,q,cout]
-        gw = np.tensordot(taps, gwy, axes=([0, 1], [3, 1])).transpose(1, 0, 2, 3)
+        gw = _fold_adjoint((col.T @ gph).reshape(2, 2, cin, 2, 2, cout))
         # input grad: col2im of the column grad, one slice per 2x2 tap
         gcol = (gph @ wf.T).reshape(bsz, h + 1, wdt + 1, 2, 2, cin)
         gxp = _col2im(gcol, (bsz, h + 2, wdt + 2, cin), 1)

@@ -9,8 +9,9 @@ seeds are derived deterministically from the run seed, so a fixed
 ``train_step`` is the one forward -> match -> loss -> backward path and
 ``run_steps`` the one loop around it; both read the clock at every stage
 boundary. ``train`` and ``profile`` both run ``run_steps``: one writes
-``config.txt`` (the resolved config), ``loss.csv`` and checkpoints, the
-other writes nothing and sums the clocks.
+``config.txt`` (the resolved config), ``loss.csv``, ``metrics.csv`` (per
+step: stage seconds, grad norm and counts) and checkpoints, the other
+writes nothing and sums the clocks.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from . import records, synth
 from .config import RunConfig, dump_config
 from .evaluator import SegmentSet, accumulate, postprocess, summarize
 from .losses import total_loss
-from .matcher import NanCostError, build_cost_matrix, hungarian
+from .matcher import MatcherError, NanCostError, build_cost_matrix, hungarian
 from .model import MaskClassificationModel, load_checkpoint, save_checkpoint
 from .pipeline import (
     Batch, ParserConfig, batch as make_batch, build_id_mapper, downsample_mask, parse,
@@ -237,7 +238,7 @@ class TrainResult:
 
 
 class StepResult(NamedTuple):
-    """Mean losses of one step, its stage ``seconds`` and its batch-summed counts."""
+    """Mean losses of one step, its stage ``seconds``, batch-summed counts and grad norm."""
 
     classification: float
     focal: float
@@ -246,6 +247,8 @@ class StepResult(NamedTuple):
     seconds: dict[str, float]
     dropped_instances: int      # record instances that got no target
     degenerate_dice: int        # matched pairs with no valid pixel at mask resolution
+    matched_pairs: int          # (query, target) pairs the matcher assigned
+    grad_norm: float = math.nan  # global norm before clipping; set by run_steps
 
 
 def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
@@ -271,6 +274,7 @@ def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
         {"forward": t1 - t0, "match": t2 - t1, "loss": t3 - t2, "backward": t4 - t3},
         sum(targets.dropped for targets in batch_data.target_sets),
         loss.degenerate_dice,
+        sum(len(a.query_for_gt) for a in assignments),
     )
 
 
@@ -283,23 +287,27 @@ def run_steps(model, optimizer, entries, cfg: RunConfig, steps: int,
               on_step=None) -> list[StepResult]:
     """The training loop: batch wait, ``train_step``, non-finite checks, clip, update.
 
-    Adds ``wait``, ``clip`` and ``update`` to each result's ``seconds`` and
-    calls ``on_step(step)`` after each update. A non-finite loss or
-    gradient norm raises ``TrainError``. The batch producer is stopped
-    however the loop ends.
+    Adds ``wait``, ``clip`` and ``update`` to each result's ``seconds``, sets
+    its ``grad_norm`` and calls ``on_step(results)`` with the results so far
+    after each update. The first ``wait`` includes starting the batch
+    producer, so the steps' stages cover the whole loop but ``on_step``. A
+    failed match or a non-finite loss or gradient norm raises
+    ``TrainError``. The batch producer is stopped however the loop ends.
     """
     results = []
+    t0 = time.perf_counter()     # the first wait includes starting the producer thread
     stream = BatchStream(entries, cfg, steps)
     batches = iter(stream)
     try:
         for step in range(steps):
-            t0 = time.perf_counter()
             batch_data = next(batches)
             t1 = time.perf_counter()
             try:
                 result = train_step(model, batch_data, cfg)
             except NanCostError as err:
                 raise _step_error("non-finite loss", step, batch_data, err) from None
+            except MatcherError as err:
+                raise _step_error("matching failed", step, batch_data, err) from None
             if not math.isfinite(result.total):
                 raise _step_error("non-finite loss", step, batch_data,
                                   f"components cls={result.classification} "
@@ -312,13 +320,30 @@ def run_steps(model, optimizer, entries, cfg: RunConfig, steps: int,
                                   f"grad norm {grad_norm}")
             t3 = time.perf_counter()
             optimizer.step()
+            result = result._replace(grad_norm=grad_norm)
             result.seconds.update(wait=t1 - t0, clip=t3 - t2, update=time.perf_counter() - t3)
             results.append(result)
             if on_step is not None:
-                on_step(step)
+                on_step(results)
+            t0 = time.perf_counter()
     finally:
         stream.close()
     return results
+
+
+STAGES = ("wait", "forward", "match", "loss", "backward", "clip", "update")
+
+
+def write_metrics(path, results: list[StepResult]) -> None:
+    """One row per step: stage seconds, pre-clip grad norm and the step's counts."""
+    with records.atomic_open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["step", *STAGES, "grad_norm", "matched_pairs",
+                         "dropped_instances", "degenerate_dice"])
+        for step, r in enumerate(results):
+            writer.writerow([step, *(repr(r.seconds[name]) for name in STAGES),
+                             repr(r.grad_norm), r.matched_pairs, r.dropped_instances,
+                             r.degenerate_dice])
 
 
 def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
@@ -330,10 +355,12 @@ def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
     model = MaskClassificationModel(cfg.model)
     optimizer = make_optimizer(cfg, model)
     every = cfg.trainer.checkpoint_every
+    metrics_path = out_dir / "metrics.csv"
 
-    def checkpoint(step):
-        if every > 0 and (step + 1) % every == 0:
-            save_checkpoint(model, out_dir / f"ckpt-{step + 1:06d}.ckpt")
+    def checkpoint(results):
+        if every > 0 and len(results) % every == 0:
+            save_checkpoint(model, out_dir / f"ckpt-{len(results):06d}.ckpt")
+            write_metrics(metrics_path, results)
 
     try:
         results = run_steps(model, optimizer, entries, cfg, cfg.trainer.steps, checkpoint)
@@ -350,6 +377,7 @@ def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
         writer.writerow(["step", "classification", "focal", "dice", "total"])
         for row in rows:
             writer.writerow([row[0]] + [repr(v) for v in row[1:]])
+    write_metrics(metrics_path, results)
     ckpt_path = out_dir / "final.ckpt"
     save_checkpoint(model, ckpt_path)
     return TrainResult(
@@ -359,9 +387,6 @@ def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
         initial_total=rows[0][4] if rows else float("nan"),
         final_total=rows[-1][4] if rows else float("nan"),
     )
-
-
-STAGES = ("wait", "forward", "match", "loss", "backward", "clip", "update")
 
 
 def profile(cfg: RunConfig, data_dir, steps: int) -> str:

@@ -171,6 +171,16 @@ class TestSubcommands:
         assert err.startswith(aborted) and "class ID 4" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    def test_more_targets_than_queries_aborts(self, dataset, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--data", str(dataset / "shards"), "--out", str(run),
+                     *TOY_OVERRIDES, "--set", "model.n_queries=1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("training aborted: matching failed at step 0 (batch images ")
+        assert "targets exceed 1 queries" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert (run / "nan_batch.txt").read_text().startswith("step 0\n")
+
     @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_train_abort_exit_code(self, dataset, capsys):

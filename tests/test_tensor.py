@@ -245,8 +245,94 @@ class TestLayerNorm:
         assert peak <= 1.5 * x.data.nbytes
         assert kept <= 0.1 * x.data.nbytes
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_relu_equals_relu_of_norm(self, dtype):
+        rng = np.random.default_rng(9)
+        # 3000 rows of 256 are 12 row blocks; about half the outputs are negative
+        x = (rng.standard_normal((3, 1000, 256)) * 3 + 1).astype(dtype)
+        s, b = (rng.standard_normal(256).astype(dtype) for _ in range(2))
+        g = rng.standard_normal(x.shape).astype(dtype)
+        results = []
+        for fused in (True, False):
+            xt, st, bt = (Tensor(a, requires_grad=True) for a in (x, s, b))
+            out = (T.layer_norm(xt, st, bt, relu=True) if fused
+                   else T.relu(T.layer_norm(xt, st, bt)))
+            backward(inner(out, Tensor(g)))
+            results.append((out.data, xt.grad, st.grad, bt.grad))
+        assert 0.3 < (results[1][0] == 0).mean() < 0.7
+        for fused, composed in zip(*results):
+            assert fused.dtype == dtype and np.array_equal(fused, composed)
+
+
+# The four-phase fold by 0/1 tap products: _PHASE_TAPS[phase, tap, k] says
+# which kernel taps k each of a phase's 2 taps sums
+_PHASE_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]])
+
+
+def _tap_product_fold(w):
+    taps = _PHASE_TAPS.astype(w.dtype)
+    wf = np.tensordot(taps, np.tensordot(taps, w, axes=(2, 0)), axes=(2, 2))  # [q,tc,p,tr,cin,cout]
+    return wf.transpose(3, 1, 4, 2, 0, 5)                                     # [tr,tc,cin,p,q,cout]
+
+
+def _tap_product_fold_adjoint(gwf):
+    taps = _PHASE_TAPS.astype(gwf.dtype)
+    gwy = np.tensordot(taps, gwf, axes=([0, 1], [3, 0]))                      # [ky,tc,cin,q,cout]
+    return np.tensordot(taps, gwy, axes=([0, 1], [3, 1])).transpose(1, 0, 2, 3)
+
+
+def _four_phase_upsample_conv(x, w, b):
+    """The up-conv as one GEMM for all four phases into a [rows, 4*cout] buffer."""
+    bsz, h, wd, cin = x.shape
+    cout = w.shape[3]
+    wf = _tap_product_fold(w).reshape(4 * cin, 4 * cout)
+    col, _, _ = T._im2col(np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0))), 2, 2, 1)
+    phases = (col @ wf).reshape(bsz, h + 1, wd + 1, 2, 2, cout)
+    out = np.empty((bsz, 2 * h, 2 * wd, cout), dtype=phases.dtype)
+    for p in (0, 1):
+        for q in (0, 1):
+            out[:, p::2, q::2] = phases[:, p:p + h, q:q + wd, p, q]
+    out += b
+    return out
+
 
 class TestUpsampleConv:
+    def test_equals_four_phase_single_gemm(self):
+        rng = np.random.default_rng(7)
+        for shape, cout in (((2, 3, 5, 4), 6), ((1, 20, 20, 64), 64)):
+            x = rng.standard_normal(shape).astype(np.float32)
+            w = rng.standard_normal((3, 3, shape[3], cout)).astype(np.float32)
+            b = rng.standard_normal(cout).astype(np.float32)
+            out = T.upsample2x_conv3x3(Tensor(x), Tensor(w), Tensor(b))
+            assert np.array_equal(out.data, _four_phase_upsample_conv(x, w, b))
+
+    def test_fold_equals_tap_products(self):
+        # each folded tap sums one or two kernel taps per axis, so slab adds
+        # give the same bits as the 0/1 tap products
+        rng = np.random.default_rng(8)
+        for c in (4, 64, 256):
+            w = rng.standard_normal((3, 3, c, c)).astype(np.float32)
+            gwf = rng.standard_normal((2, 2, c, 2, 2, c)).astype(np.float32)
+            assert np.array_equal(T._fold(w), _tap_product_fold(w))
+            assert np.array_equal(T._fold_adjoint(gwf), _tap_product_fold_adjoint(gwf))
+
+    def test_no_four_phase_buffer(self):
+        # cin = cout: the im2col, one phase and the output come to about
+        # 2.45x the output; a [rows, 4*cout] buffer of all four phases adds
+        # another 1x
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.standard_normal((1, 48, 48, 64)).astype(np.float32))
+        w = Tensor(rng.standard_normal((3, 3, 64, 64)).astype(np.float32))
+        b = Tensor(np.zeros(64, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                out = T.upsample2x_conv3x3(x, w, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * out.data.nbytes
+
     def test_equals_conv2d_of_repeated_input(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 3, 5, 4)).astype(np.float32)
@@ -466,6 +552,12 @@ class TestFiniteDifferences:
             return inner(T.layer_norm(x, s, b), x)
 
         _fd_check(builder, 3, lambda r: [(2, 3, 5), (5,), (5,)], seed=22)
+
+    def test_layer_norm_relu(self):
+        def builder(x, s, b):
+            return inner(T.layer_norm(x, s, b, relu=True), x)
+
+        _fd_check(builder, 3, lambda r: [(2, 3, 5), (5,), (5,)], seed=32)
 
     def test_conv2d(self):
         # stride 2: padded 5x5; padded even h != w, as every backbone stage

@@ -1,4 +1,5 @@
 import csv
+import math
 import re
 import threading
 import time
@@ -86,6 +87,22 @@ class TestTrain:
         with (tmp_path / "run" / "loss.csv").open() as f:
             assert next(csv.reader(f)) == ["step", "classification", "focal", "dice", "total"]
 
+    def test_metrics_csv_one_row_per_step(self, shard_dir, tmp_path):
+        cfg = toy_run_config(steps=4, checkpoint_every=2)
+        train(cfg, shard_dir, tmp_path / "run")
+        with (tmp_path / "run" / "metrics.csv").open() as f:
+            header, *rows = list(csv.reader(f))
+        assert header == ["step", *STAGES, "grad_norm", "matched_pairs",
+                          "dropped_instances", "degenerate_dice"]
+        assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
+        entries = load_entries(shard_dir)
+        for step, row in enumerate(rows):
+            values = [float(v) for v in row]
+            assert all(math.isfinite(v) for v in values)
+            assert all(v >= 0 for v in values[1:8]) and values[8] > 0
+            batch = trainer.assemble_batch(entries, cfg, step)
+            assert int(row[9]) == sum(len(t.labels) for t in batch.target_sets) > 0
+
     def test_deterministic_loss_csv(self, shard_dir, tmp_path):
         r1 = train(toy_run_config(), shard_dir, tmp_path / "a")
         r2 = train(toy_run_config(), shard_dir, tmp_path / "b")
@@ -152,11 +169,12 @@ class TestTrain:
         assert result.dropped_instances >= 0 and result.degenerate_dice >= 0
 
     def test_readme_toy_step_tape_ops(self, shard_dir, tmp_path, monkeypatch):
-        # 103 = 102 forward ops (each linear layer, its bias included, and
-        # each of the six attention calls at one op, the heads' a·bᵀ without
-        # a copied transpose) + 1 loss op for the whole batch of 8 images; a
-        # split linear, a copied transpose, a composed attention or a
-        # per-image loss brings the count back up
+        # 95 = 94 forward ops (each linear layer, its bias included, each of
+        # the six attention calls and each of the 8 conv stages' norm with
+        # its ReLU at one op, the heads' a·bᵀ without a copied transpose) +
+        # 1 loss op for the whole batch of 8 images; a split linear or norm
+        # and ReLU, a copied transpose, a composed attention or a per-image
+        # loss brings the count back up
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         toy = re.search(r"cat > toy.cfg <<'EOF'\n(.*?)\nEOF", readme, re.S).group(1)
         (tmp_path / "toy.cfg").write_text(toy)
@@ -168,7 +186,7 @@ class TestTrain:
         monkeypatch.setattr(tensor.Tape, "record",
                             lambda tape, *a: recorded.append(a) or record(tape, *a))
         trainer.train_step(MaskClassificationModel(cfg.model), batch, cfg)
-        assert len(recorded) == 103
+        assert len(recorded) == 95
 
     def test_checkpoint_cadence(self, shard_dir, tmp_path):
         cfg = toy_run_config(steps=4, checkpoint_every=2)
