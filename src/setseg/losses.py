@@ -4,13 +4,13 @@ Each formula has one numpy home, in float64:
 
 - focal and dice values: ``mask_costs``, per-pixel terms from one sigmoid
   reduced pairwise to ``dice[N, R]`` and ``focal[N, R]`` by two matmuls over
-  the valid pixels only. The matcher calls it on every (target, query)
-  pair, the loss on the matched rows (the diagonal);
+  the valid pixels only, called by the matcher on every (target, query) pair;
 - their gradient: ``_mask_grad``;
 - the weighted cross-entropy and its gradient: ``_class_terms``.
 
 ``total_loss`` records the whole batch's loss as one tape op over
-(mask_logits, class_logits) with a hand-written backward built from these
+(mask_logits, class_logits): its matched focal and dice values are the
+matcher's cells, and its hand-written backward is built from the other two
 helpers. ``dice_loss``, ``focal_loss`` and ``classification_loss`` are
 one-op wrappers over the same helpers. Invalid pixels are dropped before
 any arithmetic, so appending padding never changes a value.
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .pipeline import TargetSet, downsample_mask
 from .tensor import Tensor
 
 _P_CLAMP = 1e-7
@@ -209,50 +208,42 @@ def classification_loss(class_logits: Tensor, matched_labels: np.ndarray,
                           lambda g: ((grad * g[0]).astype(dtype),))
 
 
-def total_loss(outputs, target_sets: list[TargetSet], assignments, cfg: LossConfig,
-               valid_masks: np.ndarray) -> LossBundle:
+def total_loss(outputs, costs, assignments, cfg: LossConfig) -> LossBundle:
     """The weighted loss of a batch, as one tape op over (mask_logits, class_logits).
 
-    Each component is a mean over the images. Per image, the mask losses
-    are means over matched pairs (at mask-logit resolution, with targets and
-    the validity mask ``valid_masks[b]`` downsampled by nearest-neighbor),
-    0 without pairs; classification covers all queries. The backward writes
+    ``costs[b]`` is image b's ``matcher.build_cost_matrix`` on these outputs.
+    Each component is a mean over the images. Per image, the mask losses are
+    means of the cost matrix's focal and dice cells at the matched pairs, 0
+    without pairs; classification covers all queries. The backward writes
     one grad per input, scaled by 1/B, 1/pairs and the loss weights.
     """
     mask_logits, class_logits = outputs.mask_logits, outputs.class_logits
     ml, cl = mask_logits.data, class_logits.data        # [B, N_q, h, w], [B, N_q, K+1]
     bsz, n_q = cl.shape[:2]
     k = cl.shape[-1] - 1
-    factor = valid_masks.shape[1] // ml.shape[2]
     sums = np.zeros(3)                                   # classification, focal, dice
     g_class = np.empty(cl.shape)
-    pairs = []                                           # (b, queries, gt, valid) with a match
+    pairs = []                                           # (b, queries, cost matrix) with a match
     degenerate = 0
-    for b, (targets, assignment, valid) in enumerate(zip(target_sets, assignments, valid_masks)):
-        labels = np.asarray(targets.labels, dtype=np.int64)
-        if len(labels) and (labels.min() < 1 or labels.max() > k):
-            bad = labels[(labels < 1) | (labels > k)][0]
-            raise LossError(f"image {b}: target label {int(bad)} outside 1..K with K = {k}")
+    for b, (cm, assignment) in enumerate(zip(costs, assignments)):
         queries = np.asarray(assignment.query_for_gt, dtype=np.int64)
         cols = np.full(n_q, k)
-        cols[queries] = labels - 1                       # class c -> column c-1, no-object -> K
+        cols[queries] = cm.labels - 1                    # class c -> column c-1, no-object -> K
         value, g_class[b] = _class_terms(cl[b], cols, cfg.no_object_weight)
         sums[0] += value
         if len(queries):
-            gt = np.stack([downsample_mask(m, factor) for m in targets.masks])
-            valid_small = downsample_mask(valid, factor).astype(bool)
-            dice, focal = mask_costs(ml[b, queries], gt, valid_small, cfg)
-            sums[1:] += focal.diagonal().mean(), dice.diagonal().mean()
-            degenerate += 0 if valid_small.any() else len(queries)
-            pairs.append((b, queries, gt, valid_small))
+            rows = np.arange(len(queries))
+            sums[1:] += cm.focal[rows, queries].mean(), cm.dice[rows, queries].mean()
+            degenerate += 0 if cm.valid.any() else len(queries)
+            pairs.append((b, queries, cm))
     cls_v, focal_v, dice_v = (float(v) for v in sums / bsz)
     total = cfg.class_weight * cls_v + cfg.focal_weight * focal_v + cfg.dice_weight * dice_v
 
     def bwd(g_out):
         scale = float(g_out[0]) / bsz
         g_mask = np.zeros_like(ml)
-        for b, queries, gt, valid_small in pairs:
-            g = _mask_grad(ml[b, queries], gt, valid_small, cfg, cfg.focal_weight, cfg.dice_weight)
+        for b, queries, cm in pairs:
+            g = _mask_grad(ml[b, queries], cm.gt, cm.valid, cfg, cfg.focal_weight, cfg.dice_weight)
             g_mask[b, queries] = g * (scale / len(queries))
         return g_mask, (g_class * (scale * cfg.class_weight)).astype(cl.dtype)
 

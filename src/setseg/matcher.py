@@ -12,10 +12,10 @@ augmenting path per real row, O(N^2 * n_queries), with the padding never
 touched. Differential testing compares totals (and, when unique, the
 matching itself) against exhaustive enumeration of injections.
 
-The per-pair focal and dice costs come from ``losses.mask_costs``, the same
-kernel the training loss reduces, and the class, focal and dice costs are
-weighed with the loss's own ``LossConfig`` weights (as in MaskFormer), so
-matching and loss cannot disagree.
+The per-pair focal and dice costs come from ``losses.mask_costs`` and are
+weighed with the loss's own ``LossConfig`` weights (as in MaskFormer). The
+``CostMatrix`` keeps them unweighted, and ``losses.total_loss`` reads its
+matched pairs from it, so matching and loss see the same numbers.
 """
 
 from __future__ import annotations
@@ -43,6 +43,12 @@ class CostMatrix:
     values: np.ndarray            # [n_queries, n_queries] after padding
     real_rows: int                # ground-truth count N
     pad_cost: float
+    # set by build_cost_matrix, None from pad_square; masks are nearest-downsampled
+    labels: np.ndarray | None = None   # [N] contiguous classes 1..K
+    gt: np.ndarray | None = None       # [N, h, w] targets at mask-logit resolution
+    valid: np.ndarray | None = None    # [h, w] validity mask at mask-logit resolution
+    dice: np.ndarray | None = None     # [N, n_queries] unweighted dice cost
+    focal: np.ndarray | None = None    # [N, n_queries] unweighted focal cost
 
 
 @dataclass
@@ -53,33 +59,37 @@ class Assignment:
 
 def build_cost_matrix(outputs, targets: TargetSet, valid_mask: np.ndarray,
                       loss_cfg: LossConfig, batch_index: int = 0) -> CostMatrix:
-    """Square-padded per-pair matching costs for one image.
+    """Square-padded per-pair matching costs for one image, with the terms the loss reads.
 
     cell (i, q) = w_class * (-p_q[label_i]) + w_focal * focal(mask_q, gt_i)
                 + w_dice * dice(mask_q, gt_i), with the weights
     ``loss_cfg.{class,focal,dice}_weight`` and the mask terms from
     ``losses.mask_costs`` over valid pixels only, then padded to
-    [n_queries, n_queries] with max(real) + 1.
+    [n_queries, n_queries] with max(real) + 1 (1 without targets). The result
+    keeps what the loss reads (see ``CostMatrix``). A label outside 1..K
+    raises ``MatcherError`` naming image ``batch_index``.
     """
     mask_logits = outputs.mask_logits.data[batch_index]    # [N_q, h, w]
     class_logits = outputs.class_logits.data[batch_index]  # [N_q, K+1]
     n_q = mask_logits.shape[0]
+    k = class_logits.shape[-1] - 1
     n = targets.count
     if n > n_q:
         raise MatcherError(f"{n} targets exceed {n_q} queries")
-
-    if n == 0:
-        pad = 1.0
-        values = np.full((n_q, n_q), pad, dtype=np.float64)
-        return CostMatrix(values, 0, pad)
+    labels = np.asarray(targets.labels, dtype=np.int64)
+    bad = labels[(labels < 1) | (labels > k)]
+    if bad.size:
+        raise MatcherError(f"image {batch_index}: target label {int(bad[0])} "
+                           f"outside 1..K with K = {k}")
 
     factor = valid_mask.shape[0] // mask_logits.shape[1]
     valid = downsample_mask(valid_mask, factor).astype(bool)
+    if n == 0:
+        empty = np.zeros((0, n_q))
+        return CostMatrix(np.ones((n_q, n_q)), 0, 1.0, labels,
+                          np.zeros((0, *valid.shape), np.uint8), valid, empty, empty)
 
-    probs = softmax(class_logits)
-    labels = np.asarray(targets.labels, dtype=np.int64)
-    class_cost = -probs[:, labels - 1].T.astype(np.float64)        # [N, N_q]
-
+    class_cost = -softmax(class_logits)[:, labels - 1].T.astype(np.float64)   # [N, N_q]
     gt = np.stack([downsample_mask(m, factor) for m in targets.masks])
     dice_cost, focal_cost = mask_costs(mask_logits, gt, valid, loss_cfg)   # [N, N_q]
 
@@ -95,7 +105,7 @@ def build_cost_matrix(outputs, targets: TargetSet, valid_mask: np.ndarray,
     pad = float(real.max()) + 1.0
     values = np.full((n_q, n_q), pad, dtype=np.float64)
     values[:n, :] = real
-    return CostMatrix(values, n, pad)
+    return CostMatrix(values, n, pad, labels, gt, valid, dice_cost, focal_cost)
 
 
 def pad_square(real_costs: np.ndarray, n_queries: int | None = None) -> CostMatrix:

@@ -441,8 +441,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     if b.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {b.shape} does not match out channels ({cout},)")
     bsz, hin, win_ = xd.shape[0], xd.shape[1], xd.shape[2]
-    xp = np.pad(xd, ((0, 0), (padding, padding), (padding, padding), (0, 0))) if padding else xd
-    col, ho, wo = _im2col(xp, kh, kw, stride)
+    pad = ((0, 0), (padding, padding), (padding, padding), (0, 0))  # the copy dies in _im2col
+    col, ho, wo = _im2col(np.pad(xd, pad) if padding else xd, kh, kw, stride)
     out = (col @ wd.reshape(kh * kw * cin, cout)).reshape(bsz, ho, wo, cout)
     out += b.data
 
@@ -455,7 +455,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
             return None, gw, gb
         # input grad: col2im of the column grad g·Wᵀ, then crop the padding
         gcol = (g @ wd.reshape(kh * kw * cin, cout).T).reshape(bsz, ho, wo, kh, kw, cin)
-        gx = _col2im(gcol, xp.shape, stride)
+        gx = _col2im(gcol, (bsz, hin + 2 * padding, win_ + 2 * padding, cin), stride)
         return gx[:, padding:padding + hin, padding:padding + win_], gw, gb
 
     return _make_result(out, (x, w, b), bwd)

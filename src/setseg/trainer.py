@@ -259,12 +259,11 @@ def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
         t1 = time.perf_counter()
         per_image = enumerate(zip(batch_data.target_sets, batch_data.valid_masks))
         with no_grad():
-            assignments = [hungarian(build_cost_matrix(outputs, targets, valid, cfg.losses,
-                                                       batch_index=b))
-                           for b, (targets, valid) in per_image]
+            costs = [build_cost_matrix(outputs, targets, valid, cfg.losses, batch_index=b)
+                     for b, (targets, valid) in per_image]
+            assignments = [hungarian(cm) for cm in costs]
         t2 = time.perf_counter()
-        loss = total_loss(outputs, batch_data.target_sets, assignments, cfg.losses,
-                          batch_data.valid_masks)
+        loss = total_loss(outputs, costs, assignments, cfg.losses)
         t3 = time.perf_counter()
         model.zero_grad()
         backward(loss.total_tensor)

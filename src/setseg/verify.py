@@ -191,8 +191,8 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
     with Tape():
         outputs = model.forward(Tensor(rng.standard_normal((1, 64, 64, 3)).astype(np.float32)))
         with no_grad():
-            assignment = hungarian(build_cost_matrix(outputs, targets, valid, cfg.losses))
-        bundle = total_loss(outputs, [targets], [assignment], cfg.losses, valid[None])
+            cm = build_cost_matrix(outputs, targets, valid, cfg.losses)
+        bundle = total_loss(outputs, [cm], [hungarian(cm)], cfg.losses)
         backward(bundle.total_tensor)
     dead = [n for n, p in model.params.items() if p.grad is None or not np.abs(p.grad).any()]
     if dead:

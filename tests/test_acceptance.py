@@ -196,10 +196,9 @@ class TestCriterion6:
                 outputs = model.forward(
                     Tensor(rng.standard_normal((1, 64, 64, 3)).astype(np.float32)))
                 with T.no_grad():
-                    assignment = hungarian(build_cost_matrix(
-                        outputs, targets, vmask, run_cfg.losses))
-                bundle = total_loss(outputs, [targets], [assignment], run_cfg.losses,
-                                    vmask[None])
+                    cm = build_cost_matrix(outputs, targets, vmask, run_cfg.losses)
+                    assignment = hungarian(cm)
+                bundle = total_loss(outputs, [cm], [assignment], run_cfg.losses)
                 backward(bundle.total_tensor)
             dead = [n for n, p in model.params.items()
                     if p.grad is None or not np.abs(p.grad).any()]

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 from types import SimpleNamespace
 
@@ -6,13 +8,25 @@ import pytest
 
 from setseg import losses
 from setseg.losses import LossConfig, classification_loss, dice_loss, focal_loss, total_loss
-from setseg.matcher import Assignment
+from setseg.matcher import Assignment, build_cost_matrix, hungarian
 from setseg.pipeline import TargetSet
 from setseg.tensor import Tape, Tensor, backward
 
 from conftest import central_difference, max_rel_error
 
 BIG = 40.0   # sigmoid(+-40) is 1/0 to ~4e-18
+
+
+def matcher_costs(outputs, target_sets, cfg, valid_masks):
+    """One ``build_cost_matrix`` per image of these outputs."""
+    return [build_cost_matrix(outputs, targets, valid, cfg, batch_index=b)
+            for b, (targets, valid) in enumerate(zip(target_sets, valid_masks))]
+
+
+def matched_loss(outputs, target_sets, assignments, cfg, valid_masks):
+    """``total_loss`` over the matcher's costs, with the given assignments."""
+    return total_loss(outputs, matcher_costs(outputs, target_sets, cfg, valid_masks),
+                      assignments, cfg)
 
 
 class TestDice:
@@ -219,7 +233,7 @@ class TestTotalLoss:
     def test_components_match_independent_recomputation(self):
         outputs, targets, valid, assignment, ml, cl = self._fixture()
         cfg = LossConfig()
-        bundle = total_loss(outputs, [targets], [assignment], cfg, valid[None])
+        bundle = matched_loss(outputs, [targets], [assignment], cfg, valid[None])
 
         # independent recomputation, plain numpy
         logits = ml[0, 1]
@@ -253,17 +267,18 @@ class TestTotalLoss:
         gt = np.ones((3, 3), dtype=np.uint8)
         targets = TargetSet(masks=[gt, gt], labels=[1, 2])
         assignment = Assignment(np.array([2, 0]), 0.0)
-        empty = total_loss(outputs, [targets], [assignment], LossConfig(),
-                           np.zeros((1, 3, 3), bool))
+        empty = matched_loss(outputs, [targets], [assignment], LossConfig(),
+                             np.zeros((1, 3, 3), bool))
         assert empty.degenerate_dice == 2
         assert empty.dice == 0.0 and empty.focal == 0.0
-        full = total_loss(outputs, [targets], [assignment], LossConfig(), np.ones((1, 3, 3), bool))
+        full = matched_loss(outputs, [targets], [assignment], LossConfig(),
+                            np.ones((1, 3, 3), bool))
         assert full.degenerate_dice == 0
 
     def test_total_is_exact_weighted_sum(self):
         outputs, targets, valid, assignment, _, _ = self._fixture()
         cfg = LossConfig()
-        bundle = total_loss(outputs, [targets], [assignment], cfg, valid[None])
+        bundle = matched_loss(outputs, [targets], [assignment], cfg, valid[None])
         expected = (cfg.class_weight * bundle.classification
                     + cfg.focal_weight * bundle.focal
                     + cfg.dice_weight * bundle.dice)
@@ -283,8 +298,8 @@ class TestTotalLoss:
             class_logits=Tensor(class_logits, dtype=np.float64),
         )
         targets = TargetSet(masks=[gt], labels=[1])
-        bundle = total_loss(outputs, [targets], [Assignment(np.array([0]), 0.0)],
-                            LossConfig(), np.ones((1, 4, 4), bool))
+        bundle = matched_loss(outputs, [targets], [Assignment(np.array([0]), 0.0)],
+                              LossConfig(), np.ones((1, 4, 4), bool))
         assert bundle.classification < 1e-3
         assert bundle.focal < 1e-3
         assert bundle.dice < 1e-3
@@ -296,8 +311,8 @@ class TestTotalLoss:
             class_logits=Tensor(rng.standard_normal((1, 3, 5))),
         )
         targets = TargetSet(masks=[], labels=[])
-        bundle = total_loss(outputs, [targets], [Assignment(np.zeros(0, dtype=int), 0.0)],
-                            LossConfig(), np.ones((1, 4, 4), bool))
+        bundle = matched_loss(outputs, [targets], [Assignment(np.zeros(0, dtype=int), 0.0)],
+                              LossConfig(), np.ones((1, 4, 4), bool))
         assert bundle.focal == 0.0 and bundle.dice == 0.0
         expected = classification_loss(
             Tensor(outputs.class_logits.data[0]), np.full(3, 5), no_object_weight=1e-4).item()
@@ -316,19 +331,11 @@ class TestTotalLoss:
             )
             for n in (0, 1, 3):
                 with Tape() as tape:
-                    total_loss(outputs, [TargetSet(masks[:n], [1, 2, 3][:n])] * bsz,
-                               [Assignment(np.array([3, 0, 2][:n], dtype=int), 0.0)] * bsz,
-                               LossConfig(), np.ones((bsz, 3, 3), bool))
+                    matched_loss(outputs, [TargetSet(masks[:n], [1, 2, 3][:n])] * bsz,
+                                 [Assignment(np.array([3, 0, 2][:n], dtype=int), 0.0)] * bsz,
+                                 LossConfig(), np.ones((bsz, 3, 3), bool))
                     counts.append(len(tape.entries))
         assert counts == [1] * 6
-
-    def test_target_label_above_the_class_head_rejected(self):
-        # K = 3 classes: label 4 would land in the no-object column
-        outputs, _, valid, assignment, _, _ = self._fixture()
-        with pytest.raises(losses.LossError) as err:
-            total_loss(outputs, [TargetSet([np.ones((3, 3), np.uint8)], [4])], [assignment],
-                       LossConfig(), valid[None])
-        assert "label 4" in str(err.value) and "K = 3" in str(err.value)
 
     def test_backward_through_bundle(self):
         rng = np.random.default_rng(11)
@@ -337,8 +344,8 @@ class TestTotalLoss:
         outputs = SimpleNamespace(mask_logits=ml, class_logits=cl)
         gt = np.zeros((3, 3), dtype=np.uint8)
         gt[0] = 1
-        bundle = total_loss(outputs, [TargetSet([gt], [1])], [Assignment(np.array([0]), 0.0)],
-                            LossConfig(), np.ones((1, 3, 3), bool))
+        bundle = matched_loss(outputs, [TargetSet([gt], [1])], [Assignment(np.array([0]), 0.0)],
+                              LossConfig(), np.ones((1, 3, 3), bool))
         backward(bundle.total_tensor)
         assert ml.grad is not None and np.abs(ml.grad).sum() > 0
         assert cl.grad is not None and np.abs(cl.grad).sum() > 0
@@ -364,8 +371,8 @@ class TestTotalLoss:
         def bundle(m, c, images=(0, 1)):
             outputs = SimpleNamespace(mask_logits=Tensor(m[list(images)], dtype=np.float64),
                                       class_logits=Tensor(c[list(images)], dtype=np.float64))
-            return total_loss(outputs, [targets[i] for i in images],
-                              [assignments[i] for i in images], cfg, valid[list(images)])
+            return matched_loss(outputs, [targets[i] for i in images],
+                                [assignments[i] for i in images], cfg, valid[list(images)])
 
         # the batch value is the mean of the two images' values
         alone = [bundle(ml, cl, (i,)) for i in (0, 1)]
@@ -377,8 +384,8 @@ class TestTotalLoss:
 
         x = Tensor(ml, requires_grad=True, dtype=np.float64)
         y = Tensor(cl, requires_grad=True, dtype=np.float64)
-        backward(total_loss(SimpleNamespace(mask_logits=x, class_logits=y), targets,
-                            assignments, cfg, valid).total_tensor)
+        backward(matched_loss(SimpleNamespace(mask_logits=x, class_logits=y), targets,
+                              assignments, cfg, valid).total_tensor)
 
         def value(a, b):
             return bundle(a, b).total
@@ -388,3 +395,41 @@ class TestTotalLoss:
         assert not x.grad[0].any() and not x.grad[1, 1].any()
         assert not x.grad[1, :, 3].any() and not x.grad[1, :, :, 0].any()
         assert y.grad[0].any() and x.grad[1, [0, 2, 3]].any(axis=(1, 2)).all()
+
+    def _matched_batch(self):
+        # float32, 2 images of 2 and 3 targets, 6 queries; the 8x8 validity mask
+        # is downsampled to the 4x4 logits and is partly invalid in image 1
+        rng = np.random.default_rng(14)
+        outputs = SimpleNamespace(
+            mask_logits=Tensor(rng.standard_normal((2, 6, 4, 4)).astype(np.float32)),
+            class_logits=Tensor(rng.standard_normal((2, 6, 4)).astype(np.float32)),
+        )
+        masks = [(rng.random((8, 8)) > 0.5).astype(np.uint8) for _ in range(5)]
+        targets = [TargetSet(masks[:2], [1, 3]), TargetSet(masks[2:], [2, 2, 1])]
+        valid = np.ones((2, 8, 8), bool)
+        valid[1, 4:] = False
+        costs = matcher_costs(outputs, targets, LossConfig(), valid)
+        return outputs, costs, [hungarian(cm) for cm in costs]
+
+    def test_mask_terms_are_the_matched_cost_cells(self):
+        outputs, costs, assignments = self._matched_batch()
+        bundle = total_loss(outputs, costs, assignments, LossConfig())
+        for name in ("focal", "dice"):
+            per_image = [getattr(cm, name)[np.arange(cm.real_rows), a.query_for_gt].mean()
+                         for cm, a in zip(costs, assignments)]
+            assert getattr(bundle, name) == sum(per_image) / len(per_image)
+        assert not costs[1].valid.all() and costs[1].valid.any()
+
+    def test_pixel_terms_are_not_computed_again(self, monkeypatch):
+        outputs, costs, assignments = self._matched_batch()
+        expected = total_loss(outputs, costs, assignments, LossConfig()).total
+
+        def recomputed(*args):
+            raise AssertionError("total_loss recomputed what the cost matrix holds")
+
+        monkeypatch.setattr(losses, "mask_costs", recomputed)
+        monkeypatch.setattr(losses, "downsample_mask", recomputed, raising=False)
+        assert total_loss(outputs, costs, assignments, LossConfig()).total == expected
+        imported = {node.module for node in ast.walk(ast.parse(inspect.getsource(losses)))
+                    if isinstance(node, ast.ImportFrom)}
+        assert "pipeline" not in imported

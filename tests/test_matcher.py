@@ -130,6 +130,19 @@ class TestCostMatrix:
             build_cost_matrix(outputs, TargetSet(masks, [1, 1, 1]),
                               np.ones((4, 4), bool), LossConfig())
 
+    def test_target_label_above_the_class_head_rejected(self):
+        # K = 3 classes, 4 columns: labels 0 and 4 would be scored as the
+        # no-object column, label 5 would index past it
+        rng = np.random.default_rng(5)
+        outputs = SimpleNamespace(mask_logits=Tensor(rng.standard_normal((2, 4, 4, 4))),
+                                  class_logits=Tensor(rng.standard_normal((2, 4, 4))))
+        gt = np.ones((4, 4), dtype=np.uint8)
+        for label in (0, 4, 5):
+            with pytest.raises(matcher.MatcherError) as err:
+                build_cost_matrix(outputs, TargetSet([gt, gt], [1, label]),
+                                  np.ones((4, 4), bool), LossConfig(), batch_index=1)
+            assert str(err.value) == f"image 1: target label {label} outside 1..K with K = 3"
+
     def test_nan_cost_named(self):
         outputs = SimpleNamespace(
             mask_logits=Tensor(np.full((1, 2, 2, 2), np.nan)),

@@ -167,7 +167,7 @@ class TestGradientFlow:
             outputs = model.forward(image)
             cm = build_cost_matrix(outputs, targets, valid, LossConfig())
             assignment = hungarian(cm)
-            bundle = total_loss(outputs, [targets], [assignment], LossConfig(), valid[None])
+            bundle = total_loss(outputs, [cm], [assignment], LossConfig())
             backward(bundle.total_tensor)
         dead = [name for name, p in model.params.items()
                 if p.grad is None or not np.abs(p.grad).any()]

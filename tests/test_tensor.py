@@ -442,6 +442,21 @@ class TestBackward:
         assert calls == [(3, 3, 2)]
         assert x.grad is not None and w.grad is not None
 
+    def test_conv2d_keeps_no_padded_input_copy(self):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.standard_normal((1, 64, 64, 32)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3, 32, 32)).astype(np.float32), requires_grad=True)
+        b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
+        col_nbytes = 32 * 32 * (3 * 3 * 32) * 4    # the forward's columns, which backward reuses
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.conv2d(x, w, b, stride=2, padding=1)   # recorded: what backward keeps stays
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes - col_nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept <= 0.1 * x.data.nbytes
+
     def test_tape_frees_graph_on_exit(self):
         gc.disable()  # only reference counting may free the intermediate
         try:

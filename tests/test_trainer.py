@@ -213,6 +213,37 @@ class TestClipGradients:
             assert np.array_equal(p.grad, before[name] * scale)
 
 
+class TestAdam:
+    def test_three_steps_match_the_textbook_update(self):
+        rng = np.random.default_rng(0)
+        shapes = {"w": (3, 4), "b": (5,)}
+        params = {name: tensor.Tensor(rng.standard_normal(shape).astype(np.float32),
+                                      requires_grad=True)
+                  for name, shape in shapes.items()}
+        params["frozen"] = tensor.Tensor(rng.standard_normal(2).astype(np.float32),
+                                         requires_grad=True)
+        frozen = params["frozen"].data.copy()
+        lr, beta1, beta2, eps = 1e-2, 0.9, 0.999, 1e-8
+        optimizer = trainer.Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+        ref = {name: params[name].data.astype(np.float64) for name in shapes}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for t in (1, 2, 3):
+            for name, shape in shapes.items():
+                g = rng.standard_normal(shape).astype(np.float32)
+                params[name].grad = g
+                m[name] = beta1 * m[name] + (1 - beta1) * g
+                v[name] = beta2 * v[name] + (1 - beta2) * np.square(g, dtype=np.float64)
+                m_hat, v_hat = m[name] / (1 - beta1 ** t), v[name] / (1 - beta2 ** t)
+                ref[name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            optimizer.step()
+        for name in shapes:
+            assert params[name].data.dtype == np.float32
+            np.testing.assert_allclose(params[name].data, ref[name], rtol=1e-6, atol=1e-7)
+        assert params["frozen"].grad is None
+        assert params["frozen"].data.tobytes() == frozen.tobytes()
+
+
 class TestEvaluate:
     def test_eval_writes_reports(self, shard_dir, tmp_path):
         cfg = toy_run_config(steps=2)
@@ -258,8 +289,9 @@ class TestProfile:
         cfg = toy_run_config()
         model = MaskClassificationModel(cfg.model)
         optimizer = trainer.make_optimizer(cfg, model)
+        entries = load_entries(shard_dir)      # as in profile: loaded before the clock starts
         t0 = time.perf_counter()
-        results = run_steps(model, optimizer, load_entries(shard_dir), cfg, 3)
+        results = run_steps(model, optimizer, entries, cfg, 3)
         total = time.perf_counter() - t0
         assert all(set(r.seconds) == set(STAGES) for r in results)
         total_from_stages = sum(r.seconds[s] for r in results for s in STAGES)
