@@ -23,7 +23,17 @@ from .verify import run_verify
 
 # these commands report a failed run or a missing, corrupt or mismatched input
 # file as one "<what> aborted: ..." line on stderr, with exit code 1
-_ABORTED = {"train": "training", "eval": "eval", "profile": "profiling"}
+_ABORTED = {"ingest": "ingest", "train": "training", "eval": "eval", "profile": "profiling"}
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_config_args(p):
@@ -46,7 +56,7 @@ def build_parser():
 
     p = sub.add_parser("ingest", help="serialize annotations into balanced shards")
     p.add_argument("--annotations", required=True)
-    p.add_argument("--shards", type=int, required=True)
+    p.add_argument("--shards", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--classes", help="comma-separated original class IDs (default: derive)")
 

@@ -61,13 +61,20 @@ class MaskClassificationModel:
         return t
 
     def _trunc_normal(self, shape, std=0.02):
+        """N(0, 1) draws, each redrawn while |z| > 2 for at most 8 rounds, then
+        scaled by ``std``. A round draws one value per out-of-range position,
+        in ascending flat-index order, so only those positions are rescanned."""
         out = self._rng.standard_normal(shape)
+        flat = out.reshape(-1)
+        # |z| > 2 as two compares: np.abs would allocate a float64 temporary
+        bad = np.flatnonzero((flat < -2.0) | (flat > 2.0))
         for _ in range(8):
-            bad = np.abs(out) > 2.0
-            if not bad.any():
+            if not bad.size:
                 break
-            out[bad] = self._rng.standard_normal(int(bad.sum()))
-        return out * std
+            flat[bad] = self._rng.standard_normal(bad.size)
+            bad = bad[np.abs(flat[bad]) > 2.0]
+        out *= std
+        return out
 
     def _fanin_uniform(self, shape):
         fan_in = int(np.prod(shape[:-1]))

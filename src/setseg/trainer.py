@@ -182,7 +182,11 @@ def assemble_batch(entries, cfg: RunConfig, step: int) -> Batch:
 
 
 class BatchStream:
-    """Producer thread filling a bounded queue with ready batches; ``close`` stops it."""
+    """Producer thread filling a bounded queue with ready batches; ``close`` stops it.
+
+    The producer shares the GIL with the training step, so its parsing runs
+    in series with the step, not off its critical path.
+    """
 
     QUEUE_DEPTH = 4     # batches parsed ahead of the consumer
 

@@ -158,6 +158,29 @@ class TestSubcommands:
         assert err.startswith(aborted) and "manifest" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("shards", ["0", "-3", "two"])
+    def test_ingest_bad_shard_count_is_a_usage_error(self, dataset, tmp_path, capsys,
+                                                     shards):
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--annotations", str(dataset / "raw" / "annotations.jsonl"),
+                  "--shards", shards, "--out", str(tmp_path / "shards")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("setseg ingest: error: argument --shards: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "shards").exists()
+
+    @pytest.mark.parametrize("damage", ["missing", "empty"])
+    def test_ingest_bad_annotations_aborts(self, tmp_path, capsys, damage):
+        ann = tmp_path / "nope.jsonl"
+        if damage == "empty":
+            ann.write_text("")
+        assert main(["ingest", "--annotations", str(ann), "--shards", "2",
+                     "--out", str(tmp_path / "shards")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ingest aborted: ") and "nope.jsonl" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("command, aborted", [
         (["train", "--out", "OUT"], "training aborted: "),
         (["profile"], "profiling aborted: "),

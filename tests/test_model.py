@@ -151,6 +151,51 @@ class TestDeterminism:
         assert out1.class_logits.data.tobytes() != out2.class_logits.data.tobytes()
 
 
+def reference_trunc_normal(rng, shape, std=0.02, redraws=None):
+    """The whole-array form of the init: rescan every value each round."""
+    out = rng.standard_normal(shape)
+    for _ in range(8):
+        bad = np.abs(out) > 2.0
+        if not bad.any():
+            break
+        out[bad] = rng.standard_normal(int(bad.sum()))
+        if redraws is not None:
+            redraws.append(int(bad.sum()))
+    return out * std
+
+
+class TestTruncNormalInit:
+    # the README toy config, and package defaults cut to one encoder layer:
+    # one default-size attention block and a [256, 1024] FFN weight
+    @pytest.mark.parametrize("cfg", [
+        toy_config(n_queries=16, hidden_size=64, backbone_channels=64, seed=0),
+        toy_config(n_queries=16, hidden_size=64, backbone_channels=64, seed=5),
+        ModelConfig(num_encoder_layers=1, num_decoder_layers=0, seed=1),
+    ], ids=["toy-seed0", "toy-seed5", "default-attention"])
+    def test_every_parameter_matches_the_whole_array_redraw(self, cfg, monkeypatch):
+        model = MaskClassificationModel(cfg)
+        monkeypatch.setattr(MaskClassificationModel, "_trunc_normal",
+                            lambda self, shape, std=0.02:
+                            reference_trunc_normal(self._rng, shape, std))
+        ref = MaskClassificationModel(cfg)
+        assert list(model.params) == list(ref.params)
+        for name, p in model.params.items():
+            assert p.data.dtype == ref.params[name].data.dtype, name
+            assert p.data.tobytes() == ref.params[name].data.tobytes(), name
+        assert model._rng.bit_generator.state == ref._rng.bit_generator.state
+
+    def test_standalone_call_matches_over_several_rounds(self):
+        model = MaskClassificationModel(toy_config())
+        model._rng = np.random.default_rng(3)
+        out = model._trunc_normal((512, 512))
+        ref_rng, redraws = np.random.default_rng(3), []
+        ref = reference_trunc_normal(ref_rng, (512, 512), redraws=redraws)
+        assert len(redraws) >= 3
+        assert out.dtype == ref.dtype and out.tobytes() == ref.tobytes()
+        assert model._rng.bit_generator.state == ref_rng.bit_generator.state
+        assert np.count_nonzero(np.abs(out) > 0.04) == np.count_nonzero(np.abs(ref) > 0.04)
+
+
 class TestGradientFlow:
     def test_every_parameter_receives_nonzero_grad(self):
         cfg = toy_config()
