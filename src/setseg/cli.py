@@ -36,6 +36,16 @@ def _positive_int(text):
     return value
 
 
+def _class_ids(text):
+    try:
+        ids = [int(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        ids = []
+    if not ids:
+        raise argparse.ArgumentTypeError(f"not a list of integer class IDs: {text!r}")
+    return ids
+
+
 def _add_config_args(p):
     p.add_argument("--config", help="plain-text config file (section.key = value)")
     p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -58,7 +68,8 @@ def build_parser():
     p.add_argument("--annotations", required=True)
     p.add_argument("--shards", type=_positive_int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", help="comma-separated original class IDs (default: derive)")
+    p.add_argument("--classes", type=_class_ids,
+                   help="comma-separated original class IDs (default: derive)")
 
     p = sub.add_parser("train", help="run the training loop")
     _add_config_args(p)
@@ -117,11 +128,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "ingest":
-        known = None
-        if args.classes:
-            known = [int(x) for x in args.classes.replace(",", " ").split()]
         shard_set, mapper = ingest(args.annotations, args.shards, args.out,
-                                   known_class_ids=known)
+                                   known_class_ids=args.classes)
         print(f"{shard_set.record_count} records over {len(shard_set.shards)} shards "
               f"(byte balance {shard_set.byte_balance():.4f})")
         for s in shard_set.shards:

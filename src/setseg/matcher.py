@@ -178,16 +178,12 @@ def _solve_rows(a: np.ndarray) -> np.ndarray:
     return col_for_row
 
 
-def hungarian(costs) -> Assignment:
+def hungarian(costs: CostMatrix) -> Assignment:
     """Optimal assignment on a square cost matrix, restricted to real rows.
 
     Only the real rows are solved; the padded rows never enter the search.
     """
-    if isinstance(costs, CostMatrix):
-        values, real_rows = costs.values, costs.real_rows
-    else:
-        values = np.asarray(costs, dtype=np.float64)
-        real_rows = values.shape[0]
+    values, real_rows = costs.values, costs.real_rows
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ContractError(f"hungarian requires a square matrix, got {values.shape}")
     if not np.isfinite(values).all():

@@ -122,11 +122,16 @@ def synth(n_images: int, out_dir, seed: int = 0,
 
 
 def read_annotations(ann_path):
+    """Yield (line number, record) per non-blank line; a non-JSON line raises ``ValueError``."""
     ann_path = Path(ann_path)
-    for line in ann_path.read_text().splitlines():
-        line = line.strip()
-        if line:
-            yield json.loads(line)
+    for number, line in enumerate(ann_path.read_text().splitlines(), 1):
+        if line.strip():
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{ann_path}:{number}: not JSON ({err.msg} at column "
+                                 f"{err.colno})") from None
+            yield number, record
 
 
 def load_annotation_arrays(ann_path, record: dict):

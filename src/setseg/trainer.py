@@ -1,10 +1,10 @@
 """Ingestion and the training/evaluation loops.
 
-Training is an in-process loop: parse -> batch -> forward -> match ->
-loss -> backward -> clipped Adam update. One background thread parses
-batches into a bounded queue; batch order and per-record augmentation
-seeds are derived deterministically from the run seed, so a fixed
-(config, seed) reproduces the loss CSV bit-exactly.
+Training is a single-threaded loop: parse -> batch -> forward -> match ->
+loss -> backward -> clipped Adam update. Each batch is parsed on the
+training thread just before its step; batch order and per-record
+augmentation seeds are derived deterministically from the run seed, so a
+fixed (config, seed) reproduces the loss CSV bit-exactly.
 
 ``train_step`` is the one forward -> match -> loss -> backward path and
 ``run_steps`` the one loop around it; both read the clock at every stage
@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import csv
 import math
-import queue
-import threading
 import time
-from contextlib import suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -35,7 +33,8 @@ from .losses import total_loss
 from .matcher import MatcherError, NanCostError, build_cost_matrix, hungarian
 from .model import MaskClassificationModel, load_checkpoint, save_checkpoint
 from .pipeline import (
-    Batch, ParserConfig, batch as make_batch, build_id_mapper, downsample_mask, parse,
+    Batch, ParserConfig, PipelineError, batch as make_batch, build_id_mapper,
+    downsample_mask, parse,
 )
 from .tensor import Tape, backward, no_grad
 
@@ -54,33 +53,50 @@ class TrainError(RuntimeError):
 # Ingestion: annotations -> contiguous masks -> shards
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _annotation_line(annotations_path, line: int):
+    """Re-raise a malformed record's error as a ``TrainError`` naming ``<file>:<line>``."""
+    try:
+        yield
+    except PipelineError:       # an unknown class ID names itself
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise TrainError(f"{annotations_path}:{line}: {type(err).__name__}: {err}") from None
+
+
 def ingest(annotations_path, shard_count: int, out_dir, known_class_ids=None):
     """Convert a JSON-lines annotation set into balanced binary shards."""
     annotations_path = Path(annotations_path)
-    ann = list(synth.read_annotations(annotations_path))
+    try:
+        ann = list(synth.read_annotations(annotations_path))
+    except ValueError as err:   # a line that is not JSON
+        raise TrainError(str(err)) from None
     if not ann:
         raise TrainError(f"no annotations in {annotations_path}")
     if known_class_ids is None:
-        ids = sorted({seg["category_id"] for rec in ann for seg in rec["segments"]})
-    else:
-        ids = sorted(known_class_ids)
-    mapper = build_id_mapper(ids)
+        known_class_ids = set()
+        for line, rec in ann:
+            with _annotation_line(annotations_path, line):
+                known_class_ids.update(seg["category_id"] for seg in rec["segments"])
+    mapper = build_id_mapper(sorted(known_class_ids))
 
     def entries():
-        for rec in ann:
-            rgb, inst = synth.load_annotation_arrays(annotations_path, rec)
-            lut = np.zeros(int(inst.max()) + 1, dtype=np.uint16)
-            for seg in rec["segments"]:
-                lut[seg["instance_id"]] = mapper.to_contiguous(seg["category_id"])
-            cont = lut[inst]
-            yield {
-                "image/height": np.array([rec["height"]], dtype=np.int64),
-                "image/width": np.array([rec["width"]], dtype=np.int64),
-                "image/encoded": rgb.tobytes(),
-                "segmentation/contiguous_mask": cont.astype("<u2").tobytes(),
-                "segmentation/instance_mask": inst.astype("<u2").tobytes(),
-                "image/id": np.array([rec["image_id"]], dtype=np.int64),
-            }
+        for line, rec in ann:
+            with _annotation_line(annotations_path, line):
+                rgb, inst = synth.load_annotation_arrays(annotations_path, rec)
+                lut = np.zeros(int(inst.max()) + 1, dtype=np.uint16)
+                for seg in rec["segments"]:
+                    lut[seg["instance_id"]] = mapper.to_contiguous(seg["category_id"])
+                cont = lut[inst]
+                entry = {
+                    "image/height": np.array([rec["height"]], dtype=np.int64),
+                    "image/width": np.array([rec["width"]], dtype=np.int64),
+                    "image/encoded": rgb.tobytes(),
+                    "segmentation/contiguous_mask": cont.astype("<u2").tobytes(),
+                    "segmentation/instance_mask": inst.astype("<u2").tobytes(),
+                    "image/id": np.array([rec["image_id"]], dtype=np.int64),
+                }
+            yield entry
 
     shard_set = records.write_shards(
         entries(), shard_count, out_dir, class_mapping=mapper.original_to_contiguous
@@ -182,50 +198,16 @@ def assemble_batch(entries, cfg: RunConfig, step: int) -> Batch:
 
 
 class BatchStream:
-    """Producer thread filling a bounded queue with ready batches; ``close`` stops it.
-
-    The producer shares the GIL with the training step, so its parsing runs
-    in series with the step, not off its critical path.
-    """
-
-    QUEUE_DEPTH = 4     # batches parsed ahead of the consumer
+    """The ``steps`` batches of a run in step order, each assembled when it is asked for."""
 
     def __init__(self, entries, cfg: RunConfig, steps: int):
         self.entries = entries
         self.cfg = cfg
         self.steps = steps
-        self.queue: queue.Queue = queue.Queue(maxsize=self.QUEUE_DEPTH)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._produce, daemon=True)
-        self._thread.start()
-
-    def _produce(self):
-        try:
-            for step in range(self.steps):
-                if self._stop.is_set():
-                    return
-                self.queue.put(assemble_batch(self.entries, self.cfg, step))
-        except BaseException as err:  # surfaced on the consumer side
-            self.queue.put(err)
 
     def __iter__(self):
-        for _ in range(self.steps):
-            item = self.queue.get()
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-
-    def close(self):
-        """Stop the producer and wait for it to exit; queued batches are dropped.
-
-        The producer checks the stop event before each batch, so it blocks on
-        at most one more ``put``, which emptying the queue lets through.
-        """
-        self._stop.set()
-        with suppress(queue.Empty):
-            while True:
-                self.queue.get_nowait()
-        self._thread.join()
+        for step in range(self.steps):
+            yield assemble_batch(self.entries, self.cfg, step)
 
 
 # ---------------------------------------------------------------------------
@@ -288,53 +270,46 @@ def _step_error(what: str, step: int, batch_data: Batch, detail) -> TrainError:
 
 def run_steps(model, optimizer, entries, cfg: RunConfig, steps: int,
               on_step=None) -> list[StepResult]:
-    """The training loop: batch wait, ``train_step``, non-finite checks, clip, update.
+    """The training loop: batch assembly, ``train_step``, non-finite checks, clip, update.
 
-    Adds ``wait``, ``clip`` and ``update`` to each result's ``seconds``, sets
-    its ``grad_norm`` and calls ``on_step(results)`` with the results so far
-    after each update. The first ``wait`` includes starting the batch
-    producer, so the steps' stages cover the whole loop but ``on_step``. A
-    failed match or a non-finite loss or gradient norm raises
-    ``TrainError``. The batch producer is stopped however the loop ends.
+    Adds ``parse``, ``clip`` and ``update`` to each result's ``seconds``, so
+    the steps' stages cover the whole loop but ``on_step``, sets its
+    ``grad_norm`` and calls ``on_step(results)`` with the results so far
+    after each update. A failed match or a non-finite loss or gradient norm
+    raises ``TrainError``.
     """
     results = []
-    t0 = time.perf_counter()     # the first wait includes starting the producer thread
-    stream = BatchStream(entries, cfg, steps)
-    batches = iter(stream)
-    try:
-        for step in range(steps):
-            batch_data = next(batches)
-            t1 = time.perf_counter()
-            try:
-                result = train_step(model, batch_data, cfg)
-            except NanCostError as err:
-                raise _step_error("non-finite loss", step, batch_data, err) from None
-            except MatcherError as err:
-                raise _step_error("matching failed", step, batch_data, err) from None
-            if not math.isfinite(result.total):
-                raise _step_error("non-finite loss", step, batch_data,
-                                  f"components cls={result.classification} "
-                                  f"focal={result.focal} dice={result.dice}")
-            t2 = time.perf_counter()
-            grad_norm = clip_gradients(model.params, cfg.trainer.grad_clip_norm)
-            if not math.isfinite(grad_norm):
-                # NaN > max_norm is False, so clipping alone would let NaN reach the update
-                raise _step_error("non-finite gradient norm", step, batch_data,
-                                  f"grad norm {grad_norm}")
-            t3 = time.perf_counter()
-            optimizer.step()
-            result = result._replace(grad_norm=grad_norm)
-            result.seconds.update(wait=t1 - t0, clip=t3 - t2, update=time.perf_counter() - t3)
-            results.append(result)
-            if on_step is not None:
-                on_step(results)
-            t0 = time.perf_counter()
-    finally:
-        stream.close()
+    t0 = time.perf_counter()
+    for step, batch_data in enumerate(BatchStream(entries, cfg, steps)):
+        t1 = time.perf_counter()
+        try:
+            result = train_step(model, batch_data, cfg)
+        except NanCostError as err:
+            raise _step_error("non-finite loss", step, batch_data, err) from None
+        except MatcherError as err:
+            raise _step_error("matching failed", step, batch_data, err) from None
+        if not math.isfinite(result.total):
+            raise _step_error("non-finite loss", step, batch_data,
+                              f"components cls={result.classification} "
+                              f"focal={result.focal} dice={result.dice}")
+        t2 = time.perf_counter()
+        grad_norm = clip_gradients(model.params, cfg.trainer.grad_clip_norm)
+        if not math.isfinite(grad_norm):
+            # NaN > max_norm is False, so clipping alone would let NaN reach the update
+            raise _step_error("non-finite gradient norm", step, batch_data,
+                              f"grad norm {grad_norm}")
+        t3 = time.perf_counter()
+        optimizer.step()
+        result = result._replace(grad_norm=grad_norm)
+        result.seconds.update(parse=t1 - t0, clip=t3 - t2, update=time.perf_counter() - t3)
+        results.append(result)
+        if on_step is not None:
+            on_step(results)
+        t0 = time.perf_counter()
     return results
 
 
-STAGES = ("wait", "forward", "match", "loss", "backward", "clip", "update")
+STAGES = ("parse", "forward", "match", "loss", "backward", "clip", "update")
 
 
 def write_metrics(path, results: list[StepResult]) -> None:

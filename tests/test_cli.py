@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -85,7 +86,7 @@ class TestSubcommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "records/sec" in out
-        for stage in ("wait", "forward", "match", "loss", "backward", "clip", "update"):
+        for stage in ("parse", "forward", "match", "loss", "backward", "clip", "update"):
             assert f"\n  {stage} " in out
         assert "dropped instances" in out and "degenerate-dice pairs" in out
 
@@ -170,15 +171,39 @@ class TestSubcommands:
         assert "Traceback" not in err
         assert not (tmp_path / "shards").exists()
 
-    @pytest.mark.parametrize("damage", ["missing", "empty"])
+    @pytest.mark.parametrize("classes", ["a,b", "7,x", "", ","])
+    def test_ingest_bad_classes_is_a_usage_error(self, dataset, tmp_path, capsys, classes):
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--annotations", str(dataset / "raw" / "annotations.jsonl"),
+                  "--shards", "2", "--out", str(tmp_path / "shards"), "--classes", classes])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("setseg ingest: error: argument --classes: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "shards").exists()
+
+    @pytest.mark.parametrize("damage", ["missing", "empty", "not_json", "no_height",
+                                        "no_width", "no_image_file", "short_image"])
     def test_ingest_bad_annotations_aborts(self, tmp_path, capsys, damage):
         ann = tmp_path / "nope.jsonl"
+        where = "nope.jsonl"
         if damage == "empty":
             ann.write_text("")
+        elif damage != "missing":
+            # a good record, a blank line, then the damaged record on line 3
+            good = synth.synth(2, tmp_path, seed=0, min_size=16, max_size=24)
+            first, second = (json.loads(t) for t in good.read_text().splitlines())
+            if damage == "short_image":
+                (tmp_path / second["image_file"]).write_bytes(bytes(5))
+            elif damage != "not_json":
+                del second[damage.removeprefix("no_")]
+            last = '{"image_id": 1' if damage == "not_json" else json.dumps(second)
+            ann.write_text(f"{json.dumps(first)}\n\n{last}\n")
+            where = f"{ann}:3: "
         assert main(["ingest", "--annotations", str(ann), "--shards", "2",
                      "--out", str(tmp_path / "shards")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("ingest aborted: ") and "nope.jsonl" in err
+        assert err.startswith("ingest aborted: ") and where in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command, aborted", [

@@ -6,7 +6,9 @@ import pytest
 
 from setseg import matcher
 from setseg.losses import LossConfig, dice_loss, focal_loss
-from setseg.matcher import brute_force_match, build_cost_matrix, hungarian, pad_square
+from setseg.matcher import (
+    CostMatrix, brute_force_match, build_cost_matrix, hungarian, pad_square,
+)
 from setseg.pipeline import TargetSet
 from setseg.tensor import ContractError, Tensor
 from setseg.verify import COST_KINDS, cost_block
@@ -157,13 +159,13 @@ class TestCostMatrix:
 
 class TestHungarian:
     def test_diagonal_optimum(self):
-        a = hungarian(np.array([[0.0, 9.0], [9.0, 0.0]]))
+        a = hungarian(pad_square(np.array([[0.0, 9.0], [9.0, 0.0]])))
         assert list(a.query_for_gt) == [0, 1]
         assert a.total_real_cost == 0.0
 
     def test_two_permutation_brute_derivation(self):
         # permutations of [[1,2],[2,1]]: identity costs 2, swap costs 4
-        a = hungarian(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        a = hungarian(pad_square(np.array([[1.0, 2.0], [2.0, 1.0]])))
         assert list(a.query_for_gt) == [0, 1]
         assert a.total_real_cost == 2.0
 
@@ -185,11 +187,11 @@ class TestHungarian:
 
     def test_non_square_rejected(self):
         with pytest.raises(ContractError):
-            hungarian(np.zeros((2, 3)))
+            hungarian(CostMatrix(np.zeros((2, 3)), 2, 1.0))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ContractError):
-            hungarian(np.array([[np.inf, 1.0], [1.0, 0.0]]))
+            hungarian(pad_square(np.array([[np.inf, 1.0], [1.0, 0.0]])))
 
 
 class TestBruteForce:
@@ -260,9 +262,9 @@ class TestEquivalence:
 
     def test_runtime_smoke_n256(self):
         rng = np.random.default_rng(8)
-        costs = rng.random((256, 256))
+        cm = pad_square(rng.random((256, 256)))
         t0 = time.perf_counter()
-        hungarian(costs)
+        hungarian(cm)
         assert time.perf_counter() - t0 < 1.0
 
 

@@ -28,7 +28,7 @@ class TestSynth:
 
     def test_masks_disjoint_and_in_bounds(self, tmp_path):
         ann_path = synth.synth(10, tmp_path, seed=3)
-        for rec in synth.read_annotations(ann_path):
+        for _, rec in synth.read_annotations(ann_path):
             rgb, inst = synth.load_annotation_arrays(ann_path, rec)
             assert rgb.shape == (rec["height"], rec["width"], 3)
             assert inst.shape == (rec["height"], rec["width"])
@@ -40,7 +40,7 @@ class TestSynth:
     def test_all_classes_appear_over_200_images(self, tmp_path):
         ann_path = synth.synth(200, tmp_path, seed=11, min_size=48, max_size=96)
         hist = Counter()
-        for rec in synth.read_annotations(ann_path):
+        for _, rec in synth.read_annotations(ann_path):
             for seg in rec["segments"]:
                 hist[seg["category_id"]] += 1
         for cid in synth.CLASS_IDS:
@@ -48,7 +48,7 @@ class TestSynth:
 
     def test_labels_consistent_per_instance(self, tmp_path):
         ann_path = synth.synth(5, tmp_path, seed=4)
-        for rec in synth.read_annotations(ann_path):
+        for _, rec in synth.read_annotations(ann_path):
             by_instance = {seg["instance_id"]: seg["category_id"]
                            for seg in rec["segments"]}
             assert len(by_instance) == len(rec["segments"])

@@ -144,20 +144,29 @@ class TestTrain:
         assert "batch images" in str(err.value)
         assert (tmp_path / "nan_grad" / "nan_batch.txt").read_text().startswith("step 0\n")
 
-    def test_abort_stops_the_batch_producer(self, shard_dir, tmp_path, monkeypatch):
+    def test_training_starts_no_thread(self, shard_dir, tmp_path, monkeypatch):
+        # batches are assembled on the training thread, so every step, of a
+        # finished run and of one aborted at step 0, sees only the threads
+        # that were alive before train
+        counts = []
+
+        def counted(step_fn):
+            def step(model, batch_data, cfg):
+                counts.append(threading.active_count())
+                return step_fn(model, batch_data, cfg)
+            return step
+
         def failing_step(model, batch_data, cfg):
             raise NanCostError("non-finite cost")
 
-        before = set(threading.enumerate())
-        monkeypatch.setattr(trainer, "train_step", failing_step)
+        before = threading.active_count()
+        monkeypatch.setattr(trainer, "train_step", counted(trainer.train_step))
+        train(toy_run_config(steps=5), shard_dir, tmp_path / "run")
+        monkeypatch.setattr(trainer, "train_step", counted(failing_step))
         with pytest.raises(TrainError) as err:
             train(toy_run_config(steps=50), shard_dir, tmp_path / "abort")
         assert err.value.step == 0
-        producers = [t for t in set(threading.enumerate()) - before
-                     if t.name.endswith("(_produce)")]
-        for t in producers:
-            t.join(timeout=1.0)
-        assert not any(t.is_alive() for t in producers)
+        assert counts == [before] * 6
 
     def test_train_step_result(self, shard_dir):
         cfg = toy_run_config()
