@@ -26,14 +26,17 @@ from .verify import run_verify
 _ABORTED = {"ingest": "ingest", "train": "training", "eval": "eval", "profile": "profiling"}
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low):
+    """An argparse ``type=`` that accepts an integer of at least ``low``."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _class_ids(text):
@@ -58,15 +61,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic shape dataset")
-    p.add_argument("--n", type=int, required=True, help="number of images")
+    p.add_argument("--n", type=_int_at_least(1), required=True, help="number of images")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-size", type=int, default=48)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    # the circle painter's smallest radius is 3, so an image side needs 6 pixels
+    p.add_argument("--min-size", type=_int_at_least(6), default=48)
     p.add_argument("--max-size", type=int, default=96)
 
     p = sub.add_parser("ingest", help="serialize annotations into balanced shards")
     p.add_argument("--annotations", required=True)
-    p.add_argument("--shards", type=_positive_int, required=True)
+    p.add_argument("--shards", type=_int_at_least(1), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=_class_ids,
                    help="comma-separated original class IDs (default: derive)")
@@ -99,7 +103,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "synth" and args.min_size > args.max_size:
+        parser.error(f"argument --min-size: {args.min_size} exceeds --max-size {args.max_size}")
     try:
         code = _run(args)
         sys.stdout.flush()

@@ -1,4 +1,4 @@
-"""Padding-aware dice, focal, and classification losses plus the weighted total.
+"""The padding-aware set loss: classification, focal and dice, and their weighted total.
 
 Each formula has one numpy home, in float64:
 
@@ -8,12 +8,11 @@ Each formula has one numpy home, in float64:
 - their gradient: ``_mask_grad``;
 - the weighted cross-entropy and its gradient: ``_class_terms``.
 
-``total_loss`` records the whole batch's loss as one tape op over
-(mask_logits, class_logits): its matched focal and dice values are the
-matcher's cells, and its hand-written backward is built from the other two
-helpers. ``dice_loss``, ``focal_loss`` and ``classification_loss`` are
-one-op wrappers over the same helpers. Invalid pixels are dropped before
-any arithmetic, so appending padding never changes a value.
+``total_loss`` is the only op this module records: the whole batch's loss
+as one tape op over (mask_logits, class_logits). Its matched focal and dice
+values are the matcher's cells, and its hand-written backward is built from
+the other two helpers. Invalid pixels are dropped before any arithmetic, so
+appending padding never changes a value.
 
 Class logits are laid out with contiguous class c at column c-1 and the
 no-object class at the last column (index K).
@@ -147,65 +146,6 @@ def _class_terms(logits: np.ndarray, cols: np.ndarray, no_object_weight: float):
     grad[rows, cols] -= 1.0
     grad *= (w / w_sum)[:, None]
     return float(value), grad
-
-
-def _check_mask_args(name: str, pred_logits: Tensor, gt, valid):
-    gt = np.asarray(gt)
-    valid = np.asarray(valid, dtype=bool)
-    if pred_logits.shape != gt.shape or pred_logits.shape != valid.shape:
-        raise T.ShapeError(
-            f"{name}: logits {pred_logits.shape}, gt {gt.shape}, valid {valid.shape}"
-        )
-    return gt, valid
-
-
-def _one_mask_loss(name: str, pred_logits: Tensor, gt, valid, cfg: LossConfig,
-                   fw: float, dw: float) -> Tensor:
-    """fw * focal + dw * dice of one logit map against one target, as one tape op."""
-    gt, valid = _check_mask_args(name, pred_logits, gt, valid)
-    dtype = pred_logits.dtype
-    if not valid.any():
-        return Tensor(np.zeros((), dtype=dtype))
-    rows, gt = pred_logits.data[None], gt[None]
-    dice, focal = mask_costs(rows, gt, valid, cfg)
-    out = np.asarray(fw * focal[0, 0] + dw * dice[0, 0], dtype=dtype)
-    return T._make_result(out, (pred_logits,), lambda g: (
-        (_mask_grad(rows, gt, valid, cfg, fw, dw)[0] * g[0]).astype(dtype),))
-
-
-def dice_loss(pred_logits: Tensor, gt: np.ndarray, valid: np.ndarray,
-              eps: float = 1.0) -> Tensor:
-    """Soft dice on sigmoid(pred_logits), sums restricted to valid pixels."""
-    return _one_mask_loss("dice_loss", pred_logits, gt, valid, LossConfig(dice_eps=eps), 0.0, 1.0)
-
-
-def focal_loss(pred_logits: Tensor, gt: np.ndarray, valid: np.ndarray,
-               alpha: float = 0.25, gamma: float = 2.0) -> Tensor:
-    """Modulated cross-entropy, mean over valid pixels."""
-    cfg = LossConfig(focal_alpha=alpha, focal_gamma=gamma)
-    cfg.validate()
-    return _one_mask_loss("focal_loss", pred_logits, gt, valid, cfg, 1.0, 0.0)
-
-
-def classification_loss(class_logits: Tensor, matched_labels: np.ndarray,
-                        no_object_weight: float = 1e-4) -> Tensor:
-    """Weighted cross-entropy over queries, normalized by the weight sum.
-
-    ``matched_labels[q]`` is a contiguous class in 1..K for matched queries
-    and K+1 for no-object; no-object targets carry ``no_object_weight``.
-    """
-    labels = np.asarray(matched_labels, dtype=np.int64)
-    n_q, n_cols = class_logits.shape
-    k = n_cols - 1
-    if labels.shape != (n_q,):
-        raise T.ShapeError(f"labels shape {labels.shape} does not match {n_q} queries")
-    if labels.min() < 1 or labels.max() > k + 1:
-        bad = labels[(labels < 1) | (labels > k + 1)][0]
-        raise LossError(f"label {int(bad)} out of range 1..{k + 1}")
-    value, grad = _class_terms(class_logits.data, labels - 1, no_object_weight)
-    dtype = class_logits.dtype
-    return T._make_result(np.asarray(value, dtype=dtype), (class_logits,),
-                          lambda g: ((grad * g[0]).astype(dtype),))
 
 
 def total_loss(outputs, costs, assignments, cfg: LossConfig) -> LossBundle:

@@ -209,18 +209,21 @@ def write_records(path, payloads) -> None:
 
 
 def write_shards(entries, shard_count: int, out_dir, class_mapping=None) -> ShardSet:
-    """Serialize entries into ``shard_count`` balanced shard files plus a manifest."""
+    """Serialize entries into ``shard_count`` balanced shard files plus a manifest.
+
+    ``out_dir`` is created only once every entry has been validated, so an
+    entry that fails leaves no new directory behind.
+    """
     if shard_count < 1:
         raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     payloads = []
     for entry in entries:
         validate_entry(entry)
         payloads.append(b"".join(payload_parts(entry)))   # small: cheaper joined than streamed
     if not payloads:
         raise ValueError("write_shards requires at least one entry")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     # assignment pass is serial so output is deterministic
     record_sizes = [len(p) + 12 for p in payloads]
@@ -317,8 +320,11 @@ def read_shards(shard_set: ShardSet):
     """Yield all entries in (shard index, record index) order.
 
     Each shard must match its manifest line in byte size and record count,
-    so a shard cut at a record boundary raises instead of reading short.
+    so a shard cut at a record boundary raises instead of reading short; after
+    the last shard, the records read must add up to the manifest's
+    ``record_count``, so a manifest that lost shard lines raises too.
     """
+    read = 0
     for info, path in zip(shard_set.shards, shard_set.shard_paths):
         # own every array, so that kept entries do not pin the shard's bytes
         entries = [{k: v.copy() if isinstance(v, np.ndarray) else v for k, v in e.items()}
@@ -327,4 +333,8 @@ def read_shards(shard_set: ShardSet):
         if found != (info.byte_size, info.record_count):
             raise RecordParseError(f"{info.name}: {found[0]} bytes and {found[1]} records, "
                                    f"manifest says {info.byte_size} and {info.record_count}")
+        read += len(entries)
         yield from entries
+    if read != shard_set.record_count:
+        raise RecordParseError(f"{shard_set.directory / MANIFEST_NAME}: record_count "
+                               f"{shard_set.record_count}, but its shards hold {read} records")

@@ -14,8 +14,8 @@ nearest 2x upsample fused into the following 3x3 conv, computed one output
 phase at a time), multi-head attention (one op with a hand-written
 backward) and the sine position embedding. Both convolutions get their
 input grad as col2im of the column grad (``_col2im``, the adjoint of
-``_im2col``). Ops defined elsewhere (the losses in ``losses``) record
-through ``_make_result`` too.
+``_im2col``). The one op defined elsewhere, the batch loss
+``losses.total_loss``, records through ``_make_result`` too.
 
 There is no broadcasting beyond ``linear``'s and ``conv2d``'s bias;
 mismatched shapes fail loudly with the shapes named.
@@ -24,7 +24,6 @@ mismatched shapes fail loudly with the shapes named.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,8 +61,9 @@ class _TapeEntry:
 class Tape:
     """Ordered record of executed ops; replaying it backward fills gradients.
 
-    A tape is single-threaded. Ops record only inside a ``with Tape():``
-    block (the trainer opens a fresh tape per step); outside one they record
+    The stack of open tapes is module state shared by every thread, so use
+    tapes from one thread. Ops record only inside a ``with Tape():`` block
+    (the trainer opens a fresh tape per step); outside one they record
     nothing, and ``backward`` on their result raises ``ContractError``. On
     exit the tape drops its entries and unlinks each output from its entry,
     breaking the tensor <-> entry cycle, so the step's activations are freed
@@ -86,36 +86,30 @@ class Tape:
         self.entries.clear()
 
     def __enter__(self):
-        _state().tape_stack.append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _state().tape_stack.pop()
+        _TAPES.pop()
         self.clear()
         return False
 
 
-_LOCAL = threading.local()
-
-
-def _state():
-    if not hasattr(_LOCAL, "tape_stack"):
-        _LOCAL.tape_stack = []
-        _LOCAL.grad_enabled = True
-    return _LOCAL
+_TAPES: list[Tape] = []     # open tapes, innermost last; ops record on the innermost
+_GRAD_ENABLED = True        # False inside no_grad
 
 
 class no_grad:
     """Context manager disabling tape recording (inference / matching)."""
 
     def __enter__(self):
-        st = _state()
-        self._prev = st.grad_enabled
-        st.grad_enabled = False
+        global _GRAD_ENABLED
+        self._prev, _GRAD_ENABLED = _GRAD_ENABLED, False
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _state().grad_enabled = self._prev
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self._prev
         return False
 
 
@@ -172,10 +166,9 @@ def _result_dtype(*arrays):
 def _make_result(data, inputs, backward_fn) -> Tensor:
     """Wrap an op result, recording on the innermost open tape when grads are needed."""
     out = Tensor(data)
-    st = _state()
-    if st.grad_enabled and st.tape_stack and any(t.requires_grad for t in inputs):
+    if _GRAD_ENABLED and _TAPES and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._entry = st.tape_stack[-1].record(inputs, out, backward_fn)
+        out._entry = _TAPES[-1].record(inputs, out, backward_fn)
     return out
 
 

@@ -3,10 +3,13 @@
 Runs, in order: input-shape validation, the layer-wise shape suite, the
 position-embedding reference statistic, gradient finite-difference checks,
 loss unit fixtures (tolerance 1e-3), the matcher-vs-brute-force differential
-suite, padding invariance, and the record round-trip suite. Loss fixtures
-evaluate with the *configured* loss constants against values frozen at the
-defaults, so perturbing a sensitive constant (dice epsilon, no-object
-weight) makes exactly that check fail.
+suite, padding invariance, and the record round-trip suite. The loss checks
+evaluate ``losses.total_loss``, the op training records, on one image with
+given matches (``image_loss``); the gradient checks differentiate it on both
+the mask and the class logits. Loss fixtures evaluate with the *configured*
+loss constants against values frozen at the defaults, so perturbing a
+sensitive constant (dice epsilon, no-object weight) makes exactly that check
+fail.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import numpy as np
 
 from . import records, tensor as T
 from .config import RunConfig
-from .losses import classification_loss, dice_loss, focal_loss, total_loss
-from .matcher import brute_force_match, build_cost_matrix, hungarian, pad_square
-from .model import MaskClassificationModel, ModelConfig
+from .losses import LossBundle, LossConfig, total_loss
+from .matcher import Assignment, brute_force_match, build_cost_matrix, hungarian, pad_square
+from .model import MaskClassificationModel, ModelConfig, ModelOutputs
 from .pipeline import TargetSet, parse
 from .tensor import Tape, Tensor, backward, no_grad
 
@@ -84,6 +87,27 @@ def _synthetic_entry(rng, h, w, num_classes):
     }
 
 
+def image_loss(mask_logits, class_logits, masks, labels, queries, loss_cfg: LossConfig,
+               valid=None) -> LossBundle:
+    """``total_loss`` of one image whose targets are matched to the given queries.
+
+    Target i, ``masks[i]`` of class ``labels[i]``, is matched to query
+    ``queries[i]``. ``mask_logits`` [R, h, w] and ``class_logits`` [R, K+1]
+    are Tensors, whose grads ``backward`` fills, or arrays, taken as float64
+    constants. Targets and ``valid`` (default: every pixel) are at mask
+    resolution. The costs come from ``build_cost_matrix``, as in training.
+    """
+    mask_logits, class_logits = (t if isinstance(t, Tensor) else Tensor(t, dtype=np.float64)
+                                 for t in (mask_logits, class_logits))
+    outputs = ModelOutputs(T.reshape(mask_logits, (1, *mask_logits.shape)),
+                           T.reshape(class_logits, (1, *class_logits.shape)))
+    if valid is None:
+        valid = np.ones(outputs.mask_logits.shape[2:], bool)
+    cm = build_cost_matrix(outputs, TargetSet(list(masks), list(labels)), valid, loss_cfg)
+    return total_loss(outputs, [cm], [Assignment(np.asarray(queries, dtype=np.int64), 0.0)],
+                      loss_cfg)
+
+
 # ---------------------------------------------------------------------------
 # Checks
 # ---------------------------------------------------------------------------
@@ -137,26 +161,23 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
     rng = np.random.default_rng(1)
     worst = 0.0
     details = []
+    # the batch loss on 3 queries with 0..3 matched targets and a partly invalid mask
     for trial in range(5):
-        arr = rng.standard_normal((3, 3))
-        gt = rng.integers(0, 2, size=(3, 3))
+        arrays = [rng.standard_normal((3, 3, 3)), rng.standard_normal((3, 5))]
+        n = trial % 4
+        masks, labels = rng.integers(0, 2, size=(n, 3, 3)), rng.integers(1, 5, size=n)
+        queries = rng.permutation(3)[:n]
         valid = np.ones((3, 3), bool)
-        for fn in (dice_loss, focal_loss):
-            with Tape():
-                x = Tensor(arr, requires_grad=True, dtype=np.float64)
-                backward(fn(x, gt, valid))
-            numeric = central_difference(
-                lambda a: fn(Tensor(a, dtype=np.float64), gt, valid).item(), [arr], 0)
-            worst = max(worst, max_rel_error(x.grad, numeric))
+        valid[trial % 3, 1:] = False
 
-    arr = rng.standard_normal((4, 5))
-    labels = rng.integers(1, 6, size=4)
-    with Tape():
-        x = Tensor(arr, requires_grad=True, dtype=np.float64)
-        backward(classification_loss(x, labels))
-    numeric = central_difference(
-        lambda a: classification_loss(Tensor(a, dtype=np.float64), labels).item(), [arr], 0)
-    worst = max(worst, max_rel_error(x.grad, numeric))
+        def value(m, c):
+            return image_loss(m, c, masks, labels, queries, cfg.losses, valid).total
+
+        with Tape():
+            logits = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+            backward(image_loss(*logits, masks, labels, queries, cfg.losses, valid).total_tensor)
+        for i, t in enumerate(logits):
+            worst = max(worst, max_rel_error(t.grad, central_difference(value, arrays, i)))
 
     # 2-layer toy network, all inputs, weights and biases checked in 64-bit
     arrays = [rng.standard_normal((2, 6)), rng.standard_normal((6, 8)) * 0.5,
@@ -202,56 +223,40 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
     return CheckResult("gradient finite-difference suite", passed, worst, "; ".join(details))
 
 
+def _one_pair(logits, gt, loss_cfg: LossConfig, valid=None) -> LossBundle:
+    """``image_loss`` of one query with mask logits ``logits`` [h, w] matched to ``gt``."""
+    return image_loss(np.asarray(logits, dtype=np.float64)[None], np.zeros((1, 2)), [gt], [1],
+                      [0], loss_cfg, valid)
+
+
 def check_loss_fixtures(cfg: RunConfig) -> CheckResult:
     lc = cfg.losses
-    fixtures = []
 
-    logits_id = Tensor(np.full((2, 2), BIG, dtype=np.float64))
-    fixtures.append((
-        "dice identity",
-        dice_loss(logits_id, np.ones((2, 2)), np.ones((2, 2), bool), eps=lc.dice_eps).item(),
-        0.0,
-    ))
-    logits_dj = Tensor(np.array([[BIG, BIG], [-BIG, -BIG]], dtype=np.float64))
-    fixtures.append((
-        "dice disjoint",
-        dice_loss(logits_dj, np.array([[0, 0], [1, 1]]), np.ones((2, 2), bool),
-                  eps=lc.dice_eps).item(),
-        0.8,   # 1 - (0 + 1)/(2 + 2 + 1) at the default epsilon of 1
-    ))
-    fixtures.append((
-        "focal single pixel",
-        focal_loss(Tensor(np.array([[math.log(9.0)]], dtype=np.float64)),
-                   np.array([[1]]), np.ones((1, 1), bool),
-                   alpha=lc.focal_alpha, gamma=lc.focal_gamma).item(),
-        0.25 * 0.01 * -math.log(0.9),
-    ))
+    def classification(class_logits, labels):
+        # targets labelled ``labels`` matched to the first queries; the rest are no-object
+        n = len(labels)
+        return image_loss(np.zeros((len(class_logits), 1, 1)), class_logits,
+                          [np.zeros((1, 1))] * n, labels, range(n), lc).classification
+
     k = 4
-    fixtures.append((
-        "classification uniform",
-        classification_loss(Tensor(np.zeros((6, k + 1))), np.array([1, 2, 3, 4, 1, 2]),
-                            no_object_weight=lc.no_object_weight).item(),
-        math.log(k + 1),
-    ))
     q0 = [math.log(0.5)] + [math.log(0.5 / 3)] * 3
     q1 = [math.log(0.25)] * 4
-    fixtures.append((
-        "classification matched plus no-object",
-        classification_loss(Tensor(np.array([q0, q1]), dtype=np.float64), np.array([1, 4]),
-                            no_object_weight=lc.no_object_weight).item(),
-        (-math.log(0.5) + 1e-4 * -math.log(0.25)) / 1.0001,
-    ))
     # heavier no-object mass so a 10x weight change moves the value past 1e-3
     qn = [math.log(0.33), math.log(0.33), math.log(0.33), math.log(0.01)]
-    logits_w = Tensor(np.array([q0] + [qn] * 9, dtype=np.float64))
-    labels_w = np.array([1] + [4] * 9)
-    fixtures.append((
-        "classification no-object weighting",
-        classification_loss(logits_w, labels_w,
-                            no_object_weight=lc.no_object_weight).item(),
-        (-math.log(0.5) + 9 * 1e-4 * -math.log(0.01)) / (1 + 9 * 1e-4),
-    ))
-
+    fixtures = [
+        ("dice identity", _one_pair(np.full((2, 2), BIG), np.ones((2, 2)), lc).dice, 0.0),
+        # 1 - (0 + 1)/(2 + 2 + 1) at the default epsilon of 1
+        ("dice disjoint",
+         _one_pair([[BIG, BIG], [-BIG, -BIG]], np.array([[0, 0], [1, 1]]), lc).dice, 0.8),
+        ("focal single pixel", _one_pair([[math.log(9.0)]], np.array([[1]]), lc).focal,
+         0.25 * 0.01 * -math.log(0.9)),
+        ("classification uniform", classification(np.zeros((6, k + 1)), [1, 2, 3, 4, 1, 2]),
+         math.log(k + 1)),
+        ("classification matched plus no-object", classification(np.array([q0, q1]), [1]),
+         (-math.log(0.5) + 1e-4 * -math.log(0.25)) / 1.0001),
+        ("classification no-object weighting", classification(np.array([q0] + [qn] * 9), [1]),
+         (-math.log(0.5) + 9 * 1e-4 * -math.log(0.01)) / (1 + 9 * 1e-4)),
+    ]
     worst = 0.0
     failures = []
     for name, got, want in fixtures:
@@ -309,12 +314,10 @@ def check_padding_invariance(cfg: RunConfig) -> CheckResult:
         logits_p = np.concatenate([logits, rng.standard_normal((pad_r, w))], axis=0)
         gt_p = np.concatenate([gt, rng.integers(0, 2, size=(pad_r, w))], axis=0)
         valid_p = np.concatenate([valid, np.zeros((pad_r, w), bool)], axis=0)
-        for fn in (
-            lambda l, g, v: dice_loss(Tensor(l), g, v, eps=cfg.losses.dice_eps).item(),
-            lambda l, g, v: focal_loss(Tensor(l), g, v, alpha=cfg.losses.focal_alpha,
-                                       gamma=cfg.losses.focal_gamma).item(),
-        ):
-            worst = max(worst, abs(fn(logits, gt, valid) - fn(logits_p, gt_p, valid_p)))
+        plain = _one_pair(logits, gt, cfg.losses, valid)
+        padded = _one_pair(logits_p, gt_p, cfg.losses, valid_p)
+        for name in ("dice", "focal"):
+            worst = max(worst, abs(getattr(plain, name) - getattr(padded, name)))
     return CheckResult("padding invariance suite", worst <= 1e-7, worst)
 
 

@@ -17,13 +17,14 @@ from setseg import records, synth, tensor as T
 from setseg.cli import main as cli_main
 from setseg.config import RunConfig
 from setseg.evaluator import SegmentSet, panoptic_quality
-from setseg.losses import classification_loss, dice_loss, focal_loss
+from setseg.losses import LossConfig
 from setseg.matcher import brute_force_match, build_cost_matrix, hungarian, pad_square
 from setseg.model import MaskClassificationModel, ModelConfig
 from setseg.pipeline import TargetSet
 from setseg.tensor import Tape, Tensor, backward
 from setseg.trainer import ingest, train
 from setseg.losses import total_loss
+from setseg.verify import image_loss
 
 from conftest import central_difference, inner, max_rel_error
 
@@ -88,26 +89,29 @@ class TestCriterion3:
 class TestCriterion4:
     def test_loss_fixtures_at_reference_tolerance(self):
         with criterion(4, "loss fixtures within 1e-3 (observed < 1e-6)"):
-            valid1 = np.ones((2, 2), bool)
-            got = dice_loss(Tensor(np.full((2, 2), BIG, dtype=np.float64)),
-                            np.ones((2, 2)), valid1, eps=1.0).item()
+            # the batch loss op at the default constants, one image with given matches
+            cfg = LossConfig(dice_eps=1.0, focal_alpha=0.25, focal_gamma=2.0,
+                             no_object_weight=1e-4)
+
+            def one_pair(logits, gt):
+                return image_loss(np.array(logits, dtype=np.float64)[None], np.zeros((1, 2)),
+                                  [gt], [1], [0], cfg)
+
+            got = one_pair(np.full((2, 2), BIG), np.ones((2, 2))).dice
             assert abs(got - 0.0) <= 1e-3 and abs(got - 0.0) < 1e-6
 
-            got = dice_loss(Tensor(np.array([[BIG, BIG], [-BIG, -BIG]], dtype=np.float64)),
-                            np.array([[0, 0], [1, 1]]), valid1, eps=1.0).item()
+            got = one_pair([[BIG, BIG], [-BIG, -BIG]], np.array([[0, 0], [1, 1]])).dice
             assert abs(got - 0.8) <= 1e-3 and abs(got - 0.8) < 1e-6
 
-            got = focal_loss(Tensor(np.array([[math.log(9.0)]], dtype=np.float64)),
-                             np.array([[1]]), np.ones((1, 1), bool),
-                             alpha=0.25, gamma=2.0).item()
+            got = one_pair([[math.log(9.0)]], np.array([[1]])).focal
             want = 0.25 * 0.01 * -math.log(0.9)
             assert abs(got - want) <= 1e-3 and abs(got - want) < 1e-6
 
-            k = 3
+            # query 0 matched to class 1, query 1 no-object
             q0 = [math.log(0.5)] + [math.log(0.5 / 3)] * 3
             q1 = [math.log(0.25)] * 4
-            got = classification_loss(Tensor(np.array([q0, q1]), dtype=np.float64),
-                                      np.array([1, k + 1]), no_object_weight=1e-4).item()
+            got = image_loss(np.zeros((2, 1, 1)), np.array([q0, q1]), [np.zeros((1, 1))], [1],
+                             [0], cfg).classification
             want = (-math.log(0.5) + 1e-4 * -math.log(0.25)) / 1.0001
             assert abs(got - want) <= 1e-3 and abs(got - want) < 1e-6
 
@@ -125,11 +129,11 @@ class TestCriterion5:
                 logits_p = np.concatenate([logits, rng.standard_normal((pad, w))], axis=0)
                 gt_p = np.concatenate([gt, rng.integers(0, 2, size=(pad, w))], axis=0)
                 valid_p = np.concatenate([valid, np.zeros((pad, w), bool)], axis=0)
-                d = abs(dice_loss(Tensor(logits), gt, valid).item()
-                        - dice_loss(Tensor(logits_p), gt_p, valid_p).item())
-                f = abs(focal_loss(Tensor(logits), gt, valid).item()
-                        - focal_loss(Tensor(logits_p), gt_p, valid_p).item())
-                assert d <= 1e-7 and f <= 1e-7
+                plain, padded = (
+                    image_loss(l[None], np.zeros((1, 2)), [g], [1], [0], LossConfig(), v)
+                    for l, g, v in ((logits, gt, valid), (logits_p, gt_p, valid_p)))
+                assert abs(plain.dice - padded.dice) <= 1e-7
+                assert abs(plain.focal - padded.focal) <= 1e-7
 
 
 class TestCriterion6:
@@ -137,29 +141,28 @@ class TestCriterion6:
         with criterion(6, "gradient checks (rel err <= 1e-4, no dead parameters)"):
             rng = np.random.default_rng(2)
 
+            # the batch loss op, dice only, focal only, then all three terms: the
+            # 3x3 mask pair on the first matched query, 4 queries' labels (5 = no-object)
             arr = rng.standard_normal((3, 3))
             gt = rng.integers(0, 2, size=(3, 3))
-            valid = np.ones((3, 3), bool)
-            for fn in (
-                lambda t: dice_loss(t, gt, valid),
-                lambda t: focal_loss(t, gt, valid),
-            ):
-                with Tape():
-                    x = Tensor(arr, requires_grad=True, dtype=np.float64)
-                    backward(fn(x))
-                numeric = central_difference(
-                    lambda a: fn(Tensor(a, dtype=np.float64)).item(), [arr.copy()], 0)
-                assert max_rel_error(x.grad, numeric) <= 1e-4
-
             carr = rng.standard_normal((4, 5))
             labels = rng.integers(1, 6, size=4)
-            with Tape():
-                x = Tensor(carr, requires_grad=True, dtype=np.float64)
-                backward(classification_loss(x, labels))
-            numeric = central_difference(
-                lambda a: classification_loss(Tensor(a, dtype=np.float64), labels).item(),
-                [carr.copy()], 0)
-            assert max_rel_error(x.grad, numeric) <= 1e-4
+            queries = np.flatnonzero(labels < 5)
+            marr = np.zeros((4, 3, 3))
+            marr[queries[0]] = arr
+            masks = [gt] + [np.zeros((3, 3))] * (len(queries) - 1)
+            for cfg in (LossConfig(class_weight=0.0, focal_weight=0.0),
+                        LossConfig(class_weight=0.0, dice_weight=0.0), LossConfig()):
+                def value(m, c):
+                    return image_loss(m, c, masks, labels[queries], queries, cfg).total
+
+                with Tape():
+                    x = Tensor(marr, requires_grad=True, dtype=np.float64)
+                    y = Tensor(carr, requires_grad=True, dtype=np.float64)
+                    backward(image_loss(x, y, masks, labels[queries], queries,
+                                        cfg).total_tensor)
+                assert max_rel_error(x.grad, central_difference(value, [marr, carr], 0)) <= 1e-4
+                assert max_rel_error(y.grad, central_difference(value, [marr, carr], 1)) <= 1e-4
 
             # 2-layer toy network in 64-bit, weights and biases, ending in sum(y²)
             arrays = [rng.standard_normal((2, 6)), rng.standard_normal((6, 8)) * 0.5,

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -158,6 +159,58 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith(aborted) and "manifest" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, aborted", [
+        (["train", "--out", "OUT"], "training aborted: "),
+        (["eval", "--checkpoint", "OUT/final.ckpt", "--out", "OUT"], "eval aborted: "),
+        (["profile"], "profiling aborted: "),
+    ], ids=["train", "eval", "profile"])
+    def test_manifest_that_lost_shard_lines_aborts(self, dataset, tmp_path, capsys, command,
+                                                   aborted):
+        data = tmp_path / "shards"
+        shutil.copytree(dataset / "shards", data)
+        manifest = data / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:2]) + "\n")     # keep only the first shard line
+        args = [a.replace("OUT", str(tmp_path / "run")) for a in command]
+        assert main([*args, "--data", str(data), *TOY_OVERRIDES]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(aborted) and f"{manifest}: record_count 8" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("args, named", [
+        (["--n", "0"], "--n"),
+        (["--n", "2", "--min-size", "2"], "--min-size"),
+        (["--n", "2", "--min-size", "4"], "--min-size"),
+        (["--n", "2", "--min-size", "90", "--max-size", "40"], "--min-size"),
+        (["--n", "2", "--seed", "-1"], "--seed"),
+    ], ids=["n_0", "min_2", "min_4", "min_above_max", "seed_negative"])
+    def test_synth_bad_arguments_are_usage_errors(self, tmp_path, capsys, args, named):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "raw"), *args])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument " + named + ": " in err.splitlines()[-1]
+        assert "Traceback" not in err
+        assert not (tmp_path / "raw").exists()
+
+    def test_synth_smallest_size(self, tmp_path):
+        assert main(["synth", "--n", "2", "--out", str(tmp_path), "--min-size", "6",
+                     "--max-size", "6"]) == 0
+        assert all(json.loads(line)["height"] == 6
+                   for line in (tmp_path / "annotations.jsonl").read_text().splitlines())
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["new_out", "existing_out"])
+    def test_aborted_ingest_leaves_out_as_it_was(self, dataset, tmp_path, capsys, existed):
+        out = tmp_path / "shards"
+        if existed:
+            out.mkdir()
+        assert main(["ingest", "--annotations", str(dataset / "raw" / "annotations.jsonl"),
+                     "--shards", "2", "--out", str(out), "--classes", "7,21"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ingest aborted: ") and "unknown class ID 90" in err
+        assert out.exists() == existed
+        assert not existed or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("shards", ["0", "-3", "two"])
     def test_ingest_bad_shard_count_is_a_usage_error(self, dataset, tmp_path, capsys,

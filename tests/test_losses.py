@@ -1,16 +1,19 @@
 import ast
 import inspect
 import math
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from setseg import losses
-from setseg.losses import LossConfig, classification_loss, dice_loss, focal_loss, total_loss
+from setseg.losses import LossConfig, total_loss
 from setseg.matcher import Assignment, build_cost_matrix, hungarian
 from setseg.pipeline import TargetSet
 from setseg.tensor import Tape, Tensor, backward
+from setseg.verify import image_loss
 
 from conftest import central_difference, max_rel_error
 
@@ -29,111 +32,118 @@ def matched_loss(outputs, target_sets, assignments, cfg, valid_masks):
                       assignments, cfg)
 
 
+def one_pair(logits, gt, cfg=None, valid=None):
+    """The batch loss of one query with mask logits ``logits`` [h, w] matched to ``gt``."""
+    return image_loss(np.asarray(logits, dtype=np.float64)[None], np.zeros((1, 2)), [gt], [1],
+                      [0], cfg or LossConfig(), valid)
+
+
+def classification(class_logits, labels, no_object_weight=1e-4):
+    """The classification term for per-query ``labels``, K+1 meaning no-object."""
+    labels = np.asarray(labels)
+    queries = np.flatnonzero(labels < class_logits.shape[-1])
+    return image_loss(np.zeros((len(labels), 1, 1)), class_logits,
+                      [np.zeros((1, 1))] * len(queries), labels[queries], queries,
+                      LossConfig(no_object_weight=no_object_weight)).classification
+
+
+# loss weights that leave one term of the total
+DICE_ONLY = LossConfig(class_weight=0.0, focal_weight=0.0)
+FOCAL_ONLY = LossConfig(class_weight=0.0, dice_weight=0.0)
+
+
+def mask_gradient_error(arr, gt, cfg):
+    """Relative error of the batch op's mask-logit grad for one pair against central differences."""
+    x = Tensor(arr[None], requires_grad=True, dtype=np.float64)
+    backward(image_loss(x, np.zeros((1, 2)), [gt], [1], [0], cfg).total_tensor)
+    numeric = central_difference(lambda a: one_pair(a, gt, cfg).total, [arr], 0)
+    return max_rel_error(x.grad[0], numeric)
+
+
 class TestDice:
     def test_perfect_overlap_is_zero(self):
-        logits = Tensor(np.full((2, 2), BIG, dtype=np.float64))
-        gt = np.ones((2, 2))
-        out = dice_loss(logits, gt, np.ones((2, 2), dtype=bool), eps=1.0)
-        assert abs(out.item() - 0.0) < 1e-12
+        out = one_pair(np.full((2, 2), BIG), np.ones((2, 2)), LossConfig(dice_eps=1.0))
+        assert abs(out.dice - 0.0) < 1e-12
 
     def test_disjoint_hand_value(self):
         # p=[1,1,0,0], g=[0,0,1,1]: 1 - (0 + 1)/(2 + 2 + 1) = 0.8
-        logits = Tensor(np.array([[BIG, BIG], [-BIG, -BIG]], dtype=np.float64))
-        gt = np.array([[0, 0], [1, 1]])
-        out = dice_loss(logits, gt, np.ones((2, 2), dtype=bool), eps=1.0)
-        assert abs(out.item() - 0.8) < 1e-12
+        out = one_pair([[BIG, BIG], [-BIG, -BIG]], np.array([[0, 0], [1, 1]]),
+                       LossConfig(dice_eps=1.0))
+        assert abs(out.dice - 0.8) < 1e-12
 
     def test_padding_invariance(self):
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((3, 4))
         gt = rng.integers(0, 2, size=(3, 4))
-        base = dice_loss(Tensor(logits), gt, np.ones((3, 4), dtype=bool)).item()
+        base = one_pair(logits, gt, valid=np.ones((3, 4), dtype=bool)).dice
         logits_p = np.concatenate([logits, rng.standard_normal((2, 4))], axis=0)
         gt_p = np.concatenate([gt, rng.integers(0, 2, size=(2, 4))], axis=0)
         valid_p = np.concatenate([np.ones((3, 4), bool), np.zeros((2, 4), bool)], axis=0)
-        padded = dice_loss(Tensor(logits_p), gt_p, valid_p).item()
+        padded = one_pair(logits_p, gt_p, valid=valid_p).dice
         assert abs(base - padded) <= 1e-7
 
     def test_all_invalid_returns_zero_with_counter(self):
-        out = dice_loss(Tensor(np.zeros((2, 2))), np.zeros((2, 2)), np.zeros((2, 2), bool))
-        assert out.item() == 0.0
+        out = one_pair(np.zeros((2, 2)), np.zeros((2, 2)), valid=np.zeros((2, 2), bool))
+        assert out.dice == 0.0
+        assert out.degenerate_dice == 1
 
     def test_range(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            v = dice_loss(
-                Tensor(rng.standard_normal((4, 4)) * 3),
-                rng.integers(0, 2, size=(4, 4)),
-                np.ones((4, 4), bool),
-            ).item()
+            v = one_pair(rng.standard_normal((4, 4)) * 3, rng.integers(0, 2, size=(4, 4))).dice
             assert 0.0 <= v <= 1.0
 
 
 class TestFocal:
     def test_perfectly_classified_is_zero(self):
         gt = np.array([[1, 0], [0, 1]])
-        logits = Tensor(np.where(gt, BIG, -BIG).astype(np.float64))
-        out = focal_loss(logits, gt, np.ones((2, 2), bool), alpha=0.25, gamma=2.0)
-        assert abs(out.item()) < 1e-12
+        out = one_pair(np.where(gt, BIG, -BIG), gt, LossConfig(focal_alpha=0.25, focal_gamma=2.0))
+        assert abs(out.focal) < 1e-12
 
     def test_gamma_zero_reduces_to_half_bce(self):
         rng = np.random.default_rng(2)
         logits = rng.standard_normal((3, 3))
         gt = rng.integers(0, 2, size=(3, 3)).astype(np.float64)
-        out = focal_loss(Tensor(logits, dtype=np.float64), gt, np.ones((3, 3), bool),
-                         alpha=0.5, gamma=0.0).item()
+        out = one_pair(logits, gt, LossConfig(focal_alpha=0.5, focal_gamma=0.0)).focal
         p = 1.0 / (1.0 + np.exp(-logits))
         bce = -(gt * np.log(p) + (1 - gt) * np.log(1 - p)).mean()
         assert abs(out - 0.5 * bce) < 1e-9
 
     def test_single_pixel_hand_value(self):
         # 0.25 * (1-0.9)^2 * (-ln 0.9) = 2.634012891445657e-4
-        logit = math.log(0.9 / 0.1)
-        out = focal_loss(Tensor(np.array([[logit]], dtype=np.float64)),
-                         np.array([[1]]), np.ones((1, 1), bool),
-                         alpha=0.25, gamma=2.0)
-        assert abs(out.item() - 2.634012891445657e-4) < 1e-12
+        out = one_pair([[math.log(0.9 / 0.1)]], np.array([[1]]),
+                       LossConfig(focal_alpha=0.25, focal_gamma=2.0))
+        assert abs(out.focal - 2.634012891445657e-4) < 1e-12
 
     def test_padding_invariance(self):
         rng = np.random.default_rng(3)
         logits = rng.standard_normal((4, 3))
         gt = rng.integers(0, 2, size=(4, 3))
-        base = focal_loss(Tensor(logits), gt, np.ones((4, 3), bool)).item()
+        base = one_pair(logits, gt, valid=np.ones((4, 3), bool)).focal
         logits_p = np.concatenate([logits, rng.standard_normal((4, 2))], axis=1)
         gt_p = np.concatenate([gt, rng.integers(0, 2, size=(4, 2))], axis=1)
         valid_p = np.concatenate([np.ones((4, 3), bool), np.zeros((4, 2), bool)], axis=1)
-        padded = focal_loss(Tensor(logits_p), gt_p, valid_p).item()
+        padded = one_pair(logits_p, gt_p, valid=valid_p).focal
         assert abs(base - padded) <= 1e-7
 
     def test_nonnegative(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
-            v = focal_loss(Tensor(rng.standard_normal((3, 3)) * 4),
-                           rng.integers(0, 2, size=(3, 3)),
-                           np.ones((3, 3), bool)).item()
+            v = one_pair(rng.standard_normal((3, 3)) * 4, rng.integers(0, 2, size=(3, 3))).focal
             assert v >= 0.0
-
-    def test_bad_alpha_rejected(self):
-        with pytest.raises(losses.LossError):
-            focal_loss(Tensor(np.zeros((1, 1))), np.zeros((1, 1)),
-                       np.ones((1, 1), bool), alpha=1.5)
 
 
 class TestClassification:
     def test_uniform_logits_all_real(self):
         k = 4
-        logits = Tensor(np.zeros((6, k + 1)))
-        labels = np.array([1, 2, 3, 4, 1, 2])
-        out = classification_loss(logits, labels, no_object_weight=1e-4)
-        assert abs(out.item() - math.log(k + 1)) < 1e-6
+        out = classification(np.zeros((6, k + 1)), [1, 2, 3, 4, 1, 2], no_object_weight=1e-4)
+        assert abs(out - math.log(k + 1)) < 1e-6
 
     def test_all_no_object_weight_cancels(self):
         k = 3
-        logits = Tensor(np.zeros((5, k + 1)))
-        labels = np.full(5, k + 1)
         for w in (1e-4, 0.5, 3.0):
-            out = classification_loss(logits, labels, no_object_weight=w)
-            assert abs(out.item() - math.log(k + 1)) < 1e-6
+            out = classification(np.zeros((5, k + 1)), np.full(5, k + 1), no_object_weight=w)
+            assert abs(out - math.log(k + 1)) < 1e-6
 
     def test_two_query_hand_value(self):
         # one real with p_true 0.5, one no-object with p_true 0.25, w=1e-4:
@@ -141,25 +151,13 @@ class TestClassification:
         k = 3
         q0 = [math.log(0.5)] + [math.log(0.5 / 3)] * 3
         q1 = [math.log(0.25)] * 4
-        logits = Tensor(np.array([q0, q1]), dtype=np.float64)
-        labels = np.array([1, k + 1])
         expected = (-math.log(0.5) + 1e-4 * -math.log(0.25)) / 1.0001
-        out = classification_loss(logits, labels, no_object_weight=1e-4)
-        assert abs(out.item() - expected) < 1e-12
-
-    def test_label_out_of_range(self):
-        logits = Tensor(np.zeros((2, 4)))
-        with pytest.raises(losses.LossError) as err:
-            classification_loss(logits, np.array([1, 7]))
-        assert "7" in str(err.value)
+        out = classification(np.array([q0, q1]), [1, k + 1], no_object_weight=1e-4)
+        assert abs(out - expected) < 1e-12
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
-        v = classification_loss(
-            Tensor(rng.standard_normal((8, 5))),
-            rng.integers(1, 6, size=8),
-        ).item()
-        assert v >= 0.0
+        assert classification(rng.standard_normal((8, 5)), rng.integers(1, 6, size=8)) >= 0.0
 
 
 class TestGradients:
@@ -168,24 +166,14 @@ class TestGradients:
         for _ in range(20):
             arr = rng.standard_normal((3, 3))
             gt = rng.integers(0, 2, size=(3, 3))
-            valid = np.ones((3, 3), bool)
-            x = Tensor(arr, requires_grad=True, dtype=np.float64)
-            backward(dice_loss(x, gt, valid))
-            numeric = central_difference(
-                lambda a: dice_loss(Tensor(a, dtype=np.float64), gt, valid).item(), [arr], 0)
-            assert max_rel_error(x.grad, numeric) <= 1e-4
+            assert mask_gradient_error(arr, gt, DICE_ONLY) <= 1e-4
 
     def test_focal_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             arr = rng.standard_normal((3, 3))
             gt = rng.integers(0, 2, size=(3, 3))
-            valid = np.ones((3, 3), bool)
-            x = Tensor(arr, requires_grad=True, dtype=np.float64)
-            backward(focal_loss(x, gt, valid))
-            numeric = central_difference(
-                lambda a: focal_loss(Tensor(a, dtype=np.float64), gt, valid).item(), [arr], 0)
-            assert max_rel_error(x.grad, numeric) <= 1e-4
+            assert mask_gradient_error(arr, gt, FOCAL_ONLY) <= 1e-4
 
     def test_classification_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -193,24 +181,20 @@ class TestGradients:
             arr = rng.standard_normal((4, 5))
             labels = rng.integers(1, 6, size=4)
             x = Tensor(arr, requires_grad=True, dtype=np.float64)
-            backward(classification_loss(x, labels))
-            numeric = central_difference(
-                lambda a: classification_loss(Tensor(a, dtype=np.float64), labels).item(),
-                [arr], 0)
+            queries = np.flatnonzero(labels < 5)
+            backward(image_loss(np.zeros((4, 1, 1)), x, [np.zeros((1, 1))] * len(queries),
+                                labels[queries], queries, LossConfig()).total_tensor)
+            numeric = central_difference(lambda a: classification(a, labels), [arr], 0)
             assert max_rel_error(x.grad, numeric) <= 1e-4
 
     def test_monotone_toward_target(self):
         # raising a logit where g=1 must lower dice and focal: gradient < 0 there
         gt = np.zeros((2, 2))
         gt[0, 0] = 1
-        arr = np.zeros((2, 2))
-        valid = np.ones((2, 2), bool)
-        x = Tensor(arr, requires_grad=True, dtype=np.float64)
-        backward(dice_loss(x, gt, valid))
-        assert x.grad[0, 0] < 0 and x.grad[1, 1] > 0
-        y = Tensor(arr, requires_grad=True, dtype=np.float64)
-        backward(focal_loss(y, gt, valid))
-        assert y.grad[0, 0] < 0 and y.grad[1, 1] > 0
+        for cfg in (DICE_ONLY, FOCAL_ONLY):
+            x = Tensor(np.zeros((1, 2, 2)), requires_grad=True, dtype=np.float64)
+            backward(image_loss(x, np.zeros((1, 2)), [gt], [1], [0], cfg).total_tensor)
+            assert x.grad[0, 0, 0] < 0 and x.grad[0, 1, 1] > 0
 
 
 class TestTotalLoss:
@@ -314,8 +298,10 @@ class TestTotalLoss:
         bundle = matched_loss(outputs, [targets], [Assignment(np.zeros(0, dtype=int), 0.0)],
                               LossConfig(), np.ones((1, 4, 4), bool))
         assert bundle.focal == 0.0 and bundle.dice == 0.0
-        expected = classification_loss(
-            Tensor(outputs.class_logits.data[0]), np.full(3, 5), no_object_weight=1e-4).item()
+        # plain numpy: every query is no-object, so the equal weights cancel
+        z = outputs.class_logits.data[0].astype(np.float64)
+        log_p = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        expected = -log_p[:, -1].mean()
         assert abs(bundle.total - expected) < 1e-6
 
     def test_one_tape_op_per_batch_whatever_the_image_and_pair_count(self):
@@ -433,3 +419,22 @@ class TestTotalLoss:
         imported = {node.module for node in ast.walk(ast.parse(inspect.getsource(losses)))
                     if isinstance(node, ast.ImportFrom)}
         assert "pipeline" not in imported
+
+
+# ---------------------------------------------------------------------------
+# Scope
+# ---------------------------------------------------------------------------
+
+def test_every_public_function_is_used_by_the_pipeline():
+    """A loss only tests call is pure verification cost; ``total_loss`` is the one tape op."""
+    src = Path(losses.__file__).parent
+    text = "".join((src / name).read_text() for name in ("matcher.py", "evaluator.py", "trainer.py"))
+    public = [name for name, fn in inspect.getmembers(losses, inspect.isfunction)
+              if fn.__module__ == losses.__name__ and not name.startswith("_")]
+    assert "total_loss" in public
+    assert [name for name in public if not re.search(rf"\b{name}\b", text)] == []
+    recording = [node.name for node in ast.walk(ast.parse(inspect.getsource(losses)))
+                 if isinstance(node, ast.FunctionDef)
+                 and any(isinstance(n, ast.Attribute) and n.attr == "_make_result"
+                         for n in ast.walk(node))]
+    assert recording == ["total_loss"]

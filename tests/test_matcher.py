@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from setseg import matcher
-from setseg.losses import LossConfig, dice_loss, focal_loss
+from setseg.losses import LossConfig
 from setseg.matcher import (
     CostMatrix, brute_force_match, build_cost_matrix, hungarian, pad_square,
 )
@@ -91,10 +91,15 @@ class TestCostMatrix:
             cm = build_cost_matrix(outputs, targets, valid, cfg)
             for i in range(n):
                 for q in range(n_q):
-                    logits_q = Tensor(outputs.mask_logits.data[0, q])
-                    d = dice_loss(logits_q, masks[i], valid, eps=cfg.dice_eps).item()
-                    f = focal_loss(logits_q, masks[i], valid,
-                                   alpha=cfg.focal_alpha, gamma=cfg.focal_gamma).item()
+                    # plain numpy over the valid pixels
+                    p = 1.0 / (1.0 + np.exp(-outputs.mask_logits.data[0, q][valid]))
+                    g = masks[i][valid].astype(np.float64)
+                    d = 1.0 - (2.0 * (p * g).sum() + cfg.dice_eps) / (p.sum() + g.sum()
+                                                                       + cfg.dice_eps)
+                    pc = np.clip(p, 1e-7, 1 - 1e-7)
+                    pt = np.where(g > 0, pc, 1.0 - pc)
+                    at = np.where(g > 0, cfg.focal_alpha, 1.0 - cfg.focal_alpha)
+                    f = (at * (1.0 - pt) ** cfg.focal_gamma * -np.log(pt)).mean()
                     c = -float(probs[q, labels[i] - 1])
                     expected = cfg.class_weight * c + cfg.focal_weight * f \
                         + cfg.dice_weight * d

@@ -114,6 +114,14 @@ class TestRoundTrip:
         with pytest.raises(records.RecordFormatError):
             records.write_shards([entry], 1, tmp_path)
 
+    def test_rejected_entry_creates_no_directory(self, tmp_path):
+        rng = np.random.default_rng(6)
+        bad = make_entry(rng)
+        del bad["image/id"]
+        with pytest.raises(records.RecordFormatError):
+            records.write_shards([make_entry(rng), bad], 2, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestBalance:
     def test_equal_records_split_evenly(self, tmp_path):
@@ -240,3 +248,14 @@ class TestManifest:
         with pytest.raises(records.RecordParseError) as err:
             list(records.read_shards(records.load_manifest(tmp_path)))
         assert "shard-00001.mfr" in str(err.value)
+
+    def test_manifest_that_lost_shard_lines_named(self, tmp_path):
+        rng = np.random.default_rng(12)
+        records.write_shards([make_entry(rng, image_id=i) for i in range(20)], 4, tmp_path)
+        manifest = tmp_path / records.MANIFEST_NAME
+        lines = manifest.read_text().splitlines()
+        assert lines[0] == "record_count 20" and len(lines) == 5
+        manifest.write_text("\n".join(lines[:3]) + "\n")     # cut after the second shard line
+        with pytest.raises(records.RecordParseError) as err:
+            list(records.read_shards(records.load_manifest(tmp_path)))
+        assert str(manifest) in str(err.value) and "record_count 20" in str(err.value)
