@@ -105,9 +105,8 @@ def mask_costs(logits: np.ndarray, gt: np.ndarray, valid: np.ndarray, cfg: LossC
     return dice, focal
 
 
-def _mask_grad(rows: np.ndarray, gt: np.ndarray, valid: np.ndarray, cfg: LossConfig,
-               fw: float, dw: float) -> np.ndarray:
-    """d/d rows of the sum over pairs of fw * focal + dw * dice, float64 in ``rows``' shape.
+def _mask_grad(rows: np.ndarray, gt: np.ndarray, valid: np.ndarray, cfg: LossConfig) -> np.ndarray:
+    """d/d rows of the sum over pairs of the weighted focal + dice, float64 in ``rows``' shape.
 
     Row i pairs with target ``gt[i]``; invalid pixels get zero.
     """
@@ -123,7 +122,8 @@ def _mask_grad(rows: np.ndarray, gt: np.ndarray, valid: np.ndarray, cfg: LossCon
     den = p.sum(axis=1, keepdims=True) + g.sum(axis=1, keepdims=True) + cfg.dice_eps
     d_dice = num / (den * den) - 2.0 * g / den
     out = np.zeros((len(rows), valid.size))
-    out[:, valid.reshape(-1)] = (fw * d_focal + dw * d_dice) * (p * (1.0 - p))
+    out[:, valid.reshape(-1)] = ((cfg.focal_weight * d_focal + cfg.dice_weight * d_dice)
+                                 * (p * (1.0 - p)))
     return out.reshape(rows.shape)
 
 
@@ -183,7 +183,7 @@ def total_loss(outputs, costs, assignments, cfg: LossConfig) -> LossBundle:
         scale = float(g_out[0]) / bsz
         g_mask = np.zeros_like(ml)
         for b, queries, cm in pairs:
-            g = _mask_grad(ml[b, queries], cm.gt, cm.valid, cfg, cfg.focal_weight, cfg.dice_weight)
+            g = _mask_grad(ml[b, queries], cm.gt, cm.valid, cfg)
             g_mask[b, queries] = g * (scale / len(queries))
         return g_mask, (g_class * (scale * cfg.class_weight)).astype(cl.dtype)
 

@@ -13,9 +13,11 @@ touched. Differential testing compares totals (and, when unique, the
 matching itself) against exhaustive enumeration of injections.
 
 The per-pair focal and dice costs come from ``losses.mask_costs`` and are
-weighed with the loss's own ``LossConfig`` weights (as in MaskFormer). The
-``CostMatrix`` keeps them unweighted, and ``losses.total_loss`` reads its
-matched pairs from it, so matching and loss see the same numbers.
+weighed with the loss's own ``LossConfig`` weights (as in MaskFormer), over
+targets and a validity mask that ``pipeline.parse`` emits at mask-logit
+resolution; nothing is resampled here. The ``CostMatrix`` keeps the costs
+unweighted, and ``losses.total_loss`` reads its matched pairs from it, so
+matching and loss see the same numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossConfig, mask_costs, softmax
-from .pipeline import TargetSet, downsample_mask
+from .pipeline import TargetSet
 from .tensor import ContractError
 
 
@@ -43,10 +45,10 @@ class CostMatrix:
     values: np.ndarray            # [n_queries, n_queries] after padding
     real_rows: int                # ground-truth count N
     pad_cost: float
-    # set by build_cost_matrix, None from pad_square; masks are nearest-downsampled
+    # set by build_cost_matrix, None from pad_square
     labels: np.ndarray | None = None   # [N] contiguous classes 1..K
     gt: np.ndarray | None = None       # [N, h, w] targets at mask-logit resolution
-    valid: np.ndarray | None = None    # [h, w] validity mask at mask-logit resolution
+    valid: np.ndarray | None = None    # [h, w] bool validity mask at mask-logit resolution
     dice: np.ndarray | None = None     # [N, n_queries] unweighted dice cost
     focal: np.ndarray | None = None    # [N, n_queries] unweighted focal cost
 
@@ -67,7 +69,8 @@ def build_cost_matrix(outputs, targets: TargetSet, valid_mask: np.ndarray,
     ``losses.mask_costs`` over valid pixels only, then padded to
     [n_queries, n_queries] with max(real) + 1 (1 without targets). The result
     keeps what the loss reads (see ``CostMatrix``). A label outside 1..K
-    raises ``MatcherError`` naming image ``batch_index``.
+    raises ``MatcherError`` naming image ``batch_index``; a target or
+    ``valid_mask`` that is not the mask logits' [h, w] raises ``ContractError``.
     """
     mask_logits = outputs.mask_logits.data[batch_index]    # [N_q, h, w]
     class_logits = outputs.class_logits.data[batch_index]  # [N_q, K+1]
@@ -82,15 +85,17 @@ def build_cost_matrix(outputs, targets: TargetSet, valid_mask: np.ndarray,
         raise MatcherError(f"image {batch_index}: target label {int(bad[0])} "
                            f"outside 1..K with K = {k}")
 
-    factor = valid_mask.shape[0] // mask_logits.shape[1]
-    valid = downsample_mask(valid_mask, factor).astype(bool)
+    hw = mask_logits.shape[1:]
+    gt = np.stack(targets.masks) if n else np.zeros((0, *hw), np.uint8)
+    if valid_mask.shape != hw or gt.shape[1:] != hw:
+        raise ContractError(f"image {batch_index}: validity mask {valid_mask.shape} and "
+                            f"targets {gt.shape[1:]} must match the mask logits' {hw}")
+    valid = valid_mask.astype(bool, copy=False)
     if n == 0:
         empty = np.zeros((0, n_q))
-        return CostMatrix(np.ones((n_q, n_q)), 0, 1.0, labels,
-                          np.zeros((0, *valid.shape), np.uint8), valid, empty, empty)
+        return CostMatrix(np.ones((n_q, n_q)), 0, 1.0, labels, gt, valid, empty, empty)
 
     class_cost = -softmax(class_logits)[:, labels - 1].T.astype(np.float64)   # [N, N_q]
-    gt = np.stack([downsample_mask(m, factor) for m in targets.masks])
     dice_cost, focal_cost = mask_costs(mask_logits, gt, valid, loss_cfg)   # [N, N_q]
 
     real = (
@@ -196,7 +201,7 @@ def hungarian(costs: CostMatrix) -> Assignment:
 def brute_force_match(costs: np.ndarray) -> Assignment:
     """Exact minimum over all injections of rows into columns (oracle).
 
-    Guarded to n_q <= 9; enumeration is factorial.
+    Guarded to n_q <= 9: it enumerates n_q! / (n_q - N)! injections.
     """
     costs = np.asarray(costs, dtype=np.float64)
     n, n_q = costs.shape

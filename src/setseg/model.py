@@ -31,12 +31,19 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self):
-        if self.input_size % 32 != 0:
-            raise ConfigError(f"input_size {self.input_size} not divisible by 32")
-        if self.hidden_size % self.num_heads != 0:
+        """Raise ConfigError, its message starting with the key, for a model that cannot build."""
+        if self.input_size < 32 or self.input_size % 32 != 0:
+            raise ConfigError(f"input_size {self.input_size} not a positive multiple of 32")
+        if self.hidden_size < 2 or self.hidden_size % 2:
+            # the sine position embedding gives half the channels to each axis
+            raise ConfigError(f"hidden_size must be even and >= 2, got {self.hidden_size}")
+        if self.num_heads < 1 or self.hidden_size % self.num_heads != 0:
             raise ConfigError(
                 f"hidden_size {self.hidden_size} not divisible by {self.num_heads} heads"
             )
+        for key, low in (("n_queries", 1), ("backbone_channels", 1), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Decoder and parser: class-ID densification, resize/crop/pad, target building.
 
 All geometry uses nearest-neighbor resampling with pixel-center index
-mapping, so a parse at scale 1.0 is the identity on pixel values. Images and
-masks are padded bottom/right to a square target; the validity mask is the
-top-left rectangle covering the resized content, and every downstream mask
-loss restricts its sums to it.
+mapping, so a parse at scale 1.0 is the identity on pixel values. Images are
+padded bottom/right to a square target. ``parse`` alone knows the mask
+logits' stride ``MASK_STRIDE``: the target masks and the validity mask (the
+top-left rectangle of resized content, to which every mask loss restricts
+its sums) come out at mask resolution. Targets and labels are chosen at
+parse resolution, so a target can have no pixel at mask resolution.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .tensor import Tensor
 
 class PipelineError(ValueError):
     pass
+
+
+MASK_STRIDE = 4   # image pixels per mask-logit pixel along each side
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +82,15 @@ class ParserConfig:
 @dataclass
 class PanopticSample:
     image: Tensor                 # [1, H, W, 3] normalized floats
-    contiguous_mask: np.ndarray   # [H, W] int
-    instance_mask: np.ndarray     # [H, W] int
-    valid_mask: np.ndarray        # [H, W] bool, False on padding
+    valid_mask: np.ndarray        # [H/4, W/4] bool, False on padding
     image_id: int
 
 
 @dataclass
 class TargetSet:
-    masks: list[np.ndarray]       # per instance, binary uint8 [H, W]
+    masks: list[np.ndarray]       # per instance, binary uint8 [H/4, W/4]
     labels: list[int]             # contiguous class IDs, 1..K
-    dropped: int = 0              # source instances that got no target
+    dropped: int = 0              # record instances labelled 0 or lost to crop/resize
 
     @property
     def count(self) -> int:
@@ -104,12 +107,6 @@ def resize_nearest(grid: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
     rows = np.minimum(((np.arange(new_h) + 0.5) * (h / new_h)).astype(np.int64), h - 1)
     cols = np.minimum(((np.arange(new_w) + 0.5) * (w / new_w)).astype(np.int64), w - 1)
     return grid[rows][:, cols]
-
-
-def downsample_mask(mask: np.ndarray, factor: int) -> np.ndarray:
-    """Nearest-neighbor downsample of a mask grid by an integer factor."""
-    h, w = mask.shape
-    return resize_nearest(mask, h // factor, w // factor)
 
 
 def entry_to_arrays(entry: dict):
@@ -133,7 +130,13 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
     ``cfg.crop_probability`` a random crop is taken and its shortest side
     resized to one of ``cfg.crop_sizes``; afterwards the longer side is fitted
     to ``cfg.target_size`` and the result zero-padded bottom/right to a square.
+    Targets and the validity mask are at mask resolution (see the module
+    docstring); ``cfg.target_size`` must be a multiple of ``MASK_STRIDE``.
     """
+    target = cfg.target_size
+    if target % MASK_STRIDE:
+        raise PipelineError(f"target_size {target} is not a multiple of the "
+                            f"mask stride {MASK_STRIDE}")
     rgb, cont, inst, image_id = entry_to_arrays(entry)
     source_count = int(np.count_nonzero(np.bincount(inst.reshape(-1))[1:]))
 
@@ -165,7 +168,6 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
         inst = resize_nearest(inst, sh, sw)
 
     h, w = rgb.shape[:2]
-    target = cfg.target_size
     scale = target / max(h, w)
     new_h = target if h >= w else max(1, round(h * scale))
     new_w = target if w >= h else max(1, round(w * scale))
@@ -178,43 +180,22 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
     std = np.asarray(cfg.std, dtype=np.float32)
     image[:new_h, :new_w] = (rgb.astype(np.float32) / 255.0 - mean) / std
 
-    cont_full = np.zeros((target, target), dtype=np.int64)
-    inst_full = np.zeros((target, target), dtype=np.int64)
-    cont_full[:new_h, :new_w] = cont
-    inst_full[:new_h, :new_w] = inst
-    valid = np.zeros((target, target), dtype=bool)
-    valid[:new_h, :new_w] = True
+    # resize_nearest of the padded square to 1/MASK_STRIDE would pick each
+    # stride cell's pixel centre; pick them from the content, then pad
+    centre = MASK_STRIDE // 2
+    picked = inst[centre::MASK_STRIDE, centre::MASK_STRIDE]
+    pad = [(0, target // MASK_STRIDE - n) for n in picked.shape]
+    small, valid = np.pad(picked, pad), np.pad(np.ones(picked.shape, dtype=bool), pad)
 
-    sample = PanopticSample(
-        image=Tensor(image[None]),
-        contiguous_mask=cont_full,
-        instance_mask=inst_full,
-        valid_mask=valid,
-        image_id=image_id,
-    )
-    targets = build_targets(cont_full, inst_full, valid, source_count)
-    return sample, targets
-
-
-def build_targets(contiguous_mask: np.ndarray, instance_mask: np.ndarray,
-                  valid_mask: np.ndarray, source_count: int) -> TargetSet:
-    """One binary mask + label per distinct instance in the valid region.
-
-    ``dropped`` is ``source_count``, the record's instance count before
-    cropping and resizing, minus the targets kept: it counts instances
-    labelled background and those the geometry removed.
-    """
-    masks: list[np.ndarray] = []
-    labels: list[int] = []
-    region = valid_mask & (instance_mask != 0)
-    for iid in np.unique(instance_mask[region]):
-        m = (instance_mask == iid) & valid_mask
-        label = int(contiguous_mask[m][0])
-        if label == 0:
-            continue
-        masks.append(m.astype(np.uint8))
-        labels.append(label)
-    return TargetSet(masks=masks, labels=labels, dropped=source_count - len(masks))
+    # each instance's label is its first pixel's class, in row-major order
+    region = inst != 0
+    ids, first = np.unique(inst[region], return_index=True)
+    labels = cont[region][first]
+    keep = labels != 0
+    targets = TargetSet(masks=[(small == iid).astype(np.uint8) for iid in ids[keep]],
+                        labels=[int(label) for label in labels[keep]],
+                        dropped=source_count - int(keep.sum()))
+    return PanopticSample(image=Tensor(image[None]), valid_mask=valid, image_id=image_id), targets
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +205,7 @@ def build_targets(contiguous_mask: np.ndarray, instance_mask: np.ndarray,
 @dataclass
 class Batch:
     images: Tensor                  # [B, H, W, 3]
-    valid_masks: np.ndarray         # [B, H, W] bool
+    valid_masks: np.ndarray         # [B, H/4, W/4] bool
     target_sets: list[TargetSet]    # ragged, one per sample
     image_ids: list[int] = field(default_factory=list)
 

@@ -33,10 +33,9 @@ from .losses import total_loss
 from .matcher import MatcherError, NanCostError, build_cost_matrix, hungarian
 from .model import MaskClassificationModel, load_checkpoint, save_checkpoint
 from .pipeline import (
-    Batch, ParserConfig, PipelineError, batch as make_batch, build_id_mapper,
-    downsample_mask, parse,
+    Batch, ParserConfig, PipelineError, batch as make_batch, build_id_mapper, parse,
 )
-from .tensor import Tape, backward, no_grad
+from .tensor import ContractError, Tape, backward, no_grad
 
 
 class TrainError(RuntimeError):
@@ -396,17 +395,15 @@ def profile(cfg: RunConfig, data_dir, steps: int) -> str:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def ground_truth_segments(targets, valid_mask, factor: int) -> SegmentSet:
-    """Target masks at mask-logit resolution; padding becomes void."""
-    masks = []
-    labels = []
-    for m, label in zip(targets.masks, targets.labels):
-        small = downsample_mask(m, factor)
-        if small.any():
-            masks.append(small.astype(np.uint8))
-            labels.append(label)
-    void = ~downsample_mask(valid_mask.astype(np.uint8), factor).astype(bool)
-    return SegmentSet(masks, labels, void=void)
+def ground_truth_segments(targets, valid_mask, factor: int = 1) -> SegmentSet:
+    """The targets with a pixel at mask-logit resolution; padding becomes void.
+
+    ``parse`` emits both at that resolution, so ``factor`` must be 1.
+    """
+    if factor != 1:
+        raise ContractError(f"targets are at mask resolution; got downsample factor {factor}")
+    kept = [(m, label) for m, label in zip(targets.masks, targets.labels) if m.any()]
+    return SegmentSet([m for m, _ in kept], [label for _, label in kept], void=~valid_mask)
 
 
 def evaluate(cfg: RunConfig, data_dir, checkpoint_path, out_dir):
@@ -423,8 +420,7 @@ def evaluate(cfg: RunConfig, data_dir, checkpoint_path, out_dir):
         with no_grad():
             outputs = model.forward(sample.image)
         pred = postprocess(outputs, cfg.evaluator)
-        factor = sample.valid_mask.shape[0] // outputs.mask_logits.shape[2]
-        gt = ground_truth_segments(targets, sample.valid_mask, factor)
+        gt = ground_truth_segments(targets, sample.valid_mask)
         accumulate(stats, pred, gt)
     result = summarize(stats)
 

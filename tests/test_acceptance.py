@@ -188,12 +188,13 @@ class TestCriterion6:
                               backbone_channels=64, num_encoder_layers=2,
                               num_decoder_layers=2, num_heads=4, num_classes=4, seed=0)
             model = MaskClassificationModel(cfg)
-            g1 = np.zeros((64, 64), dtype=np.uint8)
-            g1[8:40, 8:40] = 1
-            g2 = np.zeros((64, 64), dtype=np.uint8)
-            g2[44:60, 20:56] = 1
+            # targets at the 16x16 mask resolution of the 64 px input
+            g1 = np.zeros((16, 16), dtype=np.uint8)
+            g1[2:10, 2:10] = 1
+            g2 = np.zeros((16, 16), dtype=np.uint8)
+            g2[11:15, 5:14] = 1
             targets = TargetSet([g1, g2], [1, 3])
-            vmask = np.ones((64, 64), bool)
+            vmask = np.ones((16, 16), bool)
             run_cfg = RunConfig()
             with Tape():
                 outputs = model.forward(

@@ -138,6 +138,22 @@ class TestSubcommands:
         assert err.startswith("setseg: error: ") and "losses.focal_alpha" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [["model", "info"], ["verify"]])
+    @pytest.mark.parametrize("setting, named", [
+        ("model.seed=-1", "model.seed"),
+        ("model.input_size=65", "model.input_size"),
+        ("model.num_heads=3", "model.hidden_size"),
+        ("model.num_heads=0", "model.hidden_size"),
+        ("model.n_queries=0", "model.n_queries"),
+        ("parser.target_size=48", "parser.target_size"),
+    ])
+    def test_bad_model_or_input_geometry_is_a_usage_error(self, capsys, command, setting,
+                                                          named):
+        assert main([*command, "--set", setting]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("setseg: error: ") and named in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["model", "info", "--config", str(tmp_path / "nope.cfg")]) == 2
         err = capsys.readouterr().err

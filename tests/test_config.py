@@ -145,5 +145,11 @@ def _typed_value(key, n):
     if key == "losses.focal_alpha":
         # distinct values inside alpha's domain [0, 1]
         return n / 1000
+    if key in ("model.input_size", "model.hidden_size", "parser.target_size"):
+        # multiples of the model's stride 32 and of every head count drawn below
+        return 32 * n
+    if key == "model.num_heads":
+        # file 2, command line 4: both divide every hidden size, drawn or default
+        return 2 ** (n // 100)
     current = get_value(RunConfig(), key)
     return n if isinstance(current, int) else float(n) + 0.5

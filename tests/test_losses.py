@@ -383,17 +383,17 @@ class TestTotalLoss:
         assert y.grad[0].any() and x.grad[1, [0, 2, 3]].any(axis=(1, 2)).all()
 
     def _matched_batch(self):
-        # float32, 2 images of 2 and 3 targets, 6 queries; the 8x8 validity mask
-        # is downsampled to the 4x4 logits and is partly invalid in image 1
+        # float32, 2 images of 2 and 3 targets, 6 queries; the validity mask at
+        # the 4x4 logits' resolution is partly invalid in image 1
         rng = np.random.default_rng(14)
         outputs = SimpleNamespace(
             mask_logits=Tensor(rng.standard_normal((2, 6, 4, 4)).astype(np.float32)),
             class_logits=Tensor(rng.standard_normal((2, 6, 4)).astype(np.float32)),
         )
-        masks = [(rng.random((8, 8)) > 0.5).astype(np.uint8) for _ in range(5)]
+        masks = [(rng.random((8, 8)) > 0.5).astype(np.uint8)[1::2, 1::2] for _ in range(5)]
         targets = [TargetSet(masks[:2], [1, 3]), TargetSet(masks[2:], [2, 2, 1])]
-        valid = np.ones((2, 8, 8), bool)
-        valid[1, 4:] = False
+        valid = np.ones((2, 4, 4), bool)
+        valid[1, 2:] = False
         costs = matcher_costs(outputs, targets, LossConfig(), valid)
         return outputs, costs, [hungarian(cm) for cm in costs]
 
@@ -414,7 +414,6 @@ class TestTotalLoss:
             raise AssertionError("total_loss recomputed what the cost matrix holds")
 
         monkeypatch.setattr(losses, "mask_costs", recomputed)
-        monkeypatch.setattr(losses, "downsample_mask", recomputed, raising=False)
         assert total_loss(outputs, costs, assignments, LossConfig()).total == expected
         imported = {node.module for node in ast.walk(ast.parse(inspect.getsource(losses)))
                     if isinstance(node, ast.ImportFrom)}

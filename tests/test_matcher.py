@@ -46,6 +46,15 @@ def random_outputs(rng, n_q, k, h, w):
 
 
 class TestCostMatrix:
+    @pytest.mark.parametrize("valid_side, target_sides", [(8, []), (8, [4]), (4, [8])],
+                             ids=["valid_no_targets", "valid", "target"])
+    def test_grids_off_the_mask_resolution_rejected(self, valid_side, target_sides):
+        outputs = random_outputs(np.random.default_rng(0), 4, 3, 4, 4)
+        masks = [np.ones((s, s), np.uint8) for s in target_sides]
+        targets = TargetSet(masks, [1] * len(masks))
+        with pytest.raises(ContractError, match=r"\(8, 8\).*\(4, 4\)"):
+            build_cost_matrix(outputs, targets, np.ones((valid_side,) * 2, bool), LossConfig())
+
     def test_empty_targets_all_pad(self):
         rng = np.random.default_rng(0)
         outputs = random_outputs(rng, 4, 3, 4, 4)

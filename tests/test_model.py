@@ -74,6 +74,8 @@ class TestShapes:
             ModelConfig(input_size=100).validate()
         with pytest.raises(T.ConfigError):
             ModelConfig(hidden_size=30, num_heads=4).validate()
+        with pytest.raises(T.ConfigError, match="hidden_size"):
+            ModelConfig(hidden_size=3, num_heads=3).validate()    # odd for the position embedding
 
 
 class TestIdentityStacks:
@@ -202,12 +204,13 @@ class TestGradientFlow:
         model = MaskClassificationModel(cfg)
         rng = np.random.default_rng(6)
         image = Tensor(rng.standard_normal((1, 64, 64, 3)).astype(np.float32))
-        gt = np.zeros((64, 64), dtype=np.uint8)
-        gt[8:40, 8:40] = 1
-        gt2 = np.zeros((64, 64), dtype=np.uint8)
-        gt2[48:60, 4:20] = 1
+        # targets at the 16x16 mask resolution of the 64 px input
+        gt = np.zeros((16, 16), dtype=np.uint8)
+        gt[2:10, 2:10] = 1
+        gt2 = np.zeros((16, 16), dtype=np.uint8)
+        gt2[12:15, 1:5] = 1
         targets = TargetSet([gt, gt2], [1, 3])
-        valid = np.ones((64, 64), dtype=bool)
+        valid = np.ones((16, 16), dtype=bool)
         with Tape():
             outputs = model.forward(image)
             cm = build_cost_matrix(outputs, targets, valid, LossConfig())

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,8 +63,9 @@ class TestParseGeometry:
         cfg = ParserConfig(target_size=640, crop_probability=0.0)
         sample, _ = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
         assert sample.image.shape == (1, 640, 640, 3)
-        assert sample.valid_mask[:320, :].all()
-        assert not sample.valid_mask[320:, :].any()
+        assert sample.valid_mask.shape == (160, 160)   # mask resolution
+        assert sample.valid_mask[:80, :].all()
+        assert not sample.valid_mask[80:, :].any()
 
     def test_already_target_size_is_identity_up_to_normalization(self):
         rng = np.random.default_rng(1)
@@ -69,19 +73,22 @@ class TestParseGeometry:
         cont = rng.integers(0, 3, size=(64, 64)).astype(np.uint16)
         inst = cont.copy()
         cfg = ParserConfig(target_size=64, crop_probability=0.0)
-        sample, _ = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
+        sample, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
         assert sample.valid_mask.all()
         mean = np.asarray(cfg.mean, dtype=np.float32)
         std = np.asarray(cfg.std, dtype=np.float32)
         expected = (rgb.astype(np.float32) / 255.0 - mean) / std
         assert np.array_equal(sample.image.data[0], expected)
-        assert np.array_equal(sample.contiguous_mask, cont)
+        # instance i has class i, so the targets paint the class map at mask resolution
+        painted = sum(label * m for m, label in zip(targets.masks, targets.labels))
+        assert np.array_equal(painted, cont[2::4, 2::4])
 
     def test_two_by_two_targets(self):
+        # an 8 px parse of a 2x2 record: each pixel is one 4x4 stride cell
         rgb = np.zeros((2, 2, 3), dtype=np.uint8)
         cont = np.array([[1, 1], [0, 2]], dtype=np.uint16)
         inst = np.array([[1, 1], [0, 2]], dtype=np.uint16)
-        cfg = ParserConfig(target_size=2, crop_probability=0.0)
+        cfg = ParserConfig(target_size=8, crop_probability=0.0)
         _, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
         assert targets.count == 2
         assert targets.labels == [1, 2]
@@ -134,7 +141,9 @@ class TestParseGeometry:
             scale = 64 / max(h, w)
             exp_h = 64 if h >= w else max(1, round(h * scale))
             exp_w = 64 if w >= h else max(1, round(w * scale))
-            assert sample.valid_mask.sum() == exp_h * exp_w
+            covered = np.zeros((64, 64), dtype=bool)
+            covered[:exp_h, :exp_w] = True
+            assert np.array_equal(sample.valid_mask, covered[2::4, 2::4])
 
 
 class TestTargetInvariants:
@@ -145,23 +154,44 @@ class TestTargetInvariants:
         rgb = np.zeros((40, 40, 3), dtype=np.uint8)
         cfg = ParserConfig(target_size=40, crop_probability=0.0)
         sample, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
-        union = np.zeros((40, 40), dtype=bool)
+        union = np.zeros((10, 10), dtype=bool)
         for m in targets.masks:
             assert not (union & m.astype(bool)).any()   # pixel-disjoint
             union |= m.astype(bool)
-        expected = sample.valid_mask & (sample.instance_mask != 0)
+        expected = sample.valid_mask & (inst[2::4, 2::4] != 0)
         assert np.array_equal(union, expected)
 
     def test_zero_area_instance_dropped_and_counted(self):
-        rgb = np.zeros((8, 8, 3), dtype=np.uint8)
-        inst = np.zeros((8, 8), dtype=np.uint16)
-        inst[7, 7] = 2          # single pixel that vanishes after 4x downscale
-        inst[:4, :4] = 1
+        rgb = np.zeros((32, 32, 3), dtype=np.uint8)
+        inst = np.zeros((32, 32), dtype=np.uint16)
+        inst[31, 31] = 2        # single pixel that vanishes after 4x downscale
+        inst[:16, :16] = 1
         cont = np.where(inst > 0, 1, 0).astype(np.uint16)
-        cfg = ParserConfig(target_size=2, crop_probability=0.0)
+        cfg = ParserConfig(target_size=8, crop_probability=0.0)
         _, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
         assert targets.labels == [1]
         assert targets.dropped == 1
+
+    def test_instance_invisible_at_mask_resolution_stays_a_target(self):
+        # at parse resolution the pixel survives, so it is a target; the
+        # stride-4 sample misses it, so its mask is all zero
+        rgb = np.zeros((8, 8, 3), dtype=np.uint8)
+        inst = np.zeros((8, 8), dtype=np.uint16)
+        inst[7, 7] = 2
+        inst[:4, :4] = 1
+        cont = np.where(inst > 0, inst, 0).astype(np.uint16)
+        cfg = ParserConfig(target_size=8, crop_probability=0.0)
+        _, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
+        assert targets.labels == [1, 2] and targets.dropped == 0
+        assert np.array_equal(targets.masks[0], [[1, 0], [0, 0]])
+        assert not targets.masks[1].any()
+
+    def test_target_size_off_the_mask_stride_rejected(self):
+        rgb = np.zeros((8, 8, 3), dtype=np.uint8)
+        inst = np.ones((8, 8), dtype=np.uint16)
+        cfg = ParserConfig(target_size=10, crop_probability=0.0)
+        with pytest.raises(pipeline.PipelineError, match="10"):
+            parse(make_entry(rgb, inst, inst), cfg, rng_seed=0)
 
     def test_resize_nearest_identity(self):
         g = np.arange(12).reshape(3, 4)
@@ -183,7 +213,7 @@ class TestBatch:
         s2, t2 = self._sample(16, 1)
         b = pipeline.batch([s1, s2], [t1, t2])
         assert b.images.shape == (2, 16, 16, 3)
-        assert b.valid_masks.shape == (2, 16, 16)
+        assert b.valid_masks.shape == (2, 4, 4)
 
     def test_singleton_batch_equals_input(self):
         s, t = self._sample(8)
@@ -201,3 +231,95 @@ class TestBatch:
         s2, t2 = self._sample(32)
         with pytest.raises(pipeline.PipelineError):
             pipeline.batch([s1, s2], [t1, t2])
+
+
+# ---------------------------------------------------------------------------
+# Differential: parse against full-resolution targets, then downsampled
+# ---------------------------------------------------------------------------
+
+def reference_resize(grid, new_h, new_w):
+    h, w = grid.shape[:2]
+    rows = np.minimum(((np.arange(new_h) + 0.5) * (h / new_h)).astype(np.int64), h - 1)
+    cols = np.minimum(((np.arange(new_w) + 0.5) * (w / new_w)).astype(np.int64), w - 1)
+    return grid[rows][:, cols]
+
+
+def reference_downsample(mask, factor):
+    h, w = mask.shape
+    return reference_resize(mask, h // factor, w // factor)
+
+
+def reference_targets(contiguous_mask, instance_mask, valid_mask, source_count):
+    """Targets built at full resolution, one per distinct instance in the valid region."""
+    masks, labels = [], []
+    region = valid_mask & (instance_mask != 0)
+    for iid in np.unique(instance_mask[region]):
+        m = (instance_mask == iid) & valid_mask
+        label = int(contiguous_mask[m][0])
+        if label == 0:
+            continue
+        masks.append(m.astype(np.uint8))
+        labels.append(label)
+    return masks, labels, source_count - len(masks)
+
+
+def random_record(rng):
+    """A record whose rgb carries (instance, class, 255) per pixel.
+
+    Instances are rectangles from one pixel up to half the image, some of
+    class 0; about one pixel in eight of an instance has another class, so
+    the first-pixel label rule is exercised.
+    """
+    h, w = int(rng.integers(12, 90)), int(rng.integers(12, 90))
+    inst = np.zeros((h, w), dtype=np.uint16)
+    for iid in range(1, int(rng.integers(1, 9))):
+        rh, rw = int(rng.integers(1, h // 2 + 1)), int(rng.integers(1, w // 2 + 1))
+        top, left = int(rng.integers(0, h - rh + 1)), int(rng.integers(0, w - rw + 1))
+        inst[top:top + rh, left:left + rw] = iid
+    lut = rng.integers(0, 5, size=9).astype(np.uint16)
+    cont = np.where(rng.random((h, w)) < 0.125, rng.integers(0, 5, (h, w)), lut[inst])
+    cont = np.where(inst > 0, cont, 0).astype(np.uint16)
+    rgb = np.stack([inst, cont, np.full_like(inst, 255)], axis=-1).astype(np.uint8)
+    return make_entry(rgb, cont, inst), inst
+
+
+def test_parse_matches_full_resolution_targets_downsampled():
+    rng = np.random.default_rng(20)
+    vanished = 0
+    for crop in (0.0, 1.0):
+        for seed in range(60):
+            entry, inst = random_record(rng)
+            cfg = ParserConfig(target_size=int(rng.choice([32, 48, 64])), crop_probability=crop,
+                               crop_sizes=(16, 24, 40))
+            sample, targets = parse(entry, cfg, rng_seed=seed)
+            # the image went through the same resampling as the masks, so it
+            # gives back the full-resolution grids; channel 2 marks content
+            rgb = np.rint((sample.image.data[0] * np.asarray(cfg.std, np.float32)
+                           + np.asarray(cfg.mean, np.float32)) * 255.0).astype(np.int64)
+            valid = rgb[..., 2] == 255
+            full_inst, full_cont = np.where(valid, rgb[..., 0], 0), np.where(valid, rgb[..., 1], 0)
+            source = int(np.count_nonzero(np.bincount(inst.reshape(-1))[1:]))
+            masks, labels, dropped = reference_targets(full_cont, full_inst, valid, source)
+
+            small = [reference_downsample(m, 4) for m in masks]
+            assert targets.labels == labels and targets.dropped == dropped
+            assert len(targets.masks) == len(small)
+            for got, want in zip(targets.masks, small):
+                assert got.dtype == np.uint8 and np.array_equal(got, want)
+            assert np.array_equal(sample.valid_mask,
+                                  reference_downsample(valid.astype(np.uint8), 4).astype(bool))
+            vanished += sum(not m.any() for m in small)
+    assert vanished > 0
+
+
+def test_only_pipeline_resamples_to_mask_resolution():
+    """The stride-4 downsample has one home: no other module resamples or derives the stride."""
+    src = Path(pipeline.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "pipeline.py":
+            continue
+        text = path.read_text()
+        assert not re.search(r"\b(resize_nearest|downsample_mask)\b", text), path.name
+        if path.name != "verify.py":
+            assert "MASK_STRIDE" not in text, path.name
+            assert not re.search(r"shape\[[^\]]*\]\s*//", text), path.name
