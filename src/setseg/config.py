@@ -14,7 +14,7 @@ from pathlib import Path
 from .evaluator import EvalConfig
 from .losses import LossConfig, LossError
 from .model import ModelConfig
-from .pipeline import ParserConfig
+from .pipeline import ParserConfig, PipelineError
 from .tensor import ConfigError
 
 
@@ -81,10 +81,11 @@ def get_value(cfg: RunConfig, dotted_key: str):
 def load_config(path=None, overrides=None) -> RunConfig:
     """Build a RunConfig: defaults, then the file, then CLI overrides.
 
-    The focal alpha and gamma must lie in their formula's domain, the model
-    config must pass ``ModelConfig.validate``, the parser's square side must
-    be a positive multiple of the model's stride 32, and the parser may not
-    emit more classes than the model's class head has.
+    The losses, model and parser sections must pass their ``validate``
+    (focal alpha and gamma in their formula's domain, a model that builds, a
+    square side that is a positive multiple of the model's stride 32, crop
+    sizes of at least 1), and the parser may not emit more classes than the
+    model's class head has.
     """
     cfg = RunConfig()
     if path is not None:
@@ -108,14 +109,11 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigFileError(f"override must be key=value, got {item!r}")
         key, _, value = item.partition("=")
         set_value(cfg, key.strip(), value)
-    for section in ("losses", "model"):
+    for section in ("losses", "model", "parser"):
         try:
             getattr(cfg, section).validate()
-        except (LossError, ConfigError) as err:
+        except (LossError, ConfigError, PipelineError) as err:
             raise ConfigFileError(f"{section}.{err}") from None   # the message starts with the key
-    if cfg.parser.target_size < 32 or cfg.parser.target_size % 32:
-        raise ConfigFileError(f"parser.target_size = {cfg.parser.target_size} is not a "
-                              f"positive multiple of 32, the model's input stride")
     if cfg.parser.num_classes > cfg.model.num_classes:
         # a label above the class head would land in its no-object column
         raise ConfigFileError(f"parser.num_classes = {cfg.parser.num_classes} exceeds "

@@ -29,8 +29,10 @@ import numpy as np
 from . import records, synth
 from .config import RunConfig, dump_config
 from .evaluator import SegmentSet, accumulate, postprocess, summarize
-from .losses import total_loss
-from .matcher import MatcherError, NanCostError, build_cost_matrix, hungarian
+from .losses import LossConfig, total_loss
+from .matcher import (
+    Assignment, CostMatrix, MatcherError, NanCostError, build_cost_matrix, hungarian,
+)
 from .model import MaskClassificationModel, load_checkpoint, save_checkpoint
 from .pipeline import (
     Batch, ParserConfig, PipelineError, batch as make_batch, build_id_mapper, parse,
@@ -223,7 +225,7 @@ class TrainResult:
 
 
 class StepResult(NamedTuple):
-    """Mean losses of one step, its stage ``seconds``, batch-summed counts and grad norm."""
+    """Mean losses of one step, its stage ``seconds``, counts, matches and grad norm."""
 
     classification: float
     focal: float
@@ -232,8 +234,20 @@ class StepResult(NamedTuple):
     seconds: dict[str, float]
     dropped_instances: int      # record instances that got no target
     degenerate_dice: int        # matched pairs with no valid pixel at mask resolution
-    matched_pairs: int          # (query, target) pairs the matcher assigned
+    assignments: list[Assignment]  # image b's match, which the loss used
     grad_norm: float = math.nan  # global norm before clipping; set by run_steps
+
+    @property
+    def matched_pairs(self) -> int:
+        """(query, target) pairs the matcher assigned."""
+        return sum(len(a.query_for_gt) for a in self.assignments)
+
+
+def batch_costs(outputs, batch_data: Batch, loss_cfg: LossConfig) -> list[CostMatrix]:
+    """Each image's ``build_cost_matrix`` on ``outputs``: what the matcher and the loss read."""
+    per_image = enumerate(zip(batch_data.target_sets, batch_data.valid_masks))
+    return [build_cost_matrix(outputs, targets, valid, loss_cfg, batch_index=b)
+            for b, (targets, valid) in per_image]
 
 
 def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
@@ -242,10 +256,8 @@ def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
     with Tape():
         outputs = model.forward(batch_data.images)
         t1 = time.perf_counter()
-        per_image = enumerate(zip(batch_data.target_sets, batch_data.valid_masks))
         with no_grad():
-            costs = [build_cost_matrix(outputs, targets, valid, cfg.losses, batch_index=b)
-                     for b, (targets, valid) in per_image]
+            costs = batch_costs(outputs, batch_data, cfg.losses)
             assignments = [hungarian(cm) for cm in costs]
         t2 = time.perf_counter()
         loss = total_loss(outputs, costs, assignments, cfg.losses)
@@ -258,7 +270,7 @@ def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
         {"forward": t1 - t0, "match": t2 - t1, "loss": t3 - t2, "backward": t4 - t3},
         sum(targets.dropped for targets in batch_data.target_sets),
         loss.degenerate_dice,
-        sum(len(a.query_for_gt) for a in assignments),
+        assignments,
     )
 
 

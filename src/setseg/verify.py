@@ -5,11 +5,14 @@ position-embedding reference statistic, gradient finite-difference checks,
 loss unit fixtures (tolerance 1e-3), the matcher-vs-brute-force differential
 suite, padding invariance, and the record round-trip suite. The loss checks
 evaluate ``losses.total_loss``, the op training records, on one image with
-given matches (``image_loss``); the gradient checks differentiate it on both
-the mask and the class logits. Loss fixtures evaluate with the *configured*
-loss constants against values frozen at the defaults, so perturbing a
-sensitive constant (dice epsilon, no-object weight) makes exactly that check
-fail.
+given matches (``image_loss``). The gradient checks differentiate it on both
+the mask and the class logits, then the grads ``trainer.train_step`` computes
+for a tiny float64 model (``GRAD_MODEL``) on a parsed 2-image batch: central
+differences, step 1e-5 (1e-7 past a ReLU kink), along unit directions (4
+random, 1 per parameter group), with the step's matches held fixed. Loss
+fixtures evaluate with the *configured* loss constants against values frozen
+at the defaults, so perturbing a sensitive constant (dice epsilon, no-object
+weight) makes exactly that check fail.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import records, tensor as T
+from . import records, tensor as T, trainer
 from .config import RunConfig
 from .losses import LossBundle, LossConfig, total_loss
 from .matcher import Assignment, brute_force_match, build_cost_matrix, hungarian, pad_square
 from .model import MaskClassificationModel, ModelConfig, ModelOutputs
-from .pipeline import MASK_STRIDE, TargetSet, parse
+from .pipeline import MASK_STRIDE, ParserConfig, TargetSet, batch as make_batch, parse
 from .tensor import Tape, Tensor, backward, no_grad
 
 BIG = 40.0
@@ -52,9 +55,7 @@ def central_difference(fn, arrays, index, step=1e-5):
     base = [a.copy() for a in arrays]
     target = base[index]
     grad = np.zeros_like(target)
-    it = np.nditer(target, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
+    for idx in np.ndindex(target.shape):
         orig = target[idx]
         target[idx] = orig + step
         f_plus = fn(*base)
@@ -62,7 +63,6 @@ def central_difference(fn, arrays, index, step=1e-5):
         f_minus = fn(*base)
         target[idx] = orig
         grad[idx] = (f_plus - f_minus) / (2.0 * step)
-        it.iternext()
     return grad
 
 
@@ -157,10 +157,14 @@ def check_posembed_statistic(cfg: RunConfig) -> CheckResult:
                        f"mean {float(emb.data.mean()):.8f}")
 
 
+GRAD_MODEL = ModelConfig(input_size=64, n_queries=6, hidden_size=16, backbone_channels=16,
+                         num_encoder_layers=1, num_decoder_layers=2, num_heads=2)
+GRAD_STEPS = (1e-5, 1e-7)   # central-difference steps along unit directions, in order
+
+
 def check_gradients(cfg: RunConfig) -> CheckResult:
     rng = np.random.default_rng(1)
     worst = 0.0
-    details = []
     # the batch loss on 3 queries with 0..3 matched targets and a partly invalid mask
     for trial in range(5):
         arrays = [rng.standard_normal((3, 3, 3)), rng.standard_normal((3, 5))]
@@ -179,48 +183,44 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
         for i, t in enumerate(logits):
             worst = max(worst, max_rel_error(t.grad, central_difference(value, arrays, i)))
 
-    # 2-layer toy network, all inputs, weights and biases checked in 64-bit
-    arrays = [rng.standard_normal((2, 6)), rng.standard_normal((6, 8)) * 0.5,
-              rng.standard_normal((8, 4)) * 0.5, rng.standard_normal(8) * 0.5,
-              rng.standard_normal(4) * 0.5]
-
-    def toy(x_, w1_, w2_, b1_, b2_):
-        y = T.reshape(T.linear(T.relu(T.linear(x_, w1_, b1_)), w2_, b2_), (1, 8))
-        return T.matmul_nt(y, y)                            # sum(y²)
-
-    with Tape():
-        tensors = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
-        backward(toy(*tensors))
-
-    def f(*arrs):
-        with no_grad():
-            return toy(*[Tensor(v, dtype=np.float64) for v in arrs]).item()
-
-    for i, t in enumerate(tensors):
-        numeric = central_difference(f, arrays, i)
-        worst = max(worst, max_rel_error(t.grad, numeric))
-
-    # dead-parameter detector on a small full model
-    toy_cfg = ModelConfig(input_size=64, n_queries=8, hidden_size=32,
-                          backbone_channels=32, num_encoder_layers=1,
-                          num_decoder_layers=1, num_heads=4, num_classes=4, seed=0)
-    model = MaskClassificationModel(toy_cfg)
-    gt1 = np.zeros((16, 16), dtype=np.uint8)
-    gt1[2:10, 2:10] = 1
-    targets = TargetSet([gt1], [1])
-    valid = np.ones((16, 16), bool)
-    with Tape():
-        outputs = model.forward(Tensor(rng.standard_normal((1, 64, 64, 3)).astype(np.float32)))
-        with no_grad():
-            cm = build_cost_matrix(outputs, targets, valid, cfg.losses)
-        bundle = total_loss(outputs, [cm], [hungarian(cm)], cfg.losses)
-        backward(bundle.total_tensor)
+    # train_step's grads in float64, each parameter jittered by 0.05 of its std (0.05 if constant)
+    model = MaskClassificationModel(GRAD_MODEL)
+    params = list(model.params.values())
+    for p in params:
+        p.data = p.data + 0.05 * (p.data.std() or 1.0) * rng.standard_normal(p.shape)
+    parser_cfg = ParserConfig(target_size=GRAD_MODEL.input_size, crop_probability=0.0)
+    samples, targets = zip(*[parse(_synthetic_entry(rng, 48, 64, 4), parser_cfg, 0)
+                             for _ in range(2)])
+    batch_data = make_batch(list(samples), list(targets))
+    step = trainer.train_step(model, batch_data, cfg)
     dead = [n for n, p in model.params.items() if p.grad is None or not np.abs(p.grad).any()]
     if dead:
-        details.append(f"dead parameters: {dead[:4]}")
+        return CheckResult("gradient finite-difference suite", False, worst,
+                           f"dead parameters: {dead[:4]}")
+    theta = np.concatenate([p.data.ravel() for p in params])
+    grad = np.concatenate([p.grad.ravel() for p in params])
+    sizes = [p.size for p in params]
 
-    passed = worst <= 1e-4 and not dead
-    return CheckResult("gradient finite-difference suite", passed, worst, "; ".join(details))
+    def loss_at(delta):
+        # total_loss at theta + delta with theta's matches: matching stays fixed
+        for p, part in zip(params, np.split(theta + delta, np.cumsum(sizes)[:-1])):
+            p.data = part.reshape(p.shape)
+        outputs = model.forward(batch_data.images)
+        costs = trainer.batch_costs(outputs, batch_data, cfg.losses)
+        return total_loss(outputs, costs, step.assignments, cfg.losses).total
+
+    # 4 random unit directions over all parameters, then one per group ("backbone.stage0", ...)
+    group = np.repeat([".".join(n.split(".")[:2]) for n in model.params], sizes)
+    directions = [rng.standard_normal(theta.size) for _ in range(4)]
+    directions += [rng.standard_normal(theta.size) * (group == g) for g in dict.fromkeys(group)]
+    for d in directions:
+        d /= np.linalg.norm(d)
+        for e in GRAD_STEPS:    # the smaller step only where a ReLU kink spoils the larger
+            err = max_rel_error(grad @ d, (loss_at(e * d) - loss_at(-e * d)) / (2.0 * e))
+            if err <= 1e-4:
+                break
+        worst = max(worst, err)
+    return CheckResult("gradient finite-difference suite", worst <= 1e-4, worst)
 
 
 def _one_pair(logits, gt, loss_cfg: LossConfig, valid=None) -> LossBundle:

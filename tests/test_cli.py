@@ -154,6 +154,15 @@ class TestSubcommands:
         assert err.startswith("setseg: error: ") and named in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_non_positive_crop_size_is_a_usage_error(self, dataset, capsys, size):
+        assert main(["profile", "--data", str(dataset / "shards"), "--steps", "1",
+                     *TOY_OVERRIDES, "--set", f"parser.crop_sizes={size}",
+                     "--set", "parser.crop_probability=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("setseg: error: ") and "parser.crop_sizes" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["model", "info", "--config", str(tmp_path / "nope.cfg")]) == 2
         err = capsys.readouterr().err
