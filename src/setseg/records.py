@@ -285,6 +285,8 @@ def load_manifest(directory) -> ShardSet:
                 shards.append(ShardInfo(name, int(kv["records"]), int(kv["bytes"])))
         except (ValueError, KeyError):
             raise RecordParseError(f"{path}: malformed manifest line {line!r}") from None
+    if not shards:  # write_shards always writes at least one
+        raise RecordParseError(f"{path}: record_count {record_count}, but no shard lines")
     return ShardSet(directory=directory, shards=shards,
                     record_count=record_count, class_mapping=mapping)
 

@@ -2,9 +2,11 @@
 
 Values live in contiguous numpy float32 buffers (float64 for gradient
 checking); image-like tensors are laid out [batch, height, width, channels].
-Inside a ``with Tape():`` block every differentiable op records an entry
-on that tape; ``backward`` replays the reachable part of the tape in
-reverse to populate ``grad`` buffers on the leaves.
+Every differentiable op records an entry on the current tape, the one
+whose ``with Tape():`` block is innermost; inside ``no_grad`` there is no
+current tape and ops record nothing. The tape is the graph: ``backward``
+replays the current tape in reverse from the loss's entry to populate
+``grad`` buffers on the leaves.
 
 The ops are the ones the model and the losses record, each with one call
 form: add, relu, reshape, broadcast_batch, ``linear`` (x·w + b as one op),
@@ -61,9 +63,10 @@ class _TapeEntry:
 class Tape:
     """Ordered record of executed ops; replaying it backward fills gradients.
 
-    The stack of open tapes is module state shared by every thread, so use
-    tapes from one thread. Ops record only inside a ``with Tape():`` block
-    (the trainer opens a fresh tape per step); outside one they record
+    The current tape is one module slot shared by every thread, so use
+    tapes from one thread. Entering a tape makes it current and exiting
+    restores the outer one, so tapes nest (the trainer opens one per step).
+    With no current tape (outside every tape, or in ``no_grad``) ops record
     nothing, and ``backward`` on their result raises ``ContractError``. On
     exit the tape drops its entries and unlinks each output from its entry,
     breaking the tensor <-> entry cycle, so the step's activations are freed
@@ -86,30 +89,31 @@ class Tape:
         self.entries.clear()
 
     def __enter__(self):
-        _TAPES.append(self)
+        global _TAPE
+        self._outer, _TAPE = _TAPE, self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _TAPES.pop()
+        global _TAPE
+        _TAPE = self._outer
         self.clear()
         return False
 
 
-_TAPES: list[Tape] = []     # open tapes, innermost last; ops record on the innermost
-_GRAD_ENABLED = True        # False inside no_grad
+_TAPE: Tape | None = None   # the tape ops record on; None outside every tape and in no_grad
 
 
 class no_grad:
-    """Context manager disabling tape recording (inference / matching)."""
+    """Context manager with no current tape, so ops record nothing (inference / matching)."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev, _GRAD_ENABLED = _GRAD_ENABLED, False
+        global _TAPE
+        self._outer, _TAPE = _TAPE, None
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        global _TAPE
+        _TAPE = self._outer
         return False
 
 
@@ -164,19 +168,21 @@ def _result_dtype(*arrays):
 
 
 def _make_result(data, inputs, backward_fn) -> Tensor:
-    """Wrap an op result, recording on the innermost open tape when grads are needed."""
+    """Wrap an op result, recording on the current tape when an input requires grad."""
     out = Tensor(data)
-    if _GRAD_ENABLED and _TAPES and any(t.requires_grad for t in inputs):
+    if _TAPE is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._entry = _TAPES[-1].record(inputs, out, backward_fn)
+        out._entry = _TAPE.record(inputs, out, backward_fn)
     return out
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires_grad leaf reachable from ``loss``.
+    """Populate ``grad`` on every requires_grad leaf that ``loss`` depends on.
 
-    ``loss`` must be a scalar recorded on a tape. Leaves that appear on the
-    replayed tape but do not contribute to the loss receive zero grad.
+    ``loss`` must be a scalar recorded on the current tape. ``backward``
+    replays that tape in reverse from the loss's entry; an entry runs its
+    ``backward_fn`` only once its output holds a grad, so ops that do not
+    feed the loss are skipped, and leaves they alone read get no grad.
     """
     if loss.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -186,25 +192,13 @@ def backward(loss: Tensor) -> None:
             _accumulate_leaf(loss, np.ones_like(loss.data))
             return
         raise ContractError("loss is not connected to a tape")
-
-    # collect the subgraph feeding the loss, then replay in tape order
-    entries: dict[int, _TapeEntry] = {}
-    frontier = [loss._entry]
-    while frontier:
-        entry = frontier.pop()
-        if entry.index in entries:
-            continue
-        entries[entry.index] = entry
-        for t in entry.inputs:
-            if t._entry is not None:
-                frontier.append(t._entry)
+    entries = _TAPE.entries if _TAPE is not None else []
+    last = loss._entry.index
+    if last >= len(entries) or entries[last] is not loss._entry:
+        raise ContractError("loss is not on the current tape")
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[int, Tensor] = {}
-    for entry in sorted(entries.values(), key=lambda e: e.index, reverse=True):
-        for t in entry.inputs:
-            if t.requires_grad and t._entry is None:
-                leaves[id(t)] = t
+    for entry in reversed(entries[:last + 1]):
         out_grad = grads.pop(id(entry.output), None)
         if out_grad is None:
             continue
@@ -219,11 +213,6 @@ def backward(loss: Tensor) -> None:
                 grads[key] = grads[key] + g
             else:
                 grads[key] = g
-
-    # leaves on the replayed subgraph that the loss never reached get zeros
-    for t in leaves.values():
-        if t.grad is None:
-            t.grad = np.zeros_like(t.data)
 
 
 def _accumulate_leaf(t: Tensor, g: np.ndarray):

@@ -7,12 +7,13 @@ suite, padding invariance, and the record round-trip suite. The loss checks
 evaluate ``losses.total_loss``, the op training records, on one image with
 given matches (``image_loss``). The gradient checks differentiate it on both
 the mask and the class logits, then the grads ``trainer.train_step`` computes
-for a tiny float64 model (``GRAD_MODEL``) on a parsed 2-image batch: central
-differences, step 1e-5 (1e-7 past a ReLU kink), along unit directions (4
-random, 1 per parameter group), with the step's matches held fixed. Loss
-fixtures evaluate with the *configured* loss constants against values frozen
-at the defaults, so perturbing a sensitive constant (dice epsilon, no-object
-weight) makes exactly that check fail.
+for a tiny float64 model (``GRAD_MODEL``, attention's ``wq``/``wk`` scaled by
+10) on a parsed 2-image batch: central differences, step 1e-5 (1e-7 past a
+ReLU kink), along unit directions (4 random, 1 per parameter group), with
+the step's matches held fixed. Loss fixtures evaluate with the *configured*
+loss constants against values frozen at the defaults, so perturbing a
+sensitive constant (dice epsilon, no-object weight) makes exactly that check
+fail.
 """
 
 from __future__ import annotations
@@ -183,10 +184,13 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
         for i, t in enumerate(logits):
             worst = max(worst, max_rel_error(t.grad, central_difference(value, arrays, i)))
 
-    # train_step's grads in float64, each parameter jittered by 0.05 of its std (0.05 if constant)
+    # train_step's grads in float64, each parameter jittered by 0.05 of its std (0.05 if
+    # constant); wq and wk are scaled by 10 first, or near-uniform attention hides q and k
     model = MaskClassificationModel(GRAD_MODEL)
     params = list(model.params.values())
-    for p in params:
+    for name, p in model.params.items():
+        if name.endswith((".wq", ".wk")):
+            p.data = 10.0 * p.data
         p.data = p.data + 0.05 * (p.data.std() or 1.0) * rng.standard_normal(p.shape)
     parser_cfg = ParserConfig(target_size=GRAD_MODEL.input_size, crop_probability=0.0)
     samples, targets = zip(*[parse(_synthetic_entry(rng, 48, 64, 4), parser_cfg, 0)

@@ -173,12 +173,13 @@ class TestSubcommands:
         (["train", "--out", "OUT"], "training aborted: "),
         (["profile"], "profiling aborted: "),
     ], ids=["train", "profile"])
-    @pytest.mark.parametrize("damage", ["missing", "corrupt_manifest"])
+    @pytest.mark.parametrize("damage", ["missing", "corrupt_manifest", "empty_manifest"])
     def test_bad_data_aborts(self, tmp_path, capsys, command, aborted, damage):
         data = tmp_path / "shards"
-        if damage == "corrupt_manifest":
+        if damage != "missing":
             data.mkdir()
-            (data / "manifest.txt").write_text("record_count = many\n")
+            text = "record_count = many\n" if damage == "corrupt_manifest" else ""
+            (data / "manifest.txt").write_text(text)
         args = [str(tmp_path / "run") if a == "OUT" else a for a in command]
         assert main([*args, "--data", str(data), *TOY_OVERRIDES]) == 1
         err = capsys.readouterr().err

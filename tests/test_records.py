@@ -259,3 +259,11 @@ class TestManifest:
         with pytest.raises(records.RecordParseError) as err:
             list(records.read_shards(records.load_manifest(tmp_path)))
         assert str(manifest) in str(err.value) and "record_count 20" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["", "record_count 0\n"], ids=["empty", "no_shard_lines"])
+    def test_manifest_without_shard_lines_named(self, tmp_path, text):
+        manifest = tmp_path / records.MANIFEST_NAME
+        manifest.write_text(text)
+        with pytest.raises(records.RecordParseError) as err:
+            records.load_manifest(tmp_path)
+        assert str(manifest) in str(err.value) and "no shard lines" in str(err.value)

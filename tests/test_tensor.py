@@ -403,13 +403,46 @@ class TestBackward:
         assert np.allclose(y.grad, [0, 0])
 
     def test_ops_outside_a_tape_record_nothing(self, monkeypatch):
-        monkeypatch.setattr(T, "_TAPES", [])
+        monkeypatch.setattr(T, "_TAPE", None)
         x = Tensor([1.0, 2.0], requires_grad=True)
         loss = inner(x, x)
         assert not loss.requires_grad and loss._entry is None
         with pytest.raises(T.ContractError, match="not connected to a tape"):
             backward(loss)
         assert x.grad is None
+
+    def test_tapes_nest_and_no_grad_has_no_current_tape(self):
+        outer = T._TAPE
+        with T.Tape() as tape:
+            assert T._TAPE is tape
+            with T.no_grad():
+                assert T._TAPE is None
+            assert T._TAPE is tape
+        assert T._TAPE is outer
+
+    def test_loss_on_an_outer_tape_is_rejected(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = inner(x, x)
+        with T.Tape():
+            with pytest.raises(T.ContractError, match="not on the current tape"):
+                backward(loss)
+        assert x.grad is None
+
+    def test_ops_not_feeding_the_loss_never_run_their_backward(self):
+        calls = []
+
+        def counted(t):
+            bwd = t._entry.backward_fn
+            t._entry.backward_fn = lambda g: calls.append(g) or bwd(g)
+            return t
+
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        counted(T.relu(x))                      # recorded before the loss
+        loss = inner(x, x)
+        counted(T.add(x, x))                    # recorded after it
+        backward(loss)
+        assert calls == []
+        assert np.allclose(x.grad, [2, 4])
 
     def test_conv2d_skips_input_grad_of_constant_input(self):
         rng = np.random.default_rng(7)
