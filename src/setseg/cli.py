@@ -92,7 +92,7 @@ def build_parser():
     p = sub.add_parser("profile", help="per-stage timing of the training loop; writes nothing")
     _add_config_args(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=_int_at_least(0), default=10)
 
     p = sub.add_parser("model", help="model utilities")
     model_sub = p.add_subparsers(dest="model_command", required=True)

@@ -82,7 +82,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
     """Build a RunConfig: defaults, then the file, then CLI overrides.
 
     The losses, model and parser sections must pass their ``validate``
-    (focal alpha and gamma in their formula's domain, a model that builds, a
+    (finite loss values, each in its formula's domain, a model that builds, a
     square side that is a positive multiple of the model's stride 32, crop
     sizes of at least 1), and the parser may not emit more classes than the
     model's class head has.

@@ -63,12 +63,6 @@ class PQResult:
             out[c] = s.iou_sum / denom if denom > 0 else 0.0
         return out
 
-    @property
-    def mean_per_class_pq(self) -> float:
-        """Average of per-class PQ over classes present in GT or predictions."""
-        values = self.per_class_pq
-        return sum(values.values()) / len(values) if values else 0.0
-
 
 def _iou(pred: np.ndarray, gt: np.ndarray, void: np.ndarray | None) -> float:
     pred = pred.astype(bool)

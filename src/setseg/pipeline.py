@@ -1,12 +1,15 @@
 """Decoder and parser: class-ID densification, resize/crop/pad, target building.
 
 All geometry uses nearest-neighbor resampling with pixel-center index
-mapping, so a parse at scale 1.0 is the identity on pixel values. Images are
-padded bottom/right to a square target. ``parse`` alone knows the mask
-logits' stride ``MASK_STRIDE``: the target masks and the validity mask (the
-top-left rectangle of resized content, to which every mask loss restricts
-its sums) come out at mask resolution. Targets and labels are chosen at
-parse resolution, so a target can have no pixel at mask resolution.
+mapping, so a parse at scale 1.0 is the identity on pixel values. Such
+resamples compose exactly (``g[a][b] == g[a[b]]``), so the crop, its resize
+and the fit are one source index per axis, and ``parse`` gathers each record
+grid once. Images are padded bottom/right to a square target. ``parse``
+alone knows the mask logits' stride ``MASK_STRIDE``: the target masks and the
+validity mask (the top-left rectangle of resized content, to which every
+mask loss restricts its sums) come out at mask resolution. Targets and
+labels are chosen at parse resolution, so a target can have no pixel at mask
+resolution.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ class IdMapper:
     """Order-preserving densification of sparse class IDs into 1..K."""
 
     original_to_contiguous: dict[int, int]
-    contiguous_to_original: dict[int, int]
 
     @property
     def num_classes(self) -> int:
@@ -46,12 +48,6 @@ class IdMapper:
         except KeyError:
             raise PipelineError(f"unknown class ID {original_id}") from None
 
-    def to_original(self, contiguous_id: int) -> int:
-        try:
-            return self.contiguous_to_original[contiguous_id]
-        except KeyError:
-            raise PipelineError(f"unknown contiguous ID {contiguous_id}") from None
-
 
 def build_id_mapper(original_ids) -> IdMapper:
     ids = list(original_ids)
@@ -61,8 +57,7 @@ def build_id_mapper(original_ids) -> IdMapper:
         raise PipelineError("duplicate IDs in mapper input")
     if any(i <= 0 for i in ids):
         raise PipelineError("class IDs must be positive")
-    forward = {orig: k + 1 for k, orig in enumerate(sorted(ids))}
-    return IdMapper(forward, {v: k for k, v in forward.items()})
+    return IdMapper({orig: k + 1 for k, orig in enumerate(sorted(ids))})
 
 
 # ---------------------------------------------------------------------------
@@ -109,22 +104,19 @@ class TargetSet:
 # Geometry helpers
 # ---------------------------------------------------------------------------
 
-def resize_nearest(grid: np.ndarray, new_h: int, new_w: int) -> np.ndarray:
-    """Nearest-neighbor resample of the first two axes (identity at scale 1)."""
-    h, w = grid.shape[:2]
-    rows = np.minimum(((np.arange(new_h) + 0.5) * (h / new_h)).astype(np.int64), h - 1)
-    cols = np.minimum(((np.arange(new_w) + 0.5) * (w / new_w)).astype(np.int64), w - 1)
-    return grid[rows][:, cols]
+def nearest_index(n: int, new_n: int) -> np.ndarray:
+    """Source indices of a nearest-neighbor resample of n samples to new_n (identity at n)."""
+    return np.minimum(((np.arange(new_n) + 0.5) * (n / new_n)).astype(np.int64), n - 1)
 
 
 def entry_to_arrays(entry: dict):
-    """Decode a record entry into (rgb, contiguous, instance, image_id) arrays."""
+    """Decode a record entry into (rgb, contiguous, instance, image_id): views of its bytes."""
     h = int(entry["image/height"][0])
     w = int(entry["image/width"][0])
     rgb = np.frombuffer(entry["image/encoded"], dtype=np.uint8).reshape(h, w, 3)
     cont = np.frombuffer(entry["segmentation/contiguous_mask"], dtype="<u2").reshape(h, w)
     inst = np.frombuffer(entry["segmentation/instance_mask"], dtype="<u2").reshape(h, w)
-    return rgb, cont.astype(np.int64), inst.astype(np.int64), int(entry["image/id"][0])
+    return rgb, cont, inst, int(entry["image/id"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +130,8 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
     ``cfg.crop_probability`` a random crop is taken and its shortest side
     resized to one of ``cfg.crop_sizes``; afterwards the longer side is fitted
     to ``cfg.target_size`` and the result zero-padded bottom/right to a square.
+    The rgb and instance grids are gathered once, through one composed index
+    per axis, and the class grid only at each instance's first pixel.
     Targets and the validity mask are at mask resolution (see the module
     docstring); ``cfg.target_size`` must be a multiple of ``MASK_STRIDE``.
     """
@@ -154,16 +148,14 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
             f"unknown class ID {int(bad[0])} (mapper covers 1..{cfg.num_classes})"
         )
 
+    h, w = inst.shape
+    rows, cols = np.arange(h), np.arange(w)
     rng = np.random.default_rng(rng_seed)
     if rng.random() < cfg.crop_probability:
-        h, w = rgb.shape[:2]
         ch = int(rng.integers(max(1, h // 2), h + 1))
         cw = int(rng.integers(max(1, w // 2), w + 1))
         top = int(rng.integers(0, h - ch + 1))
         left = int(rng.integers(0, w - cw + 1))
-        rgb = rgb[top:top + ch, left:left + cw]
-        cont = cont[top:top + ch, left:left + cw]
-        inst = inst[top:top + ch, left:left + cw]
         short = int(rng.choice(np.asarray(cfg.crop_sizes)))
         scale = short / min(ch, cw)
         sh, sw = max(1, round(ch * scale)), max(1, round(cw * scale))
@@ -171,35 +163,33 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
             sh = short
         else:
             sw = short
-        rgb = resize_nearest(rgb, sh, sw)
-        cont = resize_nearest(cont, sh, sw)
-        inst = resize_nearest(inst, sh, sw)
+        rows, cols = top + nearest_index(ch, sh), left + nearest_index(cw, sw)
 
-    h, w = rgb.shape[:2]
+    h, w = len(rows), len(cols)
     scale = target / max(h, w)
     new_h = target if h >= w else max(1, round(h * scale))
     new_w = target if w >= h else max(1, round(w * scale))
-    rgb = resize_nearest(rgb, new_h, new_w)
-    cont = resize_nearest(cont, new_h, new_w)
-    inst = resize_nearest(inst, new_h, new_w)
+    rows, cols = rows[nearest_index(h, new_h)], cols[nearest_index(w, new_w)]
 
     image = np.zeros((target, target, 3), dtype=np.float32)
-    mean = np.asarray(cfg.mean, dtype=np.float32)
-    std = np.asarray(cfg.std, dtype=np.float32)
-    image[:new_h, :new_w] = (rgb.astype(np.float32) / 255.0 - mean) / std
+    content = image[:new_h, :new_w]
+    content[...] = rgb.take(rows, axis=0).take(cols, axis=1)
+    content /= 255.0
+    content -= np.asarray(cfg.mean, dtype=np.float32)
+    content /= np.asarray(cfg.std, dtype=np.float32)
 
-    # resize_nearest of the padded square to 1/MASK_STRIDE would pick each
-    # stride cell's pixel centre; pick them from the content, then pad
+    # a resample of the padded square to 1/MASK_STRIDE would pick each stride
+    # cell's pixel centre; pick them from the content, then pad
+    inst = inst.take(rows, axis=0).take(cols, axis=1)
     centre = MASK_STRIDE // 2
     picked = inst[centre::MASK_STRIDE, centre::MASK_STRIDE]
     pad = [(0, target // MASK_STRIDE - n) for n in picked.shape]
     small, valid = np.pad(picked, pad), np.pad(np.ones(picked.shape, dtype=bool), pad)
 
     # each instance's label is its first pixel's class, in row-major order
-    region = inst != 0
-    ids, first = np.unique(inst[region], return_index=True)
-    labels = cont[region][first]
-    keep = labels != 0
+    ids, first = np.unique(inst, return_index=True)
+    labels = cont[rows[first // new_w], cols[first % new_w]]
+    keep = (ids != 0) & (labels != 0)
     targets = TargetSet(masks=[(small == iid).astype(np.uint8) for iid in ids[keep]],
                         labels=[int(label) for label in labels[keep]],
                         dropped=source_count - int(keep.sum()))

@@ -107,6 +107,22 @@ class TestSubcommands:
         assert code == 0
         assert "no steps profiled" in capsys.readouterr().out
 
+    def test_profile_negative_steps_is_a_usage_error(self, dataset, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--data", str(dataset / "shards"), "--steps", "-1",
+                  *TOY_OVERRIDES])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --steps: " in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    def test_non_finite_loss_weight_is_a_usage_error(self, dataset, capsys):
+        assert main(["profile", "--data", str(dataset / "shards"), "--steps", "1",
+                     *TOY_OVERRIDES, "--set", "losses.focal_weight=inf"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("setseg: error: losses.focal_weight ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_model_info(self, capsys):
         assert main(["model", "info", *TOY_OVERRIDES]) == 0
         out = capsys.readouterr().out
@@ -197,11 +213,13 @@ class TestSubcommands:
         shutil.copytree(dataset / "shards", data)
         manifest = data / "manifest.txt"
         lines = manifest.read_text().splitlines()
-        manifest.write_text("\n".join(lines[:2]) + "\n")     # keep only the first shard line
+        assert lines[-1].startswith("shard ") and lines[-2].startswith("shard ")
+        manifest.write_text("\n".join(lines[:-1]) + "\n")    # drop the last shard line
         args = [a.replace("OUT", str(tmp_path / "run")) for a in command]
         assert main([*args, "--data", str(data), *TOY_OVERRIDES]) == 1
         err = capsys.readouterr().err
         assert err.startswith(aborted) and f"{manifest}: record_count 8" in err
+        assert "but its shards hold" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("args, named", [

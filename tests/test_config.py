@@ -89,6 +89,11 @@ class TestParsing:
     @pytest.mark.parametrize("override, named", [
         ("losses.focal_alpha=2", "losses.focal_alpha"),
         ("losses.focal_gamma=-1", "losses.focal_gamma"),
+        ("losses.focal_weight=inf", "losses.focal_weight"),
+        ("losses.class_weight=-1", "losses.class_weight"),
+        ("losses.dice_weight=nan", "losses.dice_weight"),
+        ("losses.dice_eps=0", "losses.dice_eps"),
+        ("losses.no_object_weight=-inf", "losses.no_object_weight"),
         ("parser.crop_sizes=", "parser.crop_sizes"),
     ])
     def test_out_of_domain_value_rejected(self, override, named):

@@ -63,15 +63,6 @@ class TestPanopticQuality:
             if tp > 0:
                 assert res.pq == res.sq * res.rq
 
-    def test_mean_per_class_pq_over_present_classes(self):
-        m1 = square_mask(8, 8, 0, 4, 0, 4)
-        m2 = square_mask(8, 8, 4, 8, 4, 8)
-        pred = SegmentSet([m1], [1])
-        gt = SegmentSet([m1, m2], [1, 3])
-        res = panoptic_quality(pred, gt)
-        # class 1 perfect (PQ 1), class 3 all-FN (PQ 0); other classes absent
-        assert res.mean_per_class_pq == 0.5
-
     def test_class_mismatch_never_matches(self):
         m = square_mask(8, 8, 0, 4, 0, 4)
         res = panoptic_quality(SegmentSet([m], [1]), SegmentSet([m], [2]))
