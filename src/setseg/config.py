@@ -8,6 +8,7 @@ that only ever takes one value is a constant in the code, not a key.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -31,6 +32,22 @@ class TrainerConfig:
     steps: int = 300
     grad_clip_norm: float = 0.1
     checkpoint_every: int = 100
+
+    def validate(self):
+        """Raise ConfigError, its message starting with the key, for a value outside its domain.
+
+        Comparisons are false for NaN, so each bound below also rejects it.
+        """
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
+        if not 0.0 <= self.grad_clip_norm < math.inf:
+            # clip_gradients reads 0 as "off"; NaN, inf or a negative value would turn it off unsaid
+            raise ConfigError(f"grad_clip_norm must be finite and >= 0, got {self.grad_clip_norm}")
+        if self.steps < 0:
+            raise ConfigError(f"steps must be >= 0, got {self.steps}")
 
 
 @dataclass
@@ -81,11 +98,12 @@ def get_value(cfg: RunConfig, dotted_key: str):
 def load_config(path=None, overrides=None) -> RunConfig:
     """Build a RunConfig: defaults, then the file, then CLI overrides.
 
-    The losses, model and parser sections must pass their ``validate``
-    (finite loss values, each in its formula's domain, a model that builds, a
-    square side that is a positive multiple of the model's stride 32, crop
-    sizes of at least 1), and the parser may not emit more classes than the
-    model's class head has.
+    The losses, model, parser and trainer sections must pass their
+    ``validate`` (finite loss values, each in its formula's domain, a model
+    that builds, a square side that is a positive multiple of the model's
+    stride 32, crop sizes of at least 1, a finite positive learning rate,
+    Adam decays in [0, 1), a finite clip norm >= 0 and steps >= 0), and the
+    parser may not emit more classes than the model's class head has.
     """
     cfg = RunConfig()
     if path is not None:
@@ -109,7 +127,7 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigFileError(f"override must be key=value, got {item!r}")
         key, _, value = item.partition("=")
         set_value(cfg, key.strip(), value)
-    for section in ("losses", "model", "parser"):
+    for section in ("losses", "model", "parser", "trainer"):
         try:
             getattr(cfg, section).validate()
         except (LossError, ConfigError, PipelineError) as err:

@@ -31,7 +31,10 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self):
-        """Raise ConfigError, its message starting with the key, for a model that cannot build."""
+        """Raise ConfigError, its message starting with the key, for a model that cannot build.
+
+        A negative layer count would build as 0 layers, so it is rejected too.
+        """
         if self.input_size < 32 or self.input_size % 32 != 0:
             raise ConfigError(f"input_size {self.input_size} not a positive multiple of 32")
         if self.hidden_size < 2 or self.hidden_size % 2:
@@ -41,7 +44,8 @@ class ModelConfig:
             raise ConfigError(
                 f"hidden_size {self.hidden_size} not divisible by {self.num_heads} heads"
             )
-        for key, low in (("n_queries", 1), ("backbone_channels", 1), ("seed", 0)):
+        for key, low in (("n_queries", 1), ("backbone_channels", 1), ("num_encoder_layers", 0),
+                         ("num_decoder_layers", 0), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
 
@@ -158,18 +162,21 @@ class MaskClassificationModel:
                      stride=2, padding=1)
         return self._norm(x, f"{prefix}.norm", relu=True)
 
-    def _attn(self, x, keys, values, prefix):
+    def _linear(self, x, prefix, name, relu=False):
         p = self.params
-        q = T.linear(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-        k = T.linear(keys, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-        v = T.linear(values, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-        out = T.multi_head_attention(q, k, v, self.cfg.num_heads)
-        return T.linear(out, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+        return T.linear(x, p[f"{prefix}.w{name}"], p[f"{prefix}.b{name}"], relu=relu)
+
+    def _attn(self, q, keys, values, prefix):
+        """Attention of the projected queries ``q`` over keys and values, then the output projection."""
+        k = self._linear(keys, prefix, "k")
+        v = self._linear(values, prefix, "v")
+        return self._linear(T.multi_head_attention(q, k, v, self.cfg.num_heads), prefix, "o")
+
+    def _self_attn(self, x, prefix):
+        return self._attn(self._linear(x, prefix, "q"), x, x, prefix)
 
     def _ffn(self, x, prefix):
-        p = self.params
-        h = T.relu(T.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-        return T.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+        return self._linear(self._linear(x, prefix, "1", relu=True), prefix, "2")
 
     def backbone_stub(self, image: Tensor) -> Tensor:
         """Five stride-2 conv+norm+relu stages: [B,H,W,3] -> [B,H/32,W/32,C_b]."""
@@ -201,7 +208,7 @@ class MaskClassificationModel:
         for i in range(self.cfg.num_encoder_layers):
             pre = f"pixel_decoder.enc{i}"
             t = self._norm(tokens, f"{pre}.norm1")
-            tokens = T.add(tokens, self._attn(t, t, t, f"{pre}.attn"))
+            tokens = T.add(tokens, self._self_attn(t, f"{pre}.attn"))
             t = self._norm(tokens, f"{pre}.norm2")
             tokens = T.add(tokens, self._ffn(t, f"{pre}.ffn"))
         encoded = T.reshape(tokens, (b, h, w, c))
@@ -213,32 +220,47 @@ class MaskClassificationModel:
         return encoded, y
 
     def transformer_decoder(self, encoded: Tensor, pos: np.ndarray | None = None) -> Tensor:
-        """Decode the learned queries against encoded tokens (pos added to keys)."""
+        """Decode the learned queries against encoded tokens (pos added to keys): [B, N_q, C].
+
+        Every image starts from the same queries, so layer 0 runs at batch 1
+        up to where image data enters: its ``norm1``, self-attention block
+        and residual add, its ``norm2`` and its cross-attention query
+        projection. The residual stream and the projected queries are then
+        broadcast to the batch, and ``broadcast_batch``'s backward sums the
+        per-image grads once. With no layers the queries are broadcast as
+        they are.
+        """
         b, h, w, c = encoded.shape
+        queries = self.params["decoder.queries"]
+        if not self.cfg.num_decoder_layers:
+            return T.broadcast_batch(queries, b)
         if pos is None:
             pos = self.position_embedding(h, w)
-        x = T.broadcast_batch(self.params["decoder.queries"], b)
+        nq = queries.shape[0]
         enc_tokens = T.reshape(encoded, (b, h * w, c))
         pos_tokens = np.broadcast_to(pos.reshape(1, h * w, c), (b, h * w, c)).copy()
         keys = T.add(enc_tokens, Tensor(pos_tokens))
+        x = T.reshape(queries, (1, nq, c))
         for i in range(self.cfg.num_decoder_layers):
             pre = f"decoder.layer{i}"
             t = self._norm(x, f"{pre}.norm1")
-            x = T.add(x, self._attn(t, t, t, f"{pre}.self_attn"))
+            x = T.add(x, self._self_attn(t, f"{pre}.self_attn"))
             t = self._norm(x, f"{pre}.norm2")
-            x = T.add(x, self._attn(t, keys, enc_tokens, f"{pre}.cross_attn"))
+            q = self._linear(t, f"{pre}.cross_attn", "q")
+            if i == 0:
+                x, q = (T.broadcast_batch(T.reshape(a, (nq, c)), b) for a in (x, q))
+            x = T.add(x, self._attn(q, keys, enc_tokens, f"{pre}.cross_attn"))
             t = self._norm(x, f"{pre}.norm3")
             x = T.add(x, self._ffn(t, f"{pre}.ffn"))
         return x
 
     def heads(self, decoder_out: Tensor, mask_features: Tensor) -> ModelOutputs:
         """Linear classifier plus 3-layer MLP mask embedding dotted with features."""
-        p = self.params
-        class_logits = T.linear(decoder_out, p["heads.classifier.w"], p["heads.classifier.b"])
+        class_logits = self._linear(decoder_out, "heads.classifier", "")
         e = decoder_out
         for l in range(2):
-            e = T.relu(T.linear(e, p[f"heads.mask_mlp.w{l}"], p[f"heads.mask_mlp.b{l}"]))
-        mask_embed = T.linear(e, p["heads.mask_mlp.w2"], p["heads.mask_mlp.b2"])
+            e = self._linear(e, "heads.mask_mlp", str(l), relu=True)
+        mask_embed = self._linear(e, "heads.mask_mlp", "2")
         b, hm, wm, c = mask_features.shape
         mf = T.reshape(mask_features, (b, hm * wm, c))
         logits = T.matmul_nt(mask_embed, mf)                  # [B, N_q, hm*wm]

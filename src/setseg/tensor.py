@@ -9,7 +9,8 @@ replays the current tape in reverse from the loss's entry to populate
 ``grad`` buffers on the leaves.
 
 The ops are the ones the model and the losses record, each with one call
-form: add, relu, reshape, broadcast_batch, ``linear`` (x·w + b as one op),
+form: add, relu, reshape, broadcast_batch, ``linear`` (x·w + b as one op
+and one 2-D GEMM; ``relu=True`` applies a following ReLU in the same op),
 matmul_nt (a·bᵀ), layer_norm (``relu=True`` applies a following ReLU in the
 same op), conv2d (im2col GEMM, with its bias), ``upsample2x_conv3x3`` (a
 nearest 2x upsample fused into the following 3x3 conv, computed one output
@@ -273,19 +274,31 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
     return _make_result(out, (a, b), lambda g: (g @ bd, g.swapaxes(-1, -2) @ ad))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x[..., in] @ w[in, out] + b[out], one op; w and b are shared across the leading dims."""
+def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """x[..., in] @ w[in, out] + b[out], one op; w and b are shared across the leading dims.
+
+    The leading dims flatten into the rows of one 2-D GEMM, forward and
+    backward, so neither a per-image batched matmul nor a transposed copy
+    of x is made. ``relu=True`` is ``relu(linear(...))`` as one op: the
+    output is clamped at 0 in place, and the backward zeroes the incoming
+    grad where the output is not positive.
+    """
     xd, wd = x.data, w.data
     if wd.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: input {x.shape}, weights {w.shape} and bias {b.shape} do not match")
-    out = xd @ wd
+    x2 = xd.reshape(math.prod(xd.shape[:-1]), wd.shape[0])
+    out = x2 @ wd
     out += b.data
-    lead = tuple(range(xd.ndim - 1))
+    if relu:
+        np.maximum(out, 0, out=out)
 
     def bwd(g):
-        return g @ wd.T, np.tensordot(xd, g, axes=(lead, lead)), g.sum(axis=lead)
+        g2 = g.reshape(out.shape)
+        if relu:
+            g2 = g2 * (out > 0)
+        return (g2 @ wd.T).reshape(xd.shape), x2.T @ g2, g2.sum(axis=0)
 
-    return _make_result(out, (x, w, b), bwd)
+    return _make_result(out.reshape(xd.shape[:-1] + wd.shape[1:]), (x, w, b), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -133,19 +133,20 @@ def check_layer_shapes(cfg: RunConfig) -> CheckResult:
     model = MaskClassificationModel(m)
     s, c = m.input_size, m.hidden_size
     rng = np.random.default_rng(0)
+    b = 2   # at batch 1 the decoder's broadcast of its batch-1 query block would be a no-op
     with no_grad():
-        image = Tensor(rng.standard_normal((1, s, s, 3)).astype(np.float32))
+        image = Tensor(rng.standard_normal((b, s, s, 3)).astype(np.float32))
         feats = model.backbone_stub(image)
         encoded, mask_features = model.pixel_decoder(feats)
         dec = model.transformer_decoder(encoded)
         out = model.heads(dec, mask_features)
     expectations = [
-        (feats.shape, (1, s // 32, s // 32, m.backbone_channels), "backbone"),
-        (encoded.shape, (1, s // 32, s // 32, c), "encoded"),
-        (mask_features.shape, (1, s // 4, s // 4, c), "pixel decoder"),
-        (dec.shape, (1, m.n_queries, c), "transformer decoder"),
-        (out.mask_logits.shape, (1, m.n_queries, s // 4, s // 4), "mask logits"),
-        (out.class_logits.shape, (1, m.n_queries, m.num_classes + 1), "class logits"),
+        (feats.shape, (b, s // 32, s // 32, m.backbone_channels), "backbone"),
+        (encoded.shape, (b, s // 32, s // 32, c), "encoded"),
+        (mask_features.shape, (b, s // 4, s // 4, c), "pixel decoder"),
+        (dec.shape, (b, m.n_queries, c), "transformer decoder"),
+        (out.mask_logits.shape, (b, m.n_queries, s // 4, s // 4), "mask logits"),
+        (out.class_logits.shape, (b, m.n_queries, m.num_classes + 1), "class logits"),
     ]
     bad = [f"{name}: {got} != {want}" for got, want, name in expectations if got != want]
     return CheckResult("layer-wise shape suite", not bad, float(len(bad)), "; ".join(bad))

@@ -123,6 +123,22 @@ class TestSubcommands:
         assert err.startswith("setseg: error: losses.focal_weight ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("override", [
+        "trainer.grad_clip_norm=nan", "trainer.grad_clip_norm=inf",
+        "trainer.grad_clip_norm=-inf", "trainer.grad_clip_norm=-0.5",
+        "trainer.learning_rate=0", "trainer.learning_rate=nan", "trainer.learning_rate=inf",
+        "trainer.beta1=1", "trainer.beta1=-0.1", "trainer.beta2=1.0", "trainer.beta2=nan",
+        "trainer.steps=-1",
+    ])
+    def test_out_of_domain_trainer_value_is_a_usage_error(self, dataset, tmp_path, capsys,
+                                                          override):
+        assert main(["train", "--data", str(dataset / "shards"), "--out", str(tmp_path / "run"),
+                     *TOY_OVERRIDES, "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"setseg: error: {override.split('=')[0]} must be ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_model_info(self, capsys):
         assert main(["model", "info", *TOY_OVERRIDES]) == 0
         out = capsys.readouterr().out

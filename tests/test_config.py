@@ -95,6 +95,8 @@ class TestParsing:
         ("losses.dice_eps=0", "losses.dice_eps"),
         ("losses.no_object_weight=-inf", "losses.no_object_weight"),
         ("parser.crop_sizes=", "parser.crop_sizes"),
+        ("model.num_encoder_layers=-1", "model.num_encoder_layers"),
+        ("model.num_decoder_layers=-1", "model.num_decoder_layers"),
     ])
     def test_out_of_domain_value_rejected(self, override, named):
         with pytest.raises(cfg_mod.ConfigFileError) as err:
@@ -147,8 +149,8 @@ def _typed_value(key, n):
         # file 2, command line 3: distinct, and never above any model.num_classes
         # (default 4, drawn >= 100), so the resolved config stays valid
         return 1 + n // 100
-    if key == "losses.focal_alpha":
-        # distinct values inside alpha's domain [0, 1]
+    if key in ("losses.focal_alpha", "trainer.beta1", "trainer.beta2"):
+        # distinct values inside alpha's domain [0, 1] and Adam's decays' [0, 1)
         return n / 1000
     if key in ("model.input_size", "model.hidden_size", "parser.target_size"):
         # multiples of the model's stride 32 and of every head count drawn below

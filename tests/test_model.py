@@ -11,6 +11,8 @@ from setseg.pipeline import TargetSet
 from setseg.records import RecordParseError, write_shards
 from setseg.tensor import Tape, Tensor, backward
 
+from conftest import inner
+
 
 def toy_config(**overrides):
     base = dict(
@@ -99,6 +101,88 @@ class TestIdentityStacks:
         q = model.params["decoder.queries"].data
         assert np.array_equal(out.data[0], q)
         assert np.array_equal(out.data[1], q)
+
+
+def per_image_decoder(model, encoded):
+    """The transformer decoder with every op at the batch size, layer 0's query block included."""
+    p, cfg = model.params, model.cfg
+    b, h, w, c = encoded.shape
+
+    def lin(x, pre, name):
+        return T.linear(x, p[f"{pre}.w{name}"], p[f"{pre}.b{name}"])
+
+    def norm(x, pre):
+        return T.layer_norm(x, p[f"{pre}.scale"], p[f"{pre}.shift"])
+
+    def attn(x, keys, values, pre):
+        out = T.multi_head_attention(lin(x, pre, "q"), lin(keys, pre, "k"), lin(values, pre, "v"),
+                                     cfg.num_heads)
+        return lin(out, pre, "o")
+
+    pos = model.position_embedding(h, w).reshape(1, h * w, c)
+    x = T.broadcast_batch(p["decoder.queries"], b)
+    enc_tokens = T.reshape(encoded, (b, h * w, c))
+    keys = T.add(enc_tokens, Tensor(np.broadcast_to(pos, (b, h * w, c)).copy()))
+    for i in range(cfg.num_decoder_layers):
+        pre = f"decoder.layer{i}"
+        t = norm(x, f"{pre}.norm1")
+        x = T.add(x, attn(t, t, t, f"{pre}.self_attn"))
+        t = norm(x, f"{pre}.norm2")
+        x = T.add(x, attn(t, keys, enc_tokens, f"{pre}.cross_attn"))
+        t = norm(x, f"{pre}.norm3")
+        x = T.add(x, lin(T.relu(lin(t, f"{pre}.ffn", "1")), f"{pre}.ffn", "2"))
+    return x
+
+
+class TestDecoderQueryBlock:
+    """Layer 0's query block runs once at batch 1 and equals the per-image decoder."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_per_image_decoder(self, batch, layers, dtype):
+        model = MaskClassificationModel(toy_config(num_decoder_layers=layers))
+        for t in model.params.values():
+            t.data = t.data.astype(dtype)
+        rng = np.random.default_rng(10 * batch + layers)
+        encoded = rng.standard_normal((batch, 2, 2, 32)).astype(dtype)
+        g = Tensor(rng.standard_normal((batch, 8, 32)).astype(dtype))
+        results = []
+        for decoder in (model.transformer_decoder, lambda e: per_image_decoder(model, e)):
+            model.zero_grad()
+            enc = Tensor(encoded, requires_grad=True)
+            with Tape():
+                out = decoder(enc)
+                backward(inner(out, g))
+            results.append((out.data, {"encoded": enc.grad, **{
+                name: t.grad for name, t in model.params.items() if name.startswith("decoder.")}}))
+        (out, grads), (ref_out, ref_grads) = results
+        assert out.dtype == dtype and out.shape == (batch, 8, 32)
+        assert np.array_equal(out, ref_out)
+        if dtype == np.float64:
+            # analytically zero grads (the key biases) are rounding noise: atol on the largest grad
+            scale = max(np.abs(r).max() for r in ref_grads.values() if r is not None)
+            assert grads.keys() == ref_grads.keys()
+            for name, ref in ref_grads.items():
+                assert (grads[name] is None) == (ref is None), name
+                if ref is not None:
+                    np.testing.assert_allclose(grads[name], ref, rtol=1e-12,
+                                               atol=1e-12 * scale, err_msg=name)
+
+    def test_layer0_self_attention_runs_at_batch_one(self, monkeypatch):
+        model = MaskClassificationModel(toy_config())
+        recorded = []
+        record = T.Tape.record
+        monkeypatch.setattr(T.Tape, "record",
+                            lambda tape, *a: recorded.append(a) or record(tape, *a))
+        encoded = Tensor(np.random.default_rng(7).standard_normal((3, 2, 2, 32)),
+                         requires_grad=True)
+        assert model.transformer_decoder(encoded).shape == (3, 8, 32)
+        attention = [inputs for inputs, _, fn in recorded
+                     if fn.__qualname__.startswith("multi_head_attention.")]
+        # layer 0: self (batch 1), cross (batch 3); layer 1: self and cross at batch 3
+        assert [[t.shape[0] for t in inputs] for inputs in attention] == [
+            [1, 1, 1], [3, 3, 3], [3, 3, 3], [3, 3, 3]]
 
 
 class TestHeads:

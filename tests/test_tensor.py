@@ -63,6 +63,25 @@ class TestMatmul:
         out = T.linear(Tensor(x), Tensor(w), Tensor(b))
         assert np.allclose(out.data, x @ w + b, atol=1e-5)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_relu_equals_relu_of_linear(self, dtype):
+        rng = np.random.default_rng(10)
+        # 3 images of 50 rows; about half the outputs are negative
+        x = rng.standard_normal((3, 50, 24)).astype(dtype)
+        w = rng.standard_normal((24, 40)).astype(dtype)
+        b = rng.standard_normal(40).astype(dtype)
+        g = rng.standard_normal((3, 50, 40)).astype(dtype)
+        results = []
+        for fused in (True, False):
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            out = (T.linear(xt, wt, bt, relu=True) if fused
+                   else T.relu(T.linear(xt, wt, bt)))
+            backward(inner(out, Tensor(g)))
+            results.append((out.data, xt.grad, wt.grad, bt.grad))
+        assert 0.3 < (results[1][0] == 0).mean() < 0.7
+        for fused, composed in zip(*results):
+            assert fused.dtype == dtype and np.array_equal(fused, composed)
+
     def test_nt_equals_matmul_of_transpose(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)

@@ -178,12 +178,16 @@ class TestTrain:
         assert result.dropped_instances >= 0 and result.degenerate_dice >= 0
 
     def test_readme_toy_step_tape_ops(self, shard_dir, tmp_path, monkeypatch):
-        # 95 = 94 forward ops (each linear layer, its bias included, each of
-        # the six attention calls and each of the 8 conv stages' norm with
-        # its ReLU at one op, the heads' a·bᵀ without a copied transpose) +
-        # 1 loss op for the whole batch of 8 images; a split linear or norm
-        # and ReLU, a copied transpose, a composed attention or a per-image
-        # loss brings the count back up
+        # 93 = 92 forward ops (each linear layer with its bias and any
+        # following ReLU, each of the six attention calls and each of the 8
+        # conv stages' norm with its ReLU at one op, the heads' a·bᵀ without
+        # a copied transpose; decoder layer 0's query block at batch 1 takes
+        # a reshape of the queries, then a reshape and a broadcast each of
+        # the residual stream and the projected queries where the images
+        # enter, in place of one broadcast of the queries) + 1 loss op for
+        # the whole batch of 8 images; a split linear or norm and ReLU, a
+        # copied transpose, a composed attention or a per-image loss brings
+        # the count back up
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         toy = re.search(r"cat > toy.cfg <<'EOF'\n(.*?)\nEOF", readme, re.S).group(1)
         (tmp_path / "toy.cfg").write_text(toy)
@@ -195,7 +199,7 @@ class TestTrain:
         monkeypatch.setattr(tensor.Tape, "record",
                             lambda tape, *a: recorded.append(a) or record(tape, *a))
         trainer.train_step(MaskClassificationModel(cfg.model), batch, cfg)
-        assert len(recorded) == 95
+        assert len(recorded) == 93
 
     def test_checkpoint_cadence(self, shard_dir, tmp_path):
         cfg = toy_run_config(steps=4, checkpoint_every=2)
