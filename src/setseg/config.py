@@ -13,10 +13,9 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .evaluator import EvalConfig
-from .losses import LossConfig, LossError
+from .losses import LossConfig
 from .model import ModelConfig
-from .pipeline import ParserConfig, PipelineError
-from .tensor import ConfigError
+from .pipeline import ParserConfig
 
 
 class ConfigFileError(ValueError):
@@ -33,22 +32,6 @@ class TrainerConfig:
     grad_clip_norm: float = 0.1
     checkpoint_every: int = 100
 
-    def validate(self):
-        """Raise ConfigError, its message starting with the key, for a value outside its domain.
-
-        Comparisons are false for NaN, so each bound below also rejects it.
-        """
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        for key in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ConfigError(f"{key} must be in [0, 1), got {getattr(self, key)}")
-        if not 0.0 <= self.grad_clip_norm < math.inf:
-            # clip_gradients reads 0 as "off"; NaN, inf or a negative value would turn it off unsaid
-            raise ConfigError(f"grad_clip_norm must be finite and >= 0, got {self.grad_clip_norm}")
-        if self.steps < 0:
-            raise ConfigError(f"steps must be >= 0, got {self.steps}")
-
 
 @dataclass
 class RunConfig:
@@ -58,6 +41,56 @@ class RunConfig:
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     evaluator: EvalConfig = field(default_factory=EvalConfig)
     seed: int = 0
+
+
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+_AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+_STRIDE_32 = ("a positive multiple of 32, the model's stride", lambda v: v >= 32 and v % 32 == 0)
+_PROBABILITY = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_DECAY = ("in [0, 1)", lambda v: 0.0 <= v < 1.0)
+_FINITE_AT_LEAST_0 = ("finite and >= 0", lambda v: 0.0 <= v < math.inf)
+_FINITE_ABOVE_0 = ("finite and > 0", lambda v: 0.0 < v < math.inf)
+
+# Every leaf key's domain: the phrase of "<key> must be <phrase>" and a test of
+# the value alone. Comparisons are false for NaN, so each float bound rejects it.
+DOMAINS = {
+    "parser.target_size": _STRIDE_32,
+    "parser.crop_probability": _PROBABILITY,
+    "parser.crop_sizes": ("values >= 1", lambda v: min(v) >= 1),
+    "parser.mean": ("3 finite values", lambda v: len(v) == 3 and all(map(math.isfinite, v))),
+    "parser.std": ("3 finite values > 0",
+                   lambda v: len(v) == 3 and all(0.0 < x < math.inf for x in v)),
+    "parser.num_classes": _AT_LEAST_1,
+    "model.input_size": _STRIDE_32,
+    "model.n_queries": _AT_LEAST_1,
+    # the sine position embedding gives half the channels to each axis
+    "model.hidden_size": ("even and >= 2", lambda v: v >= 2 and v % 2 == 0),
+    "model.backbone_channels": _AT_LEAST_1,
+    "model.num_encoder_layers": _AT_LEAST_0,
+    "model.num_decoder_layers": _AT_LEAST_0,
+    "model.num_heads": (">= 1 and divide model.hidden_size", lambda v: v >= 1),
+    "model.num_classes": _AT_LEAST_1,
+    "model.seed": _AT_LEAST_0,
+    # a negative weight makes the matcher maximise its cost
+    "losses.class_weight": _FINITE_AT_LEAST_0,
+    "losses.focal_weight": _FINITE_AT_LEAST_0,
+    "losses.dice_weight": _FINITE_AT_LEAST_0,
+    # the dice ratio divides by dice_eps, the class term by a sum of no_object_weight
+    "losses.dice_eps": _FINITE_ABOVE_0,
+    "losses.focal_alpha": _PROBABILITY,
+    "losses.focal_gamma": _FINITE_AT_LEAST_0,
+    "losses.no_object_weight": _FINITE_ABOVE_0,
+    "trainer.learning_rate": _FINITE_ABOVE_0,
+    "trainer.beta1": _DECAY,
+    "trainer.beta2": _DECAY,
+    "trainer.batch_size": _AT_LEAST_1,
+    "trainer.steps": _AT_LEAST_0,
+    "trainer.grad_clip_norm": _FINITE_AT_LEAST_0,    # 0 turns clipping off
+    "trainer.checkpoint_every": _AT_LEAST_0,         # 0 turns checkpoints off
+    "evaluator.confidence_threshold": _PROBABILITY,
+    "evaluator.mask_threshold": _PROBABILITY,
+    "seed": ("an integer", lambda v: True),   # each visit's seed takes it modulo 2**63
+}
 
 
 def _coerce(current, raw: str):
@@ -98,12 +131,7 @@ def get_value(cfg: RunConfig, dotted_key: str):
 def load_config(path=None, overrides=None) -> RunConfig:
     """Build a RunConfig: defaults, then the file, then CLI overrides.
 
-    The losses, model, parser and trainer sections must pass their
-    ``validate`` (finite loss values, each in its formula's domain, a model
-    that builds, a square side that is a positive multiple of the model's
-    stride 32, crop sizes of at least 1, a finite positive learning rate,
-    Adam decays in [0, 1), a finite clip norm >= 0 and steps >= 0), and the
-    parser may not emit more classes than the model's class head has.
+    Each value must lie in its key's ``DOMAINS`` entry; two rules span keys.
     """
     cfg = RunConfig()
     if path is not None:
@@ -127,15 +155,19 @@ def load_config(path=None, overrides=None) -> RunConfig:
             raise ConfigFileError(f"override must be key=value, got {item!r}")
         key, _, value = item.partition("=")
         set_value(cfg, key.strip(), value)
-    for section in ("losses", "model", "parser", "trainer"):
-        try:
-            getattr(cfg, section).validate()
-        except (LossError, ConfigError, PipelineError) as err:
-            raise ConfigFileError(f"{section}.{err}") from None   # the message starts with the key
-    if cfg.parser.num_classes > cfg.model.num_classes:
+    for key in leaf_keys(cfg):
+        phrase, test = DOMAINS[key]
+        value = get_value(cfg, key)
+        if not test(value):
+            raise ConfigFileError(f"{key} must be {phrase}, got {value}")
+    model = cfg.model
+    if model.hidden_size % model.num_heads:
+        raise ConfigFileError(f"model.num_heads must divide model.hidden_size = "
+                              f"{model.hidden_size}, got {model.num_heads}")
+    if cfg.parser.num_classes > model.num_classes:
         # a label above the class head would land in its no-object column
-        raise ConfigFileError(f"parser.num_classes = {cfg.parser.num_classes} exceeds "
-                              f"model.num_classes = {cfg.model.num_classes}")
+        raise ConfigFileError(f"parser.num_classes must be <= model.num_classes = "
+                              f"{model.num_classes}, got {cfg.parser.num_classes}")
     return cfg
 
 

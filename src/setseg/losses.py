@@ -20,8 +20,7 @@ no-object class at the last column (index K).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,10 +28,6 @@ from . import tensor as T
 from .tensor import Tensor
 
 _P_CLAMP = 1e-7
-
-
-class LossError(ValueError):
-    pass
 
 
 @dataclass
@@ -44,21 +39,6 @@ class LossConfig:
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
     no_object_weight: float = 1e-4
-
-    def validate(self) -> None:
-        """Raise LossError naming the key of a value outside its formula's domain.
-
-        Every value is finite and >= 0: a negative weight makes the matcher
-        maximise its cost. The dice ratio divides by ``dice_eps`` and the
-        class term by a sum of ``no_object_weight``, so both are > 0.
-        """
-        for f in fields(self):
-            value, strict = getattr(self, f.name), f.name in ("dice_eps", "no_object_weight")
-            if not (math.isfinite(value) and (value > 0.0 if strict else value >= 0.0)):
-                raise LossError(f"{f.name} must be finite and {'>' if strict else '>='} 0, "
-                                f"got {value}")
-        if self.focal_alpha > 1.0:
-            raise LossError(f"focal_alpha must be in [0, 1], got {self.focal_alpha}")
 
 
 @dataclass

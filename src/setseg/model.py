@@ -30,25 +30,6 @@ class ModelConfig:
     num_classes: int = 4
     seed: int = 0
 
-    def validate(self):
-        """Raise ConfigError, its message starting with the key, for a model that cannot build.
-
-        A negative layer count would build as 0 layers, so it is rejected too.
-        """
-        if self.input_size < 32 or self.input_size % 32 != 0:
-            raise ConfigError(f"input_size {self.input_size} not a positive multiple of 32")
-        if self.hidden_size < 2 or self.hidden_size % 2:
-            # the sine position embedding gives half the channels to each axis
-            raise ConfigError(f"hidden_size must be even and >= 2, got {self.hidden_size}")
-        if self.num_heads < 1 or self.hidden_size % self.num_heads != 0:
-            raise ConfigError(
-                f"hidden_size {self.hidden_size} not divisible by {self.num_heads} heads"
-            )
-        for key, low in (("n_queries", 1), ("backbone_channels", 1), ("num_encoder_layers", 0),
-                         ("num_decoder_layers", 0), ("seed", 0)):
-            if getattr(self, key) < low:
-                raise ConfigError(f"{key} must be >= {low}, got {getattr(self, key)}")
-
 
 @dataclass
 class ModelOutputs:
@@ -58,7 +39,6 @@ class ModelOutputs:
 
 class MaskClassificationModel:
     def __init__(self, cfg: ModelConfig):
-        cfg.validate()
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
         self._rng = np.random.default_rng(cfg.seed)

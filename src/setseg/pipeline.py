@@ -73,14 +73,6 @@ class ParserConfig:
     std: tuple[float, float, float] = (0.229, 0.224, 0.225)
     num_classes: int = 4
 
-    def validate(self):
-        """Raise PipelineError, its message starting with the key, for a size parse cannot use."""
-        if self.target_size < 32 or self.target_size % 32:
-            raise PipelineError(f"target_size = {self.target_size} is not a positive multiple "
-                                f"of 32, the model's input stride")
-        if not all(size >= 1 for size in self.crop_sizes):
-            raise PipelineError(f"crop_sizes must all be >= 1, got {self.crop_sizes}")
-
 
 @dataclass
 class PanopticSample:

@@ -56,11 +56,14 @@ class TrainError(RuntimeError):
 
 @contextmanager
 def _annotation_line(annotations_path, line: int):
-    """Re-raise a malformed record's error as a ``TrainError`` naming ``<file>:<line>``."""
+    """Re-raise a malformed record's error, its message starting with ``<file>:<line>: ``.
+
+    An unknown class ID stays a ``PipelineError``; any other error becomes a ``TrainError``.
+    """
     try:
         yield
-    except PipelineError:       # an unknown class ID names itself
-        raise
+    except PipelineError as err:
+        raise PipelineError(f"{annotations_path}:{line}: {err}") from None
     except (KeyError, IndexError, TypeError, ValueError) as err:
         raise TrainError(f"{annotations_path}:{line}: {type(err).__name__}: {err}") from None
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import setseg
-from setseg import synth, trainer
+from setseg import synth, trainer, verify
 from setseg.cli import main
+from setseg.config import RunConfig, get_value, leaf_keys, load_config
 from setseg.matcher import NanCostError
 
 
@@ -134,6 +135,30 @@ class TestSubcommands:
                                                           override):
         assert main(["train", "--data", str(dataset / "shards"), "--out", str(tmp_path / "run"),
                      *TOY_OVERRIDES, "--set", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"setseg: error: {override.split('=')[0]} must be ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, override", [
+        ("profile", "parser.crop_probability=nan"),
+        ("profile", "parser.crop_probability=-1"),
+        ("profile", "parser.crop_probability=inf"),
+        ("eval", "parser.std=0,0,0"),
+        ("eval", "evaluator.confidence_threshold=nan"),
+        ("eval", "evaluator.mask_threshold=inf"),
+        ("train", "trainer.checkpoint_every=-1"),
+        ("profile", "trainer.batch_size=0"),
+        ("profile", "parser.num_classes=0"),
+    ])
+    def test_out_of_domain_value_is_a_usage_error(self, dataset, tmp_path, capsys, command,
+                                                 override):
+        args = {"train": ["--out", str(tmp_path / "run")],
+                "eval": ["--checkpoint", str(tmp_path / "final.ckpt"),
+                         "--out", str(tmp_path / "run")],
+                "profile": ["--steps", "1"]}[command]
+        assert main([command, "--data", str(dataset / "shards"), *args, *TOY_OVERRIDES,
+                     "--set", override]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"setseg: error: {override.split('=')[0]} must be ")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -375,3 +400,44 @@ class TestSubcommands:
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err
         assert (tmp_path / "shards" / "manifest.txt").exists()
+
+
+# every key's edge values on top of the toy model at batch 2, so a value
+# that load_config accepts profiles one cheap step
+FUZZ_BASE = [*TOY_OVERRIDES, "--set", "trainer.batch_size=2"]
+# verify's only checks that read the parser or model keys; the rest (the
+# gradient and matcher suites among them) never see them and take most of a run
+KEYED_CHECKS = (verify.check_input_shapes, verify.check_layer_shapes)
+
+
+def _edge_values(value):
+    """0 and -1; for floats also nan and ±inf; for tuples also one and four values."""
+    scalar = value[0] if isinstance(value, tuple) else value
+    edges = ["0", "-1"] + (["nan", "inf", "-inf"] if isinstance(scalar, float) else [])
+    if isinstance(value, tuple):
+        edges = [",".join([e] * len(value)) for e in edges]
+        edges += [str(scalar), ",".join([str(scalar)] * 4)]
+    return edges
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("key", leaf_keys(RunConfig()))
+    def test_edge_values_never_end_in_a_traceback(self, dataset, capsys, monkeypatch, key):
+        # an exception escaping main is the traceback the CLI would print
+        monkeypatch.setattr(verify, "CHECKS", KEYED_CHECKS)
+        base = load_config(None, FUZZ_BASE[1::2])
+        commands = [["profile", "--data", str(dataset / "shards"), "--steps", "1"]]
+        if key.split(".")[0] in ("parser", "model"):
+            commands.append(["verify"])
+        for raw in _edge_values(get_value(base, key)):
+            for command in commands:
+                code = main([*command, *FUZZ_BASE, "--set", f"{key}={raw}"])
+                err = capsys.readouterr().err
+                what = f"{command[0]} {key}={raw}: exit {code}, {err!r}"
+                if "nan" in raw or "inf" in raw:
+                    assert code == 2, what     # no key takes a non-finite value
+                if code == 2:
+                    assert err.startswith(f"setseg: error: {key} "), what
+                    assert len(err.splitlines()) == 1, what
+                else:
+                    assert code == 0 and err == "", what

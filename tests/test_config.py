@@ -49,12 +49,15 @@ class TestParsing:
             load_config(overrides=[f"{key}=1"])
 
     def test_readme_keys_exist(self):
-        # every backticked ``section.key`` in the README names a real key
+        # every backticked ``section.key`` in the README names a real key, and
+        # every key is named, so a new key without documentation fails here
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        sections = {k.split(".")[0] for k in leaf_keys(RunConfig()) if "." in k}
+        keys = leaf_keys(RunConfig())
+        sections = {k.split(".")[0] for k in keys if "." in k}
         named = re.findall(r"`((?:%s)\.[^`]*)`" % "|".join(sections), readme)
         assert named
-        assert sorted(set(named) - set(leaf_keys(RunConfig()))) == []
+        assert sorted(set(named) - set(keys)) == []
+        assert [k for k in keys if f"`{k}`" not in readme] == []
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -97,11 +100,30 @@ class TestParsing:
         ("parser.crop_sizes=", "parser.crop_sizes"),
         ("model.num_encoder_layers=-1", "model.num_encoder_layers"),
         ("model.num_decoder_layers=-1", "model.num_decoder_layers"),
+        ("model.input_size=100", "model.input_size"),
+        (("model.hidden_size=30", "model.num_heads=4"), "model.hidden_size"),
+        # odd, so the position embedding cannot halve it
+        (("model.hidden_size=3", "model.num_heads=3"), "model.hidden_size"),
+        ("parser.crop_probability=nan", "parser.crop_probability"),
+        ("parser.crop_probability=-1", "parser.crop_probability"),
+        ("parser.crop_probability=inf", "parser.crop_probability"),
+        ("parser.mean=1,2", "parser.mean"),
+        ("parser.std=0,0,0", "parser.std"),
+        ("parser.num_classes=0", "parser.num_classes"),
+        ("evaluator.confidence_threshold=nan", "evaluator.confidence_threshold"),
+        ("evaluator.mask_threshold=inf", "evaluator.mask_threshold"),
+        ("trainer.checkpoint_every=-1", "trainer.checkpoint_every"),
+        ("trainer.batch_size=0", "trainer.batch_size"),
     ])
     def test_out_of_domain_value_rejected(self, override, named):
+        overrides = [override] if isinstance(override, str) else list(override)
         with pytest.raises(cfg_mod.ConfigFileError) as err:
-            load_config(overrides=[override])
+            load_config(overrides=overrides)
         assert named in str(err.value)
+
+    def test_every_key_has_one_domain(self):
+        assert set(cfg_mod.DOMAINS) == set(leaf_keys(RunConfig()))
+        assert len(leaf_keys(RunConfig())) == 32
 
     def test_float_tuple_coercion(self):
         cfg = RunConfig()
@@ -149,8 +171,9 @@ def _typed_value(key, n):
         # file 2, command line 3: distinct, and never above any model.num_classes
         # (default 4, drawn >= 100), so the resolved config stays valid
         return 1 + n // 100
-    if key in ("losses.focal_alpha", "trainer.beta1", "trainer.beta2"):
-        # distinct values inside alpha's domain [0, 1] and Adam's decays' [0, 1)
+    if key in ("losses.focal_alpha", "trainer.beta1", "trainer.beta2", "parser.crop_probability",
+               "evaluator.confidence_threshold", "evaluator.mask_threshold"):
+        # distinct values inside the probabilities' domain [0, 1] and Adam's decays' [0, 1)
         return n / 1000
     if key in ("model.input_size", "model.hidden_size", "parser.target_size"):
         # multiples of the model's stride 32 and of every head count drawn below

@@ -71,14 +71,6 @@ class TestShapes:
         with pytest.raises(T.ConfigError):
             model.backbone_stub(Tensor(np.zeros((1, 60, 60, 3))))
 
-    def test_config_invariants(self):
-        with pytest.raises(T.ConfigError):
-            ModelConfig(input_size=100).validate()
-        with pytest.raises(T.ConfigError):
-            ModelConfig(hidden_size=30, num_heads=4).validate()
-        with pytest.raises(T.ConfigError, match="hidden_size"):
-            ModelConfig(hidden_size=3, num_heads=3).validate()    # odd for the position embedding
-
 
 class TestIdentityStacks:
     def test_zero_encoder_layers(self):

@@ -728,10 +728,16 @@ class TestPurity:
 # ---------------------------------------------------------------------------
 
 def test_every_public_function_is_used_by_training():
-    """An op only tests call is pure verification cost: model, losses or trainer name each one."""
+    """An op only tests call is pure verification cost: model, losses or trainer call each one.
+
+    ``relu`` is exempt: the acceptance criteria's reference network calls
+    ``T.relu``, while the training path applies its ReLUs inside ``linear``
+    and ``layer_norm``.
+    """
     src = Path(T.__file__).parent
     text = "".join((src / name).read_text() for name in ("model.py", "losses.py", "trainer.py"))
     public = [name for name, fn in inspect.getmembers(T, inspect.isfunction)
               if fn.__module__ == T.__name__ and not name.startswith("_")]
-    assert public
-    assert [name for name in public if not re.search(rf"\b{name}\b", text)] == []
+    assert "relu" in public
+    assert [name for name in public
+            if name != "relu" and not re.search(rf"\b{name}\(", text)] == []

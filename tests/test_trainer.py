@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import re
 import threading
@@ -65,6 +66,17 @@ class TestIngest:
         with pytest.raises(PipelineError) as err:
             ingest(ann, 1, tmp_path / "shards", known_class_ids=[7, 21, 33])
         assert "90" in str(err.value)
+
+    def test_unknown_class_id_names_its_annotation_line(self, tmp_path):
+        ann = synth.synth(3, tmp_path / "raw", seed=5)
+        with pytest.raises(PipelineError) as err:
+            ingest(ann, 1, tmp_path / "shards", known_class_ids=[7, 21, 33])
+        found = re.fullmatch(rf"{re.escape(str(ann))}:(\d+): unknown class ID 90", str(err.value))
+        assert found
+        # the named line is the first whose segments hold class 90
+        has_90 = [any(seg["category_id"] == 90 for seg in json.loads(line)["segments"])
+                  for line in ann.read_text().splitlines()]
+        assert int(found.group(1)) == has_90.index(True) + 1
 
     def test_balance_on_uneven_images(self, shard_dir):
         ss = load_manifest(shard_dir)
