@@ -46,6 +46,8 @@ def _class_ids(text):
         ids = []
     if not ids:
         raise argparse.ArgumentTypeError(f"not a list of integer class IDs: {text!r}")
+    if min(ids) <= 0 or len(set(ids)) != len(ids):
+        raise argparse.ArgumentTypeError(f"class IDs must be positive and distinct: {text!r}")
     return ids
 
 

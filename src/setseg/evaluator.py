@@ -1,11 +1,12 @@
 """Panoptic quality over predicted vs. ground-truth segment sets.
 
+A segment set is one id grid, so its segments are disjoint by construction.
 Segments match iff they share a class and their IoU exceeds 0.5, with void
-pixels excluded from the union; that threshold makes the matching unique, so
-it is asserted rather than solved. PQ pools true/false positives across
-classes: PQ = sum of matched IoU / (TP + FP/2 + FN/2), SQ = mean matched
-IoU, RQ = TP / (TP + FP/2 + FN/2). When TP > 0, PQ is constructed as SQ*RQ
-so the identity holds exactly.
+pixels excluded from the union; over disjoint segments that threshold makes
+the matching unique. PQ pools true/false positives across classes:
+PQ = sum of matched IoU / (TP + FP/2 + FN/2), SQ = mean matched IoU,
+RQ = TP / (TP + FP/2 + FN/2). When TP > 0, PQ is constructed as SQ*RQ so the
+identity holds exactly.
 """
 
 from __future__ import annotations
@@ -15,29 +16,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import sigmoid, softmax
-
-
-class SegmentSetError(ValueError):
-    pass
+from .tensor import ContractError
 
 
 @dataclass
 class SegmentSet:
-    """Pixel-disjoint (mask, class label) pairs over one grid."""
+    """Segments as one id grid, so no two of them can share a pixel.
 
-    masks: list[np.ndarray]           # binary [H, W]
+    Pixel value ``i`` belongs to segment ``i - 1``, whose class is
+    ``labels[i - 1]``; 0 is no segment.
+    """
+
+    ids: np.ndarray                   # int [H, W], 0..len(labels)
     labels: list[int]                 # 1..K
     void: np.ndarray | None = None    # ignored pixels
-
-    def validate(self):
-        if len(self.masks) != len(self.labels):
-            raise SegmentSetError("mask/label count mismatch")
-        if self.masks:
-            cover = np.zeros_like(self.masks[0], dtype=np.int64)
-            for m in self.masks:
-                cover += m.astype(np.int64)
-            if (cover > 1).any():
-                raise SegmentSetError("overlapping masks within one segment set")
 
 
 @dataclass
@@ -64,38 +56,36 @@ class PQResult:
         return out
 
 
-def _iou(pred: np.ndarray, gt: np.ndarray, void: np.ndarray | None) -> float:
-    pred = pred.astype(bool)
-    gt = gt.astype(bool)
-    inter = int((pred & gt).sum())
-    union = int(pred.sum()) + int(gt.sum()) - inter
-    if void is not None:
-        union -= int((pred & void.astype(bool) & ~gt).sum())
-    return inter / union if union > 0 else 0.0
-
-
 def match_segments(pred: SegmentSet, gt: SegmentSet):
-    """Unique matching at IoU > 0.5; returns [(pred_i, gt_j, iou), ...]."""
-    matches = []
-    used_pred: set[int] = set()
-    used_gt: set[int] = set()
-    for j, (gm, gl) in enumerate(zip(gt.masks, gt.labels)):
-        for i, (pm, pl) in enumerate(zip(pred.masks, pred.labels)):
-            if pl != gl:
-                continue
-            iou = _iou(pm, gm, gt.void)
-            if iou > 0.5:
-                # IoU > 0.5 pairs are necessarily unique on both sides
-                assert i not in used_pred and j not in used_gt
-                matches.append((i, j, iou))
-                used_pred.add(i)
-                used_gt.add(j)
-    return matches
+    """Unique matching at IoU > 0.5; returns [(pred_i, gt_j, iou), ...] in gt order.
+
+    One joint histogram of (pred id, gt id) over the pixels, with void as gt
+    id ``m + 1``, gives every intersection and both areas. Void pixels must
+    lie outside every gt segment, as with COCO panoptic's VOID label;
+    ``trainer.ground_truth_segments`` meets this, since ``parse`` zero-pads
+    the targets wherever the validity mask is False.
+    """
+    n, m = len(pred.labels), len(gt.labels)
+    if pred.ids.shape != gt.ids.shape or (gt.void is not None and gt.void.shape != gt.ids.shape):
+        raise ContractError(f"segment grids differ: pred {pred.ids.shape}, gt {gt.ids.shape}, "
+                            f"void {None if gt.void is None else gt.void.shape}")
+    if pred.ids.max(initial=0) > n or gt.ids.max(initial=0) > m:
+        raise ContractError(f"segment id above the label count ({n} pred, {m} gt labels)")
+    gt_ids = gt.ids if gt.void is None else np.where(gt.void, m + 1, gt.ids)
+    pairs = pred.ids.astype(np.int64) * (m + 2) + gt_ids
+    joint = np.bincount(pairs.ravel(), minlength=(n + 1) * (m + 2)).reshape(n + 1, m + 2)
+    inter = joint[1:, 1:m + 1]
+    pred_area = joint[1:].sum(axis=1) - joint[1:, m + 1]     # void pixels leave the union
+    gt_area = joint[:, 1:m + 1].sum(axis=0)
+    union = pred_area[:, None] + gt_area[None, :] - inter
+    iou = np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
+    same = np.asarray(pred.labels)[:, None] == np.asarray(gt.labels)[None, :]
+    # segments are disjoint, so an IoU > 0.5 pair is the only one of its pred and its gt
+    js, is_ = np.nonzero((same & (iou > 0.5)).T)
+    return [(int(i), int(j), float(iou[i, j])) for j, i in zip(js, is_)]
 
 
 def accumulate(stats: dict[int, ClassStats], pred: SegmentSet, gt: SegmentSet):
-    pred.validate()
-    gt.validate()
     matches = match_segments(pred, gt)
     matched_pred = {i for i, _, _ in matches}
     matched_gt = {j for _, j, _ in matches}
@@ -137,17 +127,18 @@ class EvalConfig:
     mask_threshold: float = 0.5
 
 
-def postprocess(outputs, cfg: EvalConfig | None = None, batch_index: int = 0) -> SegmentSet:
-    """Turn model outputs into a disjoint segment set.
+def postprocess(outputs, cfg: EvalConfig | None = None) -> SegmentSet:
+    """Turn the first image's model outputs into a segment set.
 
     Per query: class = argmax of class logits; no-object queries and queries
-    under the confidence threshold are dropped; masks binarize at the sigmoid
-    threshold; overlaps go to the query with the highest mask probability;
-    empty segments are dropped.
+    under the confidence threshold are dropped. Each pixel goes to the kept
+    query with the highest mask probability there, if that probability
+    reaches the mask threshold. Segments are numbered in query order over the
+    queries that own a pixel.
     """
     cfg = cfg or EvalConfig()
-    class_logits = outputs.class_logits.data[batch_index]   # [N_q, K+1]
-    mask_logits = outputs.mask_logits.data[batch_index]     # [N_q, h, w]
+    class_logits = outputs.class_logits.data[0]   # [N_q, K+1]
+    mask_logits = outputs.mask_logits.data[0]     # [N_q, h, w]
     k = class_logits.shape[-1] - 1
 
     probs = softmax(class_logits)
@@ -155,22 +146,11 @@ def postprocess(outputs, cfg: EvalConfig | None = None, batch_index: int = 0) ->
     conf = probs.max(axis=-1)
     keep = (best < k) & (conf >= cfg.confidence_threshold)
     if not keep.any():
-        return SegmentSet([], [])
+        return SegmentSet(np.zeros(mask_logits.shape[1:], np.int64), [])
 
-    idx = np.nonzero(keep)[0]
-    mp = sigmoid(mask_logits[idx].astype(np.float64))                  # [n, h, w]
-    binary = mp >= cfg.mask_threshold
-    # each pixel belongs to the kept query with the highest probability there
-    owner = mp.argmax(axis=0)
-    owned = owner[None, :, :] == np.arange(len(idx))[:, None, None]
-    final = binary & owned
-
-    masks = []
-    labels = []
-    for n, q in enumerate(idx):
-        m = final[n]
-        if not m.any():
-            continue
-        masks.append(m.astype(np.uint8))
-        labels.append(int(best[q]) + 1)
-    return SegmentSet(masks, labels)
+    mp = sigmoid(mask_logits[keep].astype(np.float64))                 # [n, h, w]
+    owner = np.where(mp.max(axis=0) >= cfg.mask_threshold, mp.argmax(axis=0) + 1, 0)
+    owns = np.bincount(owner.ravel(), minlength=len(mp) + 1) > 0
+    owns[0] = False
+    # renumber the owning queries 1, 2, ... in query order
+    return SegmentSet(np.cumsum(owns)[owner], (best[keep] + 1)[owns[1:]].tolist())

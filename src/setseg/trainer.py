@@ -413,12 +413,18 @@ def profile(cfg: RunConfig, data_dir, steps: int) -> str:
 def ground_truth_segments(targets, valid_mask, factor: int = 1) -> SegmentSet:
     """The targets with a pixel at mask-logit resolution; padding becomes void.
 
-    ``parse`` emits both at that resolution, so ``factor`` must be 1.
+    ``parse`` emits both at that resolution, so ``factor`` must be 1. Kept
+    target ``i`` is id ``i`` of the grid.
     """
     if factor != 1:
         raise ContractError(f"targets are at mask resolution; got downsample factor {factor}")
-    kept = [(m, label) for m, label in zip(targets.masks, targets.labels) if m.any()]
-    return SegmentSet([m for m, _ in kept], [label for _, label in kept], void=~valid_mask)
+    ids = np.zeros(valid_mask.shape, np.int64)
+    labels = []
+    for m, label in zip(targets.masks, targets.labels):
+        if m.any():
+            labels.append(label)
+            ids[m != 0] = len(labels)
+    return SegmentSet(ids, labels, void=~valid_mask)
 
 
 def evaluate(cfg: RunConfig, data_dir, checkpoint_path, out_dir):

@@ -16,7 +16,7 @@ import conftest
 from setseg import records, synth, tensor as T
 from setseg.cli import main as cli_main
 from setseg.config import RunConfig
-from setseg.evaluator import SegmentSet, panoptic_quality
+from setseg.evaluator import panoptic_quality
 from setseg.losses import LossConfig
 from setseg.matcher import brute_force_match, build_cost_matrix, hungarian, pad_square
 from setseg.model import MaskClassificationModel, ModelConfig
@@ -281,7 +281,7 @@ class TestCriterion9:
                 _, inst, categories = synth.generate_image(rng, 48, 64)
                 masks = [(inst == iid).astype(np.uint8) for iid in sorted(categories)]
                 labels = [mapping[categories[iid]] for iid in sorted(categories)]
-                gt = SegmentSet(masks, labels)
+                gt = conftest.segments(masks, labels)
                 res = panoptic_quality(gt, gt)
                 assert res.pq == 1.0
 
@@ -289,17 +289,18 @@ class TestCriterion9:
             gt_mask[:2, :2] = 1
             pred_mask = gt_mask.copy()
             pred_mask[1, 1] = 0
-            res = panoptic_quality(SegmentSet([pred_mask], [2]), SegmentSet([gt_mask], [2]))
+            res = panoptic_quality(conftest.segments([pred_mask], [2]),
+                                   conftest.segments([gt_mask], [2]))
             assert res.pq == 0.75 and res.rq == 1.0 and res.sq == 0.75
 
             for seed in range(20):
                 rng = np.random.default_rng(100 + seed)
                 grid_p = rng.integers(0, 4, size=(12, 12))
                 grid_g = rng.integers(0, 4, size=(12, 12))
-                pred = SegmentSet(
+                pred = conftest.segments(
                     [(grid_p == i).astype(np.uint8) for i in (1, 2, 3) if (grid_p == i).any()],
                     [i for i in (1, 2, 3) if (grid_p == i).any()])
-                gt = SegmentSet(
+                gt = conftest.segments(
                     [(grid_g == i).astype(np.uint8) for i in (1, 2, 3) if (grid_g == i).any()],
                     [i for i in (1, 2, 3) if (grid_g == i).any()])
                 res = panoptic_quality(pred, gt)

@@ -309,7 +309,8 @@ class TestSubcommands:
         assert "Traceback" not in err
         assert not (tmp_path / "shards").exists()
 
-    @pytest.mark.parametrize("classes", ["a,b", "7,x", "", ","])
+    @pytest.mark.parametrize("classes", ["a,b", "7,x", "", ",", "0,7,21,33,90",
+                                         "7,7,21,33,90"])
     def test_ingest_bad_classes_is_a_usage_error(self, dataset, tmp_path, capsys, classes):
         with pytest.raises(SystemExit) as exc:
             main(["ingest", "--annotations", str(dataset / "raw" / "annotations.jsonl"),
