@@ -1,6 +1,7 @@
 """Panoptic quality over predicted vs. ground-truth segment sets.
 
-A segment set is one id grid, so its segments are disjoint by construction.
+A segment set is one id grid, so its segments are disjoint by construction;
+``owned_segments`` builds both the predicted and the ground-truth sets.
 Segments match iff they share a class and their IoU exceeds 0.5, with void
 pixels excluded from the union; over disjoint segments that threshold makes
 the matching unique. PQ pools true/false positives across classes:
@@ -54,6 +55,16 @@ class PQResult:
             denom = s.tp + 0.5 * s.fp + 0.5 * s.fn
             out[c] = s.iou_sum / denom if denom > 0 else 0.0
         return out
+
+
+def owned_segments(ids: np.ndarray, labels, void: np.ndarray | None = None) -> SegmentSet:
+    """The segments of id grid ``ids`` (``labels[i - 1]`` on id ``i``) that own a pixel.
+
+    They are renumbered 1, 2, ... in id order; ids that own no pixel are left out.
+    """
+    owns = np.bincount(ids.ravel(), minlength=len(labels) + 1) > 0
+    owns[0] = False
+    return SegmentSet(np.cumsum(owns)[ids], np.asarray(labels)[owns[1:]].tolist(), void)
 
 
 def match_segments(pred: SegmentSet, gt: SegmentSet):
@@ -150,7 +161,4 @@ def postprocess(outputs, cfg: EvalConfig | None = None) -> SegmentSet:
 
     mp = sigmoid(mask_logits[keep].astype(np.float64))                 # [n, h, w]
     owner = np.where(mp.max(axis=0) >= cfg.mask_threshold, mp.argmax(axis=0) + 1, 0)
-    owns = np.bincount(owner.ravel(), minlength=len(mp) + 1) > 0
-    owns[0] = False
-    # renumber the owning queries 1, 2, ... in query order
-    return SegmentSet(np.cumsum(owns)[owner], (best[keep] + 1)[owns[1:]].tolist())
+    return owned_segments(owner, best[keep] + 1)

@@ -5,6 +5,8 @@ Each formula has one numpy home, in float64:
 - focal and dice values: ``mask_costs``, per-pixel terms from one sigmoid
   reduced pairwise to ``dice[N, R]`` and ``focal[N, R]`` by two matmuls over
   the valid pixels only, called by the matcher on every (target, query) pair;
+- the one expansion of a target id grid (``i + 1`` on target ``i``'s
+  pixels) into per-target rows: ``_target_pixels``;
 - their gradient: ``_mask_grad``;
 - the weighted cross-entropy and its gradient: ``_class_terms``.
 
@@ -55,7 +57,12 @@ class LossBundle:
 
 def _valid_pixels(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """rows [n, ...] at the valid pixels, as float64 [n, V]."""
-    return rows.reshape(len(rows), -1)[:, valid.reshape(-1)].astype(np.float64)
+    return rows.reshape(len(rows), valid.size)[:, valid.reshape(-1)].astype(np.float64)
+
+
+def _target_pixels(ids: np.ndarray, n: int, valid: np.ndarray) -> np.ndarray:
+    """Targets 1..n of the id grid ``ids`` as binary rows at the valid pixels, float64 [n, V]."""
+    return _valid_pixels(ids.reshape(1, -1) == np.arange(1, n + 1)[:, None], valid)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -80,13 +87,13 @@ def _pixel_terms(x: np.ndarray, cfg: LossConfig):
     return p, pc, pos, neg
 
 
-def mask_costs(logits: np.ndarray, gt: np.ndarray, valid: np.ndarray, cfg: LossConfig):
-    """dice[N, R] and focal[N, R] between binary targets gt [N, ...] and logits [R, ...].
+def mask_costs(logits: np.ndarray, gt: np.ndarray, n: int, valid: np.ndarray, cfg: LossConfig):
+    """dice[n, R] and focal[n, R] between targets 1..n of id grid gt and logits [R, ...].
 
     Soft dice on the sigmoid with ``cfg.dice_eps`` smoothing; focal is the
     modulated cross-entropy on the clamped sigmoid, mean over valid pixels.
     """
-    x, g = _valid_pixels(logits, valid), _valid_pixels(gt, valid)
+    x, g = _valid_pixels(logits, valid), _target_pixels(gt, n, valid)
     p, _, pos, neg = _pixel_terms(x, cfg)
     eps = cfg.dice_eps
     dice = 1.0 - (2.0 * (g @ p.T) + eps) / (g.sum(axis=1)[:, None] + p.sum(axis=1) + eps)
@@ -97,9 +104,9 @@ def mask_costs(logits: np.ndarray, gt: np.ndarray, valid: np.ndarray, cfg: LossC
 def _mask_grad(rows: np.ndarray, gt: np.ndarray, valid: np.ndarray, cfg: LossConfig) -> np.ndarray:
     """d/d rows of the sum over pairs of the weighted focal + dice, float64 in ``rows``' shape.
 
-    Row i pairs with target ``gt[i]``; invalid pixels get zero.
+    Row i pairs with target i, id ``i + 1`` of the grid ``gt``; invalid pixels get zero.
     """
-    x, g = _valid_pixels(rows, valid), _valid_pixels(gt, valid)
+    x, g = _valid_pixels(rows, valid), _target_pixels(gt, len(rows), valid)
     p, pc, _, _ = _pixel_terms(x, cfg)
     a, gam = cfg.focal_alpha, cfg.focal_gamma
     # d focal / d pc per target polarity; the clamp passes grad only inside it

@@ -14,8 +14,9 @@ matching itself) against exhaustive enumeration of injections.
 
 The per-pair focal and dice costs come from ``losses.mask_costs`` and are
 weighed with the loss's own ``LossConfig`` weights (as in MaskFormer), over
-targets and a validity mask that ``pipeline.parse`` emits at mask-logit
-resolution; nothing is resampled here. The ``CostMatrix`` keeps the costs
+the target id grid and validity mask that ``pipeline.parse`` emits at
+mask-logit resolution; nothing is resampled here, and only ``losses``
+expands the grid into per-target rows. The ``CostMatrix`` keeps the costs
 unweighted, and ``losses.total_loss`` reads its matched pairs from it, so
 matching and loss see the same numbers.
 """
@@ -47,7 +48,7 @@ class CostMatrix:
     pad_cost: float
     # set by build_cost_matrix, None from pad_square
     labels: np.ndarray | None = None   # [N] contiguous classes 1..K
-    gt: np.ndarray | None = None       # [N, h, w] targets at mask-logit resolution
+    gt: np.ndarray | None = None       # [h, w] target ids at mask-logit resolution, i + 1 is row i
     valid: np.ndarray | None = None    # [h, w] bool validity mask at mask-logit resolution
     dice: np.ndarray | None = None     # [N, n_queries] unweighted dice cost
     focal: np.ndarray | None = None    # [N, n_queries] unweighted focal cost
@@ -69,8 +70,9 @@ def build_cost_matrix(outputs, targets: TargetSet, valid_mask: np.ndarray,
     ``losses.mask_costs`` over valid pixels only, then padded to
     [n_queries, n_queries] with max(real) + 1 (1 without targets). The result
     keeps what the loss reads (see ``CostMatrix``). A label outside 1..K
-    raises ``MatcherError`` naming image ``batch_index``; a target or
-    ``valid_mask`` that is not the mask logits' [h, w] raises ``ContractError``.
+    raises ``MatcherError`` naming image ``batch_index``; a target grid or
+    ``valid_mask`` that is not the mask logits' [h, w], or a target id above
+    N, raises ``ContractError``.
     """
     mask_logits = outputs.mask_logits.data[batch_index]    # [N_q, h, w]
     class_logits = outputs.class_logits.data[batch_index]  # [N_q, K+1]
@@ -85,18 +87,20 @@ def build_cost_matrix(outputs, targets: TargetSet, valid_mask: np.ndarray,
         raise MatcherError(f"image {batch_index}: target label {int(bad[0])} "
                            f"outside 1..K with K = {k}")
 
-    hw = mask_logits.shape[1:]
-    gt = np.stack(targets.masks) if n else np.zeros((0, *hw), np.uint8)
-    if valid_mask.shape != hw or gt.shape[1:] != hw:
+    hw, gt = mask_logits.shape[1:], targets.ids
+    if valid_mask.shape != hw or gt.shape != hw:
         raise ContractError(f"image {batch_index}: validity mask {valid_mask.shape} and "
-                            f"targets {gt.shape[1:]} must match the mask logits' {hw}")
+                            f"targets {gt.shape} must match the mask logits' {hw}")
+    if gt.max(initial=0) > n:
+        raise ContractError(f"image {batch_index}: target id {int(gt.max())} above "
+                            f"the label count {n}")
     valid = valid_mask.astype(bool, copy=False)
     if n == 0:
         empty = np.zeros((0, n_q))
         return CostMatrix(np.ones((n_q, n_q)), 0, 1.0, labels, gt, valid, empty, empty)
 
     class_cost = -softmax(class_logits)[:, labels - 1].T.astype(np.float64)   # [N, N_q]
-    dice_cost, focal_cost = mask_costs(mask_logits, gt, valid, loss_cfg)   # [N, N_q]
+    dice_cost, focal_cost = mask_costs(mask_logits, gt, n, valid, loss_cfg)   # [N, N_q]
 
     real = (
         loss_cfg.class_weight * class_cost

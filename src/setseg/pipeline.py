@@ -5,11 +5,13 @@ mapping, so a parse at scale 1.0 is the identity on pixel values. Such
 resamples compose exactly (``g[a][b] == g[a[b]]``), so the crop, its resize
 and the fit are one source index per axis, and ``parse`` gathers each record
 grid once. Images are padded bottom/right to a square target. ``parse``
-alone knows the mask logits' stride ``MASK_STRIDE``: the target masks and the
+alone knows the mask logits' stride ``MASK_STRIDE``: the targets and the
 validity mask (the top-left rectangle of resized content, to which every
-mask loss restricts its sums) come out at mask resolution. Targets and
-labels are chosen at parse resolution, so a target can have no pixel at mask
-resolution.
+mask loss restricts its sums) come out at mask resolution. The targets are
+one id grid, in which pixel value ``i + 1`` is target ``i`` and 0 is none,
+so they are disjoint by construction and zero wherever the validity mask is
+False. Targets and labels are chosen at parse resolution, so a target's id
+can own no pixel at mask resolution.
 """
 
 from __future__ import annotations
@@ -83,13 +85,19 @@ class PanopticSample:
 
 @dataclass
 class TargetSet:
-    masks: list[np.ndarray]       # per instance, binary uint8 [H/4, W/4]
-    labels: list[int]             # contiguous class IDs, 1..K
+    ids: np.ndarray               # int [H/4, W/4]: i + 1 on target i's pixels, 0 elsewhere
+    labels: list[int]             # target i's contiguous class ID, 1..K
     dropped: int = 0              # record instances labelled 0 or lost to crop/resize
 
     @property
     def count(self) -> int:
-        return len(self.masks)
+        return len(self.labels)
+
+    @property
+    def empty(self) -> int:
+        """Targets whose id owns no pixel: lost to the stride at mask resolution."""
+        area = np.bincount(self.ids.ravel(), minlength=self.count + 1)
+        return int(np.count_nonzero(area[1:] == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +186,14 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
     pad = [(0, target // MASK_STRIDE - n) for n in picked.shape]
     small, valid = np.pad(picked, pad), np.pad(np.ones(picked.shape, dtype=bool), pad)
 
-    # each instance's label is its first pixel's class, in row-major order
+    # each instance's label is its first pixel's class, in row-major order;
+    # the kept instances become ids 1..N in instance order, the rest 0
     ids, first = np.unique(inst, return_index=True)
     labels = cont[rows[first // new_w], cols[first % new_w]]
     keep = (ids != 0) & (labels != 0)
-    targets = TargetSet(masks=[(small == iid).astype(np.uint8) for iid in ids[keep]],
-                        labels=[int(label) for label in labels[keep]],
+    lut = np.zeros(int(ids[-1]) + 1, np.int64)
+    lut[ids[keep]] = np.arange(1, int(keep.sum()) + 1)
+    targets = TargetSet(ids=lut[small], labels=[int(label) for label in labels[keep]],
                         dropped=source_count - int(keep.sum()))
     return PanopticSample(image=Tensor(image[None]), valid_mask=valid, image_id=image_id), targets
 
@@ -196,7 +206,7 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
 class Batch:
     images: Tensor                  # [B, H, W, 3]
     valid_masks: np.ndarray         # [B, H/4, W/4] bool
-    target_sets: list[TargetSet]    # ragged, one per sample
+    target_sets: list[TargetSet]    # one per sample; label lists are ragged
     image_ids: list[int] = field(default_factory=list)
 
     @property

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import records, synth
 from .config import RunConfig, dump_config
-from .evaluator import SegmentSet, accumulate, postprocess, summarize
+from .evaluator import SegmentSet, accumulate, owned_segments, postprocess, summarize
 from .losses import LossConfig, total_loss
 from .matcher import (
     Assignment, CostMatrix, MatcherError, NanCostError, build_cost_matrix, hungarian,
@@ -237,6 +237,7 @@ class StepResult(NamedTuple):
     seconds: dict[str, float]
     dropped_instances: int      # record instances that got no target
     degenerate_dice: int        # matched pairs with no valid pixel at mask resolution
+    empty_targets: int          # targets whose id owns no pixel at mask resolution
     assignments: list[Assignment]  # image b's match, which the loss used
     grad_norm: float = math.nan  # global norm before clipping; set by run_steps
 
@@ -273,6 +274,7 @@ def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
         {"forward": t1 - t0, "match": t2 - t1, "loss": t3 - t2, "backward": t4 - t3},
         sum(targets.dropped for targets in batch_data.target_sets),
         loss.degenerate_dice,
+        sum(targets.empty for targets in batch_data.target_sets),
         assignments,
     )
 
@@ -331,11 +333,11 @@ def write_metrics(path, results: list[StepResult]) -> None:
     with records.atomic_open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", *STAGES, "grad_norm", "matched_pairs",
-                         "dropped_instances", "degenerate_dice"])
+                         "dropped_instances", "degenerate_dice", "empty_targets"])
         for step, r in enumerate(results):
             writer.writerow([step, *(repr(r.seconds[name]) for name in STAGES),
                              repr(r.grad_norm), r.matched_pairs, r.dropped_instances,
-                             r.degenerate_dice])
+                             r.degenerate_dice, r.empty_targets])
 
 
 def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
@@ -402,7 +404,8 @@ def profile(cfg: RunConfig, data_dir, steps: int) -> str:
         sec = sum(r.seconds[name] for r in results)
         lines.append(f"  {name:<9} {sec:8.3f}s  {100.0 * sec / total:5.1f}%")
     lines.append(f"dropped instances {sum(r.dropped_instances for r in results)}  "
-                 f"degenerate-dice pairs {sum(r.degenerate_dice for r in results)}")
+                 f"degenerate-dice pairs {sum(r.degenerate_dice for r in results)}  "
+                 f"empty targets {sum(r.empty_targets for r in results)}")
     return "\n".join(lines) + "\n"
 
 
@@ -411,20 +414,13 @@ def profile(cfg: RunConfig, data_dir, steps: int) -> str:
 # ---------------------------------------------------------------------------
 
 def ground_truth_segments(targets, valid_mask, factor: int = 1) -> SegmentSet:
-    """The targets with a pixel at mask-logit resolution; padding becomes void.
+    """The targets with a pixel at mask-logit resolution, renumbered; padding becomes void.
 
-    ``parse`` emits both at that resolution, so ``factor`` must be 1. Kept
-    target ``i`` is id ``i`` of the grid.
+    ``parse`` emits both at that resolution, so ``factor`` must be 1.
     """
     if factor != 1:
         raise ContractError(f"targets are at mask resolution; got downsample factor {factor}")
-    ids = np.zeros(valid_mask.shape, np.int64)
-    labels = []
-    for m, label in zip(targets.masks, targets.labels):
-        if m.any():
-            labels.append(label)
-            ids[m != 0] = len(labels)
-    return SegmentSet(ids, labels, void=~valid_mask)
+    return owned_segments(targets.ids, targets.labels, void=~valid_mask)
 
 
 def evaluate(cfg: RunConfig, data_dir, checkpoint_path, out_dir):

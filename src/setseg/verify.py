@@ -88,14 +88,15 @@ def _synthetic_entry(rng, h, w, num_classes):
     }
 
 
-def image_loss(mask_logits, class_logits, masks, labels, queries, loss_cfg: LossConfig,
+def image_loss(mask_logits, class_logits, ids, labels, queries, loss_cfg: LossConfig,
                valid=None) -> LossBundle:
     """``total_loss`` of one image whose targets are matched to the given queries.
 
-    Target i, ``masks[i]`` of class ``labels[i]``, is matched to query
-    ``queries[i]``. ``mask_logits`` [R, h, w] and ``class_logits`` [R, K+1]
-    are Tensors, whose grads ``backward`` fills, or arrays, taken as float64
-    constants. Targets and ``valid`` (default: every pixel) are at mask
+    Target i, the pixels of id ``i + 1`` in the grid ``ids``, of class
+    ``labels[i]``, is matched to query ``queries[i]``; a binary grid is one
+    target. ``mask_logits`` [R, h, w] and ``class_logits`` [R, K+1] are
+    Tensors, whose grads ``backward`` fills, or arrays, taken as float64
+    constants. ``ids`` and ``valid`` (default: every pixel) are at mask
     resolution. The costs come from ``build_cost_matrix``, as in training.
     """
     mask_logits, class_logits = (t if isinstance(t, Tensor) else Tensor(t, dtype=np.float64)
@@ -104,7 +105,8 @@ def image_loss(mask_logits, class_logits, masks, labels, queries, loss_cfg: Loss
                            T.reshape(class_logits, (1, *class_logits.shape)))
     if valid is None:
         valid = np.ones(outputs.mask_logits.shape[2:], bool)
-    cm = build_cost_matrix(outputs, TargetSet(list(masks), list(labels)), valid, loss_cfg)
+    targets = TargetSet(np.asarray(ids, np.int64), list(labels))
+    cm = build_cost_matrix(outputs, targets, valid, loss_cfg)
     return total_loss(outputs, [cm], [Assignment(np.asarray(queries, dtype=np.int64), 0.0)],
                       loss_cfg)
 
@@ -122,7 +124,7 @@ def check_input_shapes(cfg: RunConfig) -> CheckResult:
     ok = (
         sample.image.shape == (1, target, target, 3)
         and sample.valid_mask.shape == small
-        and all(m.shape == small for m in targets.masks)
+        and targets.ids.shape == small
     )
     return CheckResult("input shape validation", ok, 0.0 if ok else 1.0,
                        f"image {sample.image.shape}")
@@ -172,16 +174,17 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
         arrays = [rng.standard_normal((3, 3, 3)), rng.standard_normal((3, 5))]
         n = trial % 4
         masks, labels = rng.integers(0, 2, size=(n, 3, 3)), rng.integers(1, 5, size=n)
+        ids = (masks * np.arange(1, n + 1)[:, None, None]).max(axis=0, initial=0)  # last wins
         queries = rng.permutation(3)[:n]
         valid = np.ones((3, 3), bool)
         valid[trial % 3, 1:] = False
 
         def value(m, c):
-            return image_loss(m, c, masks, labels, queries, cfg.losses, valid).total
+            return image_loss(m, c, ids, labels, queries, cfg.losses, valid).total
 
         with Tape():
             logits = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
-            backward(image_loss(*logits, masks, labels, queries, cfg.losses, valid).total_tensor)
+            backward(image_loss(*logits, ids, labels, queries, cfg.losses, valid).total_tensor)
         for i, t in enumerate(logits):
             worst = max(worst, max_rel_error(t.grad, central_difference(value, arrays, i)))
 
@@ -230,7 +233,7 @@ def check_gradients(cfg: RunConfig) -> CheckResult:
 
 def _one_pair(logits, gt, loss_cfg: LossConfig, valid=None) -> LossBundle:
     """``image_loss`` of one query with mask logits ``logits`` [h, w] matched to ``gt``."""
-    return image_loss(np.asarray(logits, dtype=np.float64)[None], np.zeros((1, 2)), [gt], [1],
+    return image_loss(np.asarray(logits, dtype=np.float64)[None], np.zeros((1, 2)), gt, [1],
                       [0], loss_cfg, valid)
 
 
@@ -241,7 +244,7 @@ def check_loss_fixtures(cfg: RunConfig) -> CheckResult:
         # targets labelled ``labels`` matched to the first queries; the rest are no-object
         n = len(labels)
         return image_loss(np.zeros((len(class_logits), 1, 1)), class_logits,
-                          [np.zeros((1, 1))] * n, labels, range(n), lc).classification
+                          np.zeros((1, 1), np.int64), labels, range(n), lc).classification
 
     k = 4
     q0 = [math.log(0.5)] + [math.log(0.5 / 3)] * 3

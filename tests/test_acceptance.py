@@ -20,7 +20,6 @@ from setseg.evaluator import panoptic_quality
 from setseg.losses import LossConfig
 from setseg.matcher import brute_force_match, build_cost_matrix, hungarian, pad_square
 from setseg.model import MaskClassificationModel, ModelConfig
-from setseg.pipeline import TargetSet
 from setseg.tensor import Tape, Tensor, backward
 from setseg.trainer import ingest, train
 from setseg.losses import total_loss
@@ -95,7 +94,7 @@ class TestCriterion4:
 
             def one_pair(logits, gt):
                 return image_loss(np.array(logits, dtype=np.float64)[None], np.zeros((1, 2)),
-                                  [gt], [1], [0], cfg)
+                                  gt, [1], [0], cfg)
 
             got = one_pair(np.full((2, 2), BIG), np.ones((2, 2))).dice
             assert abs(got - 0.0) <= 1e-3 and abs(got - 0.0) < 1e-6
@@ -110,7 +109,7 @@ class TestCriterion4:
             # query 0 matched to class 1, query 1 no-object
             q0 = [math.log(0.5)] + [math.log(0.5 / 3)] * 3
             q1 = [math.log(0.25)] * 4
-            got = image_loss(np.zeros((2, 1, 1)), np.array([q0, q1]), [np.zeros((1, 1))], [1],
+            got = image_loss(np.zeros((2, 1, 1)), np.array([q0, q1]), np.zeros((1, 1)), [1],
                              [0], cfg).classification
             want = (-math.log(0.5) + 1e-4 * -math.log(0.25)) / 1.0001
             assert abs(got - want) <= 1e-3 and abs(got - want) < 1e-6
@@ -130,7 +129,7 @@ class TestCriterion5:
                 gt_p = np.concatenate([gt, rng.integers(0, 2, size=(pad, w))], axis=0)
                 valid_p = np.concatenate([valid, np.zeros((pad, w), bool)], axis=0)
                 plain, padded = (
-                    image_loss(l[None], np.zeros((1, 2)), [g], [1], [0], LossConfig(), v)
+                    image_loss(l[None], np.zeros((1, 2)), g, [1], [0], LossConfig(), v)
                     for l, g, v in ((logits, gt, valid), (logits_p, gt_p, valid_p)))
                 assert abs(plain.dice - padded.dice) <= 1e-7
                 assert abs(plain.focal - padded.focal) <= 1e-7
@@ -150,16 +149,15 @@ class TestCriterion6:
             queries = np.flatnonzero(labels < 5)
             marr = np.zeros((4, 3, 3))
             marr[queries[0]] = arr
-            masks = [gt] + [np.zeros((3, 3))] * (len(queries) - 1)
             for cfg in (LossConfig(class_weight=0.0, focal_weight=0.0),
                         LossConfig(class_weight=0.0, dice_weight=0.0), LossConfig()):
                 def value(m, c):
-                    return image_loss(m, c, masks, labels[queries], queries, cfg).total
+                    return image_loss(m, c, gt, labels[queries], queries, cfg).total
 
                 with Tape():
                     x = Tensor(marr, requires_grad=True, dtype=np.float64)
                     y = Tensor(carr, requires_grad=True, dtype=np.float64)
-                    backward(image_loss(x, y, masks, labels[queries], queries,
+                    backward(image_loss(x, y, gt, labels[queries], queries,
                                         cfg).total_tensor)
                 assert max_rel_error(x.grad, central_difference(value, [marr, carr], 0)) <= 1e-4
                 assert max_rel_error(y.grad, central_difference(value, [marr, carr], 1)) <= 1e-4
@@ -193,7 +191,7 @@ class TestCriterion6:
             g1[2:10, 2:10] = 1
             g2 = np.zeros((16, 16), dtype=np.uint8)
             g2[11:15, 5:14] = 1
-            targets = TargetSet([g1, g2], [1, 3])
+            targets = conftest.targets([g1, g2], [1, 3])
             vmask = np.ones((16, 16), bool)
             run_cfg = RunConfig()
             with Tape():

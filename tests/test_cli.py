@@ -91,6 +91,7 @@ class TestSubcommands:
         for stage in ("parse", "forward", "match", "loss", "backward", "clip", "update"):
             assert f"\n  {stage} " in out
         assert "dropped instances" in out and "degenerate-dice pairs" in out
+        assert "empty targets" in out
 
     def test_profile_abort_exit_code(self, dataset, capsys, monkeypatch):
         def failing_step(model, batch_data, cfg):

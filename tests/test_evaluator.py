@@ -8,7 +8,9 @@ from conftest import segments
 from setseg.evaluator import (
     EvalConfig, SegmentSet, match_segments, panoptic_quality, postprocess,
 )
+from setseg.pipeline import TargetSet
 from setseg.tensor import ContractError, Tensor
+from setseg.trainer import ground_truth_segments
 
 
 def square_mask(h, w, r0, r1, c0, c1):
@@ -253,3 +255,12 @@ class TestPostprocess:
         assert out.labels == [2, 3]          # queries 2 and 3; 0 and 1 own no pixel
         assert (out.ids[1] == 1).all() and (out.ids[2] == 2).all()
         assert out.ids[0, 0] == 2 and (out.ids == 0).sum() == 7
+
+
+def test_ground_truth_keeps_targets_that_own_a_pixel_renumbered_in_id_order():
+    # target 1 (id 2) was lost at mask resolution; the padding column is void
+    ids = np.array([[3, 3, 0], [1, 3, 0]])
+    valid = np.array([[True, True, False], [True, True, False]])
+    gt = ground_truth_segments(TargetSet(ids, [4, 2, 1]), valid)
+    assert np.array_equal(gt.ids, [[2, 2, 0], [1, 2, 0]]) and gt.labels == [4, 1]
+    assert np.array_equal(gt.void, ~valid)

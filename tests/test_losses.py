@@ -11,11 +11,10 @@ import pytest
 from setseg import losses
 from setseg.losses import LossConfig, total_loss
 from setseg.matcher import Assignment, build_cost_matrix, hungarian
-from setseg.pipeline import TargetSet
 from setseg.tensor import Tape, Tensor, backward
 from setseg.verify import image_loss
 
-from conftest import central_difference, max_rel_error
+from conftest import central_difference, max_rel_error, targets as target_set
 
 BIG = 40.0   # sigmoid(+-40) is 1/0 to ~4e-18
 
@@ -34,7 +33,7 @@ def matched_loss(outputs, target_sets, assignments, cfg, valid_masks):
 
 def one_pair(logits, gt, cfg=None, valid=None):
     """The batch loss of one query with mask logits ``logits`` [h, w] matched to ``gt``."""
-    return image_loss(np.asarray(logits, dtype=np.float64)[None], np.zeros((1, 2)), [gt], [1],
+    return image_loss(np.asarray(logits, dtype=np.float64)[None], np.zeros((1, 2)), gt, [1],
                       [0], cfg or LossConfig(), valid)
 
 
@@ -43,7 +42,7 @@ def classification(class_logits, labels, no_object_weight=1e-4):
     labels = np.asarray(labels)
     queries = np.flatnonzero(labels < class_logits.shape[-1])
     return image_loss(np.zeros((len(labels), 1, 1)), class_logits,
-                      [np.zeros((1, 1))] * len(queries), labels[queries], queries,
+                      np.zeros((1, 1)), labels[queries], queries,
                       LossConfig(no_object_weight=no_object_weight)).classification
 
 
@@ -55,7 +54,7 @@ FOCAL_ONLY = LossConfig(class_weight=0.0, dice_weight=0.0)
 def mask_gradient_error(arr, gt, cfg):
     """Relative error of the batch op's mask-logit grad for one pair against central differences."""
     x = Tensor(arr[None], requires_grad=True, dtype=np.float64)
-    backward(image_loss(x, np.zeros((1, 2)), [gt], [1], [0], cfg).total_tensor)
+    backward(image_loss(x, np.zeros((1, 2)), gt, [1], [0], cfg).total_tensor)
     numeric = central_difference(lambda a: one_pair(a, gt, cfg).total, [arr], 0)
     return max_rel_error(x.grad[0], numeric)
 
@@ -182,7 +181,7 @@ class TestGradients:
             labels = rng.integers(1, 6, size=4)
             x = Tensor(arr, requires_grad=True, dtype=np.float64)
             queries = np.flatnonzero(labels < 5)
-            backward(image_loss(np.zeros((4, 1, 1)), x, [np.zeros((1, 1))] * len(queries),
+            backward(image_loss(np.zeros((4, 1, 1)), x, np.zeros((1, 1)),
                                 labels[queries], queries, LossConfig()).total_tensor)
             numeric = central_difference(lambda a: classification(a, labels), [arr], 0)
             assert max_rel_error(x.grad, numeric) <= 1e-4
@@ -193,7 +192,7 @@ class TestGradients:
         gt[0, 0] = 1
         for cfg in (DICE_ONLY, FOCAL_ONLY):
             x = Tensor(np.zeros((1, 2, 2)), requires_grad=True, dtype=np.float64)
-            backward(image_loss(x, np.zeros((1, 2)), [gt], [1], [0], cfg).total_tensor)
+            backward(image_loss(x, np.zeros((1, 2)), gt, [1], [0], cfg).total_tensor)
             assert x.grad[0, 0, 0] < 0 and x.grad[0, 1, 1] > 0
 
 
@@ -209,7 +208,7 @@ class TestTotalLoss:
         )
         gt = np.zeros((3, 3), dtype=np.uint8)
         gt[:2, :2] = 1
-        targets = TargetSet(masks=[gt], labels=[2])
+        targets = target_set([gt], [2])
         valid = np.ones((3, 3), dtype=bool)
         assignment = Assignment(np.array([1]), 0.0)
         return outputs, targets, valid, assignment, mask_logits, class_logits
@@ -248,8 +247,9 @@ class TestTotalLoss:
             mask_logits=Tensor(rng.standard_normal((1, 3, 3, 3))),
             class_logits=Tensor(rng.standard_normal((1, 3, 4))),
         )
-        gt = np.ones((3, 3), dtype=np.uint8)
-        targets = TargetSet(masks=[gt, gt], labels=[1, 2])
+        top = np.zeros((3, 3), dtype=np.uint8)
+        top[:2] = 1
+        targets = target_set([top, 1 - top], [1, 2])
         assignment = Assignment(np.array([2, 0]), 0.0)
         empty = matched_loss(outputs, [targets], [assignment], LossConfig(),
                              np.zeros((1, 3, 3), bool))
@@ -281,7 +281,7 @@ class TestTotalLoss:
             mask_logits=Tensor(mask_logits, dtype=np.float64),
             class_logits=Tensor(class_logits, dtype=np.float64),
         )
-        targets = TargetSet(masks=[gt], labels=[1])
+        targets = target_set([gt], [1])
         bundle = matched_loss(outputs, [targets], [Assignment(np.array([0]), 0.0)],
                               LossConfig(), np.ones((1, 4, 4), bool))
         assert bundle.classification < 1e-3
@@ -294,7 +294,7 @@ class TestTotalLoss:
             mask_logits=Tensor(rng.standard_normal((1, 3, 4, 4))),
             class_logits=Tensor(rng.standard_normal((1, 3, 5))),
         )
-        targets = TargetSet(masks=[], labels=[])
+        targets = target_set([], [], shape=(4, 4))
         bundle = matched_loss(outputs, [targets], [Assignment(np.zeros(0, dtype=int), 0.0)],
                               LossConfig(), np.ones((1, 4, 4), bool))
         assert bundle.focal == 0.0 and bundle.dice == 0.0
@@ -317,7 +317,7 @@ class TestTotalLoss:
             )
             for n in (0, 1, 3):
                 with Tape() as tape:
-                    matched_loss(outputs, [TargetSet(masks[:n], [1, 2, 3][:n])] * bsz,
+                    matched_loss(outputs, [target_set(masks[:n], [1, 2, 3][:n], (3, 3))] * bsz,
                                  [Assignment(np.array([3, 0, 2][:n], dtype=int), 0.0)] * bsz,
                                  LossConfig(), np.ones((bsz, 3, 3), bool))
                     counts.append(len(tape.entries))
@@ -330,7 +330,7 @@ class TestTotalLoss:
         outputs = SimpleNamespace(mask_logits=ml, class_logits=cl)
         gt = np.zeros((3, 3), dtype=np.uint8)
         gt[0] = 1
-        bundle = matched_loss(outputs, [TargetSet([gt], [1])], [Assignment(np.array([0]), 0.0)],
+        bundle = matched_loss(outputs, [target_set([gt], [1])], [Assignment(np.array([0]), 0.0)],
                               LossConfig(), np.ones((1, 3, 3), bool))
         backward(bundle.total_tensor)
         assert ml.grad is not None and np.abs(ml.grad).sum() > 0
@@ -344,8 +344,9 @@ class TestTotalLoss:
         ml = rng.standard_normal((2, 4, 4, 4)) * 3.0
         ml[1, :, 1, 1] = [20.0, -20.0, 20.0, -20.0]
         cl = rng.standard_normal((2, 4, 4))
-        masks = [(rng.random((4, 4)) > 0.5).astype(np.uint8) for _ in range(3)]
-        targets = [TargetSet([], []), TargetSet(masks, [1, 2, 3])]
+        ids = rng.integers(0, 4, size=(4, 4))
+        targets = [target_set([], [], shape=(4, 4)),
+                   target_set([ids == i for i in (1, 2, 3)], [1, 2, 3])]
         assignments = [Assignment(np.zeros(0, dtype=int), 0.0),
                        Assignment(np.array([2, 0, 3]), 0.0)]
         valid = np.ones((2, 4, 4), bool)
@@ -390,8 +391,9 @@ class TestTotalLoss:
             mask_logits=Tensor(rng.standard_normal((2, 6, 4, 4)).astype(np.float32)),
             class_logits=Tensor(rng.standard_normal((2, 6, 4)).astype(np.float32)),
         )
-        masks = [(rng.random((8, 8)) > 0.5).astype(np.uint8)[1::2, 1::2] for _ in range(5)]
-        targets = [TargetSet(masks[:2], [1, 3]), TargetSet(masks[2:], [2, 2, 1])]
+        ids = [rng.integers(0, n + 1, size=(8, 8))[1::2, 1::2] for n in (2, 3)]
+        targets = [target_set([ids[0] == i for i in (1, 2)], [1, 3]),
+                   target_set([ids[1] == i for i in (1, 2, 3)], [2, 2, 1])]
         valid = np.ones((2, 4, 4), bool)
         valid[1, 2:] = False
         costs = matcher_costs(outputs, targets, LossConfig(), valid)
@@ -418,6 +420,53 @@ class TestTotalLoss:
         imported = {node.module for node in ast.walk(ast.parse(inspect.getsource(losses)))
                     if isinstance(node, ast.ImportFrom)}
         assert "pipeline" not in imported
+
+
+# ---------------------------------------------------------------------------
+# Differential: targets as one id grid against a stack of per-target masks
+# ---------------------------------------------------------------------------
+
+def stacked_target_pixels(ids, n, valid):
+    """The reference rows: a stack of n uint8 masks, one per target, at the valid pixels."""
+    masks = np.array([ids == i for i in range(1, n + 1)], np.uint8).reshape(n, *ids.shape)
+    return losses._valid_pixels(masks, valid)
+
+
+# (queries, grid side, targets, ids drawn from 0..top, blocky ids, invalid rows and columns)
+ID_GRID_CASES = [
+    (16, 16, 0, 0, False, 0), (16, 16, 1, 1, False, 4), (16, 16, 1, 0, False, 0),
+    (16, 16, 5, 3, False, 5), (16, 12, 3, 3, True, 3), (100, 24, 7, 7, False, 9),
+    (100, 160, 8, 6, True, 40), (100, 160, 2, 2, False, 0),
+]
+
+
+@pytest.mark.parametrize("n_q, side, n, top, blocky, cut", ID_GRID_CASES)
+def test_id_grid_costs_and_grads_equal_the_mask_stack_bit_for_bit(n_q, side, n, top, blocky,
+                                                                   cut, monkeypatch):
+    rng = np.random.default_rng(side * n_q + n)
+    logits = (3.0 * rng.standard_normal((n_q, side, side))).astype(np.float32)
+    if blocky:      # targets as 4x4 blocks
+        ids = np.kron(rng.integers(0, top + 1, (side // 4, side // 4)), np.ones((4, 4), np.int64))
+    else:
+        ids = rng.integers(0, top + 1, (side, side))
+    valid = np.ones((side, side), bool)
+    valid[side - cut // 2:] = False
+    valid[:, side - (cut + 1) // 2:] = False
+    if blocky:      # as parse emits them; otherwise ids past the valid pixels must not count
+        ids[~valid] = 0
+    rows = logits[rng.permutation(n_q)[:n]]
+    cfg = LossConfig()
+
+    def costs_and_grad():
+        return (*losses.mask_costs(logits, ids, n, valid, cfg),
+                losses._mask_grad(rows, ids, valid, cfg))
+
+    got = costs_and_grad()
+    monkeypatch.setattr(losses, "_target_pixels", stacked_target_pixels)
+    want = costs_and_grad()
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
+    assert got[0].shape == (n, n_q) and got[2].shape == (n, side, side)
 
 
 # ---------------------------------------------------------------------------

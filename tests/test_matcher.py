@@ -13,6 +13,8 @@ from setseg.pipeline import TargetSet
 from setseg.tensor import ContractError, Tensor
 from setseg.verify import COST_KINDS, cost_block
 
+from conftest import targets as target_set
+
 # The 4 real rows of the 16x16 cost matrix that an untrained README toy.cfg
 # model (synth seed 11, batch 1, image 2) produced before the pixel decoder's
 # upsample+conv was fused. The solver before the rectangular one looped
@@ -51,14 +53,22 @@ class TestCostMatrix:
     def test_grids_off_the_mask_resolution_rejected(self, valid_side, target_sides):
         outputs = random_outputs(np.random.default_rng(0), 4, 3, 4, 4)
         masks = [np.ones((s, s), np.uint8) for s in target_sides]
-        targets = TargetSet(masks, [1] * len(masks))
+        targets = target_set(masks, [1] * len(masks), (4, 4))
         with pytest.raises(ContractError, match=r"\(8, 8\).*\(4, 4\)"):
             build_cost_matrix(outputs, targets, np.ones((valid_side,) * 2, bool), LossConfig())
+
+    def test_target_id_above_the_label_count_rejected(self):
+        outputs = random_outputs(np.random.default_rng(0), 4, 3, 4, 4)
+        ids = np.zeros((4, 4), np.int64)
+        ids[0, 0] = 3
+        with pytest.raises(ContractError, match="target id 3 above the label count 2"):
+            build_cost_matrix(outputs, TargetSet(ids, [1, 2]), np.ones((4, 4), bool),
+                              LossConfig())
 
     def test_empty_targets_all_pad(self):
         rng = np.random.default_rng(0)
         outputs = random_outputs(rng, 4, 3, 4, 4)
-        cm = build_cost_matrix(outputs, TargetSet([], []),
+        cm = build_cost_matrix(outputs, target_set([], [], (4, 4)),
                                np.ones((4, 4), bool), LossConfig())
         assert cm.real_rows == 0
         assert (cm.values == cm.pad_cost).all()
@@ -74,7 +84,7 @@ class TestCostMatrix:
         class_logits[0, 3, 0] = 10.0        # query 3 confident in class 1
         outputs = SimpleNamespace(mask_logits=Tensor(mask_logits),
                                   class_logits=Tensor(class_logits))
-        cm = build_cost_matrix(outputs, TargetSet([gt], [1]),
+        cm = build_cost_matrix(outputs, target_set([gt], [1]),
                                np.ones((h, h), bool), LossConfig())
         assert int(np.argmin(cm.values[0])) == 3
 
@@ -89,7 +99,7 @@ class TestCostMatrix:
             m[i, :] = 1
             masks.append(m)
             labels.append(i + 1)
-        targets = TargetSet(masks, labels)
+        targets = target_set(masks, labels)
         cfg = LossConfig()
         probs = np.exp(outputs.class_logits.data[0])
         probs /= probs.sum(-1, keepdims=True)
@@ -119,9 +129,9 @@ class TestCostMatrix:
         rng = np.random.default_rng(4)
         n_q, k, h = 6, 3, 4
         outputs = random_outputs(rng, n_q, k, h, h)
-        masks = [np.eye(h, dtype=np.uint8), np.ones((h, h), dtype=np.uint8)]
+        masks = [np.eye(h, dtype=np.uint8), 1 - np.eye(h, dtype=np.uint8)]
         labels = [2, 3]
-        cm = build_cost_matrix(outputs, TargetSet(masks, labels), np.ones((h, h), bool),
+        cm = build_cost_matrix(outputs, target_set(masks, labels), np.ones((h, h), bool),
                                LossConfig(focal_weight=0.0, dice_weight=0.0))
         probs = np.exp(outputs.class_logits.data[0])
         probs /= probs.sum(-1, keepdims=True)
@@ -132,7 +142,7 @@ class TestCostMatrix:
         rng = np.random.default_rng(2)
         outputs = random_outputs(rng, 6, 2, 4, 4)
         gt = np.ones((4, 4), dtype=np.uint8)
-        cm = build_cost_matrix(outputs, TargetSet([gt], [1]),
+        cm = build_cost_matrix(outputs, target_set([gt], [1]),
                                np.ones((4, 4), bool), LossConfig())
         real = cm.values[:1, :]
         assert cm.pad_cost >= real.max() + 1.0 - 1e-12
@@ -141,9 +151,11 @@ class TestCostMatrix:
     def test_target_overflow_rejected(self):
         rng = np.random.default_rng(3)
         outputs = random_outputs(rng, 2, 2, 4, 4)
-        masks = [np.ones((4, 4), dtype=np.uint8)] * 3
+        masks = [np.zeros((4, 4), dtype=np.uint8) for _ in range(3)]
+        for i, m in enumerate(masks):
+            m[i] = 1
         with pytest.raises(matcher.MatcherError):
-            build_cost_matrix(outputs, TargetSet(masks, [1, 1, 1]),
+            build_cost_matrix(outputs, target_set(masks, [1, 1, 1]),
                               np.ones((4, 4), bool), LossConfig())
 
     def test_target_label_above_the_class_head_rejected(self):
@@ -153,9 +165,10 @@ class TestCostMatrix:
         outputs = SimpleNamespace(mask_logits=Tensor(rng.standard_normal((2, 4, 4, 4))),
                                   class_logits=Tensor(rng.standard_normal((2, 4, 4))))
         gt = np.ones((4, 4), dtype=np.uint8)
+        gt[2:] = 0
         for label in (0, 4, 5):
             with pytest.raises(matcher.MatcherError) as err:
-                build_cost_matrix(outputs, TargetSet([gt, gt], [1, label]),
+                build_cost_matrix(outputs, target_set([gt, 1 - gt], [1, label]),
                                   np.ones((4, 4), bool), LossConfig(), batch_index=1)
             assert str(err.value) == f"image 1: target label {label} outside 1..K with K = 3"
 
@@ -166,7 +179,7 @@ class TestCostMatrix:
         )
         gt = np.ones((2, 2), dtype=np.uint8)
         with pytest.raises(matcher.MatcherError) as err:
-            build_cost_matrix(outputs, TargetSet([gt], [1]),
+            build_cost_matrix(outputs, target_set([gt], [1]),
                               np.ones((2, 2), bool), LossConfig())
         assert "query" in str(err.value)
 

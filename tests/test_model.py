@@ -7,11 +7,10 @@ from setseg.matcher import build_cost_matrix, hungarian
 from setseg.model import (
     MaskClassificationModel, ModelConfig, load_checkpoint, save_checkpoint,
 )
-from setseg.pipeline import TargetSet
 from setseg.records import RecordParseError, write_shards
 from setseg.tensor import Tape, Tensor, backward
 
-from conftest import inner
+from conftest import inner, targets as target_set
 
 
 def toy_config(**overrides):
@@ -285,7 +284,7 @@ class TestGradientFlow:
         gt[2:10, 2:10] = 1
         gt2 = np.zeros((16, 16), dtype=np.uint8)
         gt2[12:15, 1:5] = 1
-        targets = TargetSet([gt, gt2], [1, 3])
+        targets = target_set([gt, gt2], [1, 3])
         valid = np.ones((16, 16), dtype=bool)
         with Tape():
             outputs = model.forward(image)

@@ -78,7 +78,7 @@ class TestParseGeometry:
         expected = (rgb.astype(np.float32) / 255.0 - mean) / std
         assert np.array_equal(sample.image.data[0], expected)
         # instance i has class i, so the targets paint the class map at mask resolution
-        painted = sum(label * m for m, label in zip(targets.masks, targets.labels))
+        painted = np.array([0, *targets.labels])[targets.ids]
         assert np.array_equal(painted, cont[2::4, 2::4])
 
     def test_two_by_two_targets(self):
@@ -90,8 +90,7 @@ class TestParseGeometry:
         _, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
         assert targets.count == 2
         assert targets.labels == [1, 2]
-        assert np.array_equal(targets.masks[0], [[1, 1], [0, 0]])
-        assert np.array_equal(targets.masks[1], [[0, 0], [0, 1]])
+        assert np.array_equal(targets.ids, [[1, 1], [0, 2]])
 
     def test_unknown_class_id_errors(self):
         rgb = np.zeros((4, 4, 3), dtype=np.uint8)
@@ -113,7 +112,7 @@ class TestParseGeometry:
         assert np.array_equal(s1.image.data, s2.image.data)
         assert np.array_equal(s1.valid_mask, s2.valid_mask)
         assert t1.labels == t2.labels
-        assert all(np.array_equal(a, b) for a, b in zip(t1.masks, t2.masks))
+        assert np.array_equal(t1.ids, t2.ids)
 
     def test_crop_path_changes_output(self):
         rng = np.random.default_rng(3)
@@ -152,12 +151,8 @@ class TestTargetInvariants:
         rgb = np.zeros((40, 40, 3), dtype=np.uint8)
         cfg = ParserConfig(target_size=40, crop_probability=0.0)
         sample, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
-        union = np.zeros((10, 10), dtype=bool)
-        for m in targets.masks:
-            assert not (union & m.astype(bool)).any()   # pixel-disjoint
-            union |= m.astype(bool)
         expected = sample.valid_mask & (inst[2::4, 2::4] != 0)
-        assert np.array_equal(union, expected)
+        assert np.array_equal(targets.ids != 0, expected)
 
     def test_zero_area_instance_dropped_and_counted(self):
         rgb = np.zeros((32, 32, 3), dtype=np.uint8)
@@ -172,7 +167,7 @@ class TestTargetInvariants:
 
     def test_instance_invisible_at_mask_resolution_stays_a_target(self):
         # at parse resolution the pixel survives, so it is a target; the
-        # stride-4 sample misses it, so its mask is all zero
+        # stride-4 sample misses it, so its id owns no pixel
         rgb = np.zeros((8, 8, 3), dtype=np.uint8)
         inst = np.zeros((8, 8), dtype=np.uint16)
         inst[7, 7] = 2
@@ -181,8 +176,8 @@ class TestTargetInvariants:
         cfg = ParserConfig(target_size=8, crop_probability=0.0)
         _, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
         assert targets.labels == [1, 2] and targets.dropped == 0
-        assert np.array_equal(targets.masks[0], [[1, 0], [0, 0]])
-        assert not targets.masks[1].any()
+        assert np.array_equal(targets.ids, [[1, 0], [0, 0]])
+        assert targets.empty == 1
 
     def test_target_size_off_the_mask_stride_rejected(self):
         rgb = np.zeros((8, 8, 3), dtype=np.uint8)
@@ -317,13 +312,29 @@ def test_parse_matches_full_resolution_targets_downsampled():
 
             small = [reference_downsample(m, 4) for m in masks]
             assert targets.labels == labels and targets.dropped == dropped
-            assert len(targets.masks) == len(small)
-            for got, want in zip(targets.masks, small):
-                assert got.dtype == np.uint8 and np.array_equal(got, want)
+            for i, want in enumerate(small):
+                assert np.array_equal(targets.ids == i + 1, want)
             assert np.array_equal(sample.valid_mask,
                                   reference_downsample(valid.astype(np.uint8), 4).astype(bool))
             vanished += sum(not m.any() for m in small)
     assert vanished > 0
+
+
+@pytest.mark.parametrize("crop", [0.0, 1.0], ids=["crop_off", "crop_on"])
+def test_target_ids_are_labelled_and_zero_off_the_valid_mask(crop):
+    # match_segments counts a void pixel outside every gt segment
+    rng = np.random.default_rng(21)
+    padded = 0
+    for seed in range(60):
+        entry, _ = random_record(rng)
+        cfg = ParserConfig(target_size=int(rng.choice([32, 48, 64])), crop_probability=crop,
+                           crop_sizes=(16, 24, 40))
+        sample, targets = parse(entry, cfg, rng_seed=seed)
+        assert targets.ids.shape == sample.valid_mask.shape
+        assert targets.ids.min() >= 0 and targets.ids.max() <= len(targets.labels)
+        assert not targets.ids[~sample.valid_mask].any()
+        padded += int(np.count_nonzero(~sample.valid_mask))
+    assert padded > 0
 
 
 def test_only_pipeline_resamples_to_mask_resolution():

@@ -105,7 +105,7 @@ class TestTrain:
         with (tmp_path / "run" / "metrics.csv").open() as f:
             header, *rows = list(csv.reader(f))
         assert header == ["step", *STAGES, "grad_norm", "matched_pairs",
-                          "dropped_instances", "degenerate_dice"]
+                          "dropped_instances", "degenerate_dice", "empty_targets"]
         assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
         entries = load_entries(shard_dir)
         for step, row in enumerate(rows):
@@ -114,6 +114,8 @@ class TestTrain:
             assert all(v >= 0 for v in values[1:8]) and values[8] > 0
             batch = trainer.assemble_batch(entries, cfg, step)
             assert int(row[9]) == sum(len(t.labels) for t in batch.target_sets) > 0
+            assert int(row[12]) == sum(not (t.ids == i + 1).any()
+                                       for t in batch.target_sets for i in range(t.count))
 
     def test_deterministic_loss_csv(self, shard_dir, tmp_path):
         r1 = train(toy_run_config(), shard_dir, tmp_path / "a")
@@ -188,6 +190,7 @@ class TestTrain:
         assert result[3] == result.total
         assert set(result.seconds) == {"forward", "match", "loss", "backward"}
         assert result.dropped_instances >= 0 and result.degenerate_dice >= 0
+        assert result.empty_targets >= 0
 
     def test_readme_toy_step_tape_ops(self, shard_dir, tmp_path, monkeypatch):
         # 93 = 92 forward ops (each linear layer with its bias and any
