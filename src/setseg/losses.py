@@ -2,9 +2,10 @@
 
 Each formula has one numpy home, in float64:
 
-- focal and dice values: ``mask_costs``, per-pixel terms from one sigmoid
-  reduced pairwise to ``dice[N, R]`` and ``focal[N, R]`` by two matmuls over
-  the valid pixels only, called by the matcher on every (target, query) pair;
+- focal and dice values: ``mask_costs``, per-pixel terms from one sigmoid,
+  built in blocks of pixels, reduced pairwise to ``dice[N, R]`` and
+  ``focal[N, R]`` by two matmuls over the valid pixels only, called by the
+  matcher on every (target, query) pair;
 - the one expansion of a target id grid (``i + 1`` on target ``i``'s
   pixels) into per-target rows: ``_target_pixels``;
 - their gradient: ``_mask_grad``;
@@ -30,6 +31,7 @@ from . import tensor as T
 from .tensor import Tensor
 
 _P_CLAMP = 1e-7
+_TERM_BLOCK = 4096      # float64 pixel terms per block in mask_costs: R queries x J pixels
 
 
 @dataclass
@@ -92,12 +94,31 @@ def mask_costs(logits: np.ndarray, gt: np.ndarray, n: int, valid: np.ndarray, cf
 
     Soft dice on the sigmoid with ``cfg.dice_eps`` smoothing; focal is the
     modulated cross-entropy on the clamped sigmoid, mean over valid pixels.
+
+    The pixel terms run over blocks of J = ``_TERM_BLOCK`` // R pixel
+    positions (at least 1) into three preallocated [R, V] buffers, p,
+    pos - neg and neg, so the sigmoid's and the focal terms' other float64
+    transients hold at most 4096 values each, never R x V. The buffers are
+    column-major, the layout of the one-shot ``_valid_pixels`` rows, so a
+    block of pixels is a contiguous slab of each buffer, and the sums and
+    the two products run once on the same arrays as without blocks: the
+    terms are elementwise, and blocking leaves every value unchanged. A
+    product or row sum per block would not, as BLAS and numpy round an
+    entry differently with the entries beside it.
     """
-    x, g = _valid_pixels(logits, valid), _target_pixels(gt, n, valid)
-    p, _, pos, neg = _pixel_terms(x, cfg)
-    eps = cfg.dice_eps
+    r = len(logits)
+    flat, keep = logits.reshape(r, -1), valid.reshape(-1)
+    v, step, j = int(np.count_nonzero(keep)), max(1, _TERM_BLOCK // r), 0
+    p, d, neg = (np.empty((r, v), order="F") for _ in range(3))
+    for i in range(0, keep.size, step):
+        x = _valid_pixels(flat[:, i:i + step], keep[i:i + step])
+        cols = slice(j, j + x.shape[1])
+        p[:, cols], _, pos, neg[:, cols] = _pixel_terms(x, cfg)
+        np.subtract(pos, neg[:, cols], out=d[:, cols])
+        j = cols.stop
+    g, eps = _target_pixels(gt, n, valid), cfg.dice_eps
     dice = 1.0 - (2.0 * (g @ p.T) + eps) / (g.sum(axis=1)[:, None] + p.sum(axis=1) + eps)
-    focal = (g @ (pos - neg).T + neg.sum(axis=1)) / max(x.shape[1], 1)
+    focal = (g @ d.T + neg.sum(axis=1)) / max(v, 1)
     return dice, focal
 
 

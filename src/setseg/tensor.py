@@ -15,10 +15,13 @@ matmul_nt (a·bᵀ), layer_norm (``relu=True`` applies a following ReLU in the
 same op), conv2d (im2col GEMM, with its bias), ``upsample2x_conv3x3`` (a
 nearest 2x upsample fused into the following 3x3 conv, computed one output
 phase at a time), multi-head attention (one op with a hand-written
-backward) and the sine position embedding. Both convolutions get their
-input grad as col2im of the column grad (``_col2im``, the adjoint of
-``_im2col``). The one op defined elsewhere, the batch loss
-``losses.total_loss``, records through ``_make_result`` too.
+backward) and the sine position embedding. Both convolutions keep only
+their input for the backward, which rebuilds the im2col columns (and the
+up-conv its folded weight) from it, one op at a time, rather than holding
+every op's columns on the tape; each gets its input grad as col2im of the
+column grad (``_col2im``, the adjoint of ``_im2col``). The one op defined
+elsewhere, the batch loss ``losses.total_loss``, records through
+``_make_result`` too.
 
 There is no broadcasting beyond ``linear``'s and ``conv2d``'s bias;
 mismatched shapes fail loudly with the shapes named.
@@ -424,7 +427,13 @@ def _col2im(gcol: np.ndarray, shape, stride: int) -> np.ndarray:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution plus bias, NHWC input, weights [kh, kw, cin, cout], bias [cout]."""
+    """2-D convolution plus bias, NHWC input, weights [kh, kw, cin, cout], bias [cout].
+
+    One im2col GEMM. The tape keeps the input, not the column matrix: the
+    backward rebuilds the columns with the same ``_im2col`` call for the
+    weight grad and frees them before the col2im of the input grad, so the
+    grads are the same bits and a backward holds one op's columns at a time.
+    """
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d: expected 4-D input/weights, got {x.shape} and {w.shape}")
     if x.shape[3] != w.shape[2]:
@@ -436,15 +445,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     if b.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {b.shape} does not match out channels ({cout},)")
     bsz, hin, win_ = xd.shape[0], xd.shape[1], xd.shape[2]
-    pad = ((0, 0), (padding, padding), (padding, padding), (0, 0))  # the copy dies in _im2col
-    col, ho, wo = _im2col(np.pad(xd, pad) if padding else xd, kh, kw, stride)
+    pad = ((0, 0), (padding, padding), (padding, padding), (0, 0))
+
+    def columns():  # the padded copy dies in _im2col
+        return _im2col(np.pad(xd, pad) if padding else xd, kh, kw, stride)
+
+    col, ho, wo = columns()
     out = (col @ wd.reshape(kh * kw * cin, cout)).reshape(bsz, ho, wo, cout)
     out += b.data
 
     def bwd(g):
         g = np.ascontiguousarray(g).reshape(-1, cout)
-        # weight grad: col^T @ g, with the forward's column matrix
+        # weight grad: col^T @ g, with the columns rebuilt from the kept input
+        col = columns()[0]
         gw = (col.T @ g).reshape(kh, kw, cin, cout)
+        del col
         gb = g.sum(axis=0)
         if not x.requires_grad:  # e.g. the image: skip the full-resolution input grad
             return None, gw, gb
@@ -513,7 +528,9 @@ def upsample2x_conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     folded [4*cin, 4*cout] weight. The phases run one at a time through one
     reused [B*(h+1)*(w+1), cout] buffer, and each is written to its strided
     slice of the output with the bias added, so the four phases never exist
-    at once. Output [B, 2h, 2w, cout].
+    at once. Output [B, 2h, 2w, cout]. As in ``conv2d``, the tape keeps the
+    input, not the columns or the folded weight: the backward rebuilds both
+    with the same calls, freeing the columns before the input grad.
     """
     if x.ndim != 4 or w.ndim != 4 or w.shape[:2] != (3, 3) or x.shape[3] != w.shape[2]:
         raise ShapeError(f"upsample2x_conv3x3: input {x.shape} does not match 3x3 weights {w.shape}")
@@ -522,9 +539,15 @@ def upsample2x_conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data
     bsz, h, wdt, cin = xd.shape
     cout = wd.shape[3]
-    wf = _fold(wd).reshape(4 * cin, 4 * cout)  # rows (tr,tc,cin), cols (p,q,cout)
-    # window (i, j) covers source rows i-1, i and cols j-1, j; the padded copy dies here
-    col, _, _ = _im2col(np.pad(xd, ((0, 0), (1, 1), (1, 1), (0, 0))), 2, 2, 1)
+
+    def folded():  # rows (tr,tc,cin), cols (p,q,cout)
+        return _fold(wd).reshape(4 * cin, 4 * cout)
+
+    def columns():
+        # window (i, j) covers source rows i-1, i and cols j-1, j; the padded copy dies here
+        return _im2col(np.pad(xd, ((0, 0), (1, 1), (1, 1), (0, 0))), 2, 2, 1)[0]
+
+    wf, col = folded(), columns()
     dt = _result_dtype(xd, wd)
     phase = np.empty((col.shape[0], cout), dtype=dt)
     grid = phase.reshape(bsz, h + 1, wdt + 1, cout)
@@ -539,10 +562,13 @@ def upsample2x_conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             for q in (0, 1):
                 gph[:, p:p + h, q:q + wdt, p, q] = g[:, p::2, q::2]
         gph = gph.reshape(-1, 4 * cout)
-        # weight grad: col^T @ g on the folded weight, then the fold's adjoint
+        # weight grad: col^T @ g on the folded weight, then the fold's adjoint,
+        # with the columns rebuilt from the kept input
+        col = columns()
         gw = _fold_adjoint((col.T @ gph).reshape(2, 2, cin, 2, 2, cout))
+        del col
         # input grad: col2im of the column grad, one slice per 2x2 tap
-        gcol = (gph @ wf.T).reshape(bsz, h + 1, wdt + 1, 2, 2, cin)
+        gcol = (gph @ folded().T).reshape(bsz, h + 1, wdt + 1, 2, 2, cin)
         gxp = _col2im(gcol, (bsz, h + 2, wdt + 2, cin), 1)
         return (gxp[:, 1:-1, 1:-1], gw, g.sum(axis=(0, 1, 2)))
 

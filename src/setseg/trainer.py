@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -387,7 +388,8 @@ def profile(cfg: RunConfig, data_dir, steps: int) -> str:
     """Run the training loop for ``steps`` steps, writing nothing; report its stage clocks.
 
     The stages partition each step up to a few clock reads, so they sum to
-    the loop's wall time, which is the reported total.
+    the loop's wall time, which is the reported total. The last line is the
+    process's peak resident set size so far (``ru_maxrss``).
     """
     entries = load_entries(data_dir)
     model = MaskClassificationModel(cfg.model)
@@ -406,6 +408,7 @@ def profile(cfg: RunConfig, data_dir, steps: int) -> str:
     lines.append(f"dropped instances {sum(r.dropped_instances for r in results)}  "
                  f"degenerate-dice pairs {sum(r.degenerate_dice for r in results)}  "
                  f"empty targets {sum(r.empty_targets for r in results)}")
+    lines.append(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
     return "\n".join(lines) + "\n"
 
 

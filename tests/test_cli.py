@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -92,6 +93,7 @@ class TestSubcommands:
             assert f"\n  {stage} " in out
         assert "dropped instances" in out and "degenerate-dice pairs" in out
         assert "empty targets" in out
+        assert re.fullmatch(r"peak RSS [1-9]\d* MB", out.splitlines()[-1])
 
     def test_profile_abort_exit_code(self, dataset, capsys, monkeypatch):
         def failing_step(model, batch_data, cfg):

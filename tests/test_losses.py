@@ -470,6 +470,45 @@ def test_id_grid_costs_and_grads_equal_the_mask_stack_bit_for_bit(n_q, side, n, 
 
 
 # ---------------------------------------------------------------------------
+# mask_costs in pixel blocks against the one-shot formula
+# ---------------------------------------------------------------------------
+
+def one_shot_mask_costs(logits, gt, n, valid, cfg):
+    """The reference: the pixel terms of all R x V (query, valid pixel) pairs at once."""
+    x, g = losses._valid_pixels(logits, valid), losses._target_pixels(gt, n, valid)
+    p, _, pos, neg = losses._pixel_terms(x, cfg)
+    eps = cfg.dice_eps
+    dice = 1.0 - (2.0 * (g @ p.T) + eps) / (g.sum(axis=1)[:, None] + p.sum(axis=1) + eps)
+    focal = (g @ (pos - neg).T + neg.sum(axis=1)) / max(x.shape[1], 1)
+    return dice, focal
+
+
+@pytest.mark.parametrize("r", [1, 15, 16, 17, 100])
+@pytest.mark.parametrize("n", [1, 3])
+def test_mask_costs_in_pixel_blocks_equal_the_one_shot_formula(n, r, monkeypatch):
+    rng = np.random.default_rng(100 * r + n)
+    logits = (3.0 * rng.standard_normal((r, 40, 40))).astype(np.float32)
+    ids = rng.integers(0, n + 1, (40, 40))
+    valid = np.ones((40, 40), bool)
+    valid[30:] = False
+    valid[:, 25:] = False
+    cfg = LossConfig()
+    want = one_shot_mask_costs(logits, ids, n, valid, cfg)
+    blocks = []
+    pixel_terms = losses._pixel_terms
+    monkeypatch.setattr(losses, "_pixel_terms", lambda x, c: blocks.append(x) or pixel_terms(x, c))
+    got = losses.mask_costs(logits, ids, n, valid, cfg)
+    # each valid pixel reaches the terms once, in order, in blocks of 4096 // R positions
+    step = max(1, losses._TERM_BLOCK // r)
+    assert losses._TERM_BLOCK == 4096 and len(blocks) == -(-1600 // step)
+    assert all(b.shape == (r, valid.reshape(-1)[i:i + step].sum())
+               for b, i in zip(blocks, range(0, 1600, step)))
+    assert np.array_equal(np.concatenate(blocks, axis=1), losses._valid_pixels(logits, valid))
+    for a, b in zip(got, want):
+        assert a.shape == (n, r) and np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
 # Scope
 # ---------------------------------------------------------------------------
 

@@ -480,34 +480,56 @@ class TestBackward:
         assert gx is not None and gx_const is None
         assert np.array_equal(gw, gw_const) and np.array_equal(gb, gb_const)
 
-    def test_conv2d_backward_reuses_forward_columns(self, monkeypatch):
+    def test_conv2d_backward_rebuilds_columns(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x0 = rng.standard_normal((2, 8, 8, 3)).astype(np.float32)
+        w0 = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
+        b0 = rng.standard_normal(4).astype(np.float32)
+        g = rng.standard_normal((2, 4, 4, 4)).astype(np.float32)
+        # reference: the grads from the forward's stored columns
+        col, ho, wo = T._im2col(np.pad(x0, ((0, 0), (1, 1), (1, 1), (0, 0))), 3, 3, 2)
+        g2, w2 = g.reshape(-1, 4), w0.reshape(-1, 4)
+        gcol = (g2 @ w2.T).reshape(2, ho, wo, 3, 3, 3)
+        want = (T._col2im(gcol, (2, 10, 10, 3), 2)[:, 1:-1, 1:-1],
+                (col.T @ g2).reshape(w0.shape), g2.sum(axis=0))
         calls = []
         im2col = T._im2col
         monkeypatch.setattr(T, "_im2col", lambda *a: calls.append(a[1:]) or im2col(*a))
-        rng = np.random.default_rng(9)
-        x = Tensor(rng.standard_normal((2, 8, 8, 3)).astype(np.float32), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 3, 3, 4)).astype(np.float32), requires_grad=True)
-        b = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
+        x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
         out = T.conv2d(x, w, b, stride=2, padding=1)
-        backward(inner(out, out))
-        # the forward's columns only: the input grad is col2im of g·Wᵀ
         assert calls == [(3, 3, 2)]
-        assert x.grad is not None and w.grad is not None
+        got = out._entry.backward_fn(g)
+        # the backward rebuilds the columns once; the input grad is col2im of g·Wᵀ
+        assert calls == [(3, 3, 2)] * 2
+        for grad, ref in zip(got, want):
+            assert grad.dtype == ref.dtype and np.array_equal(grad, ref)
 
-    def test_conv2d_keeps_no_padded_input_copy(self):
+    @staticmethod
+    def _kept_beyond_output(op, **kw):
+        """(bytes a recorded call keeps beyond its output, the input's bytes)."""
         rng = np.random.default_rng(10)
         x = Tensor(rng.standard_normal((1, 64, 64, 32)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((3, 3, 32, 32)).astype(np.float32), requires_grad=True)
         b = Tensor(np.zeros(32, dtype=np.float32), requires_grad=True)
-        col_nbytes = 32 * 32 * (3 * 3 * 32) * 4    # the forward's columns, which backward reuses
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            out = T.conv2d(x, w, b, stride=2, padding=1)   # recorded: what backward keeps stays
-            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes - col_nbytes
+            out = op(x, w, b, **kw)     # recorded: what backward keeps stays allocated
+            kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
         finally:
             tracemalloc.stop()
-        assert kept <= 0.1 * x.data.nbytes
+        assert out._entry is not None
+        return kept, x.data.nbytes
+
+    def test_conv2d_keeps_no_padded_input_copy(self):
+        # nor its columns, 2.25x the input at stride 2
+        kept, x_nbytes = self._kept_beyond_output(T.conv2d, stride=2, padding=1)
+        assert kept <= 0.1 * x_nbytes
+
+    def test_upsample_conv_keeps_no_columns_or_folded_weight(self):
+        # the columns are 4.1x the input, the folded weight 0.125x
+        kept, x_nbytes = self._kept_beyond_output(T.upsample2x_conv3x3)
+        assert kept <= 0.1 * x_nbytes
 
     def test_tape_frees_graph_on_exit(self):
         gc.disable()  # only reference counting may free the intermediate
