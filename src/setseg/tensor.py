@@ -6,7 +6,11 @@ Every differentiable op records an entry on the current tape, the one
 whose ``with Tape():`` block is innermost; inside ``no_grad`` there is no
 current tape and ops record nothing. The tape is the graph: ``backward``
 replays the current tape in reverse from the loss's entry to populate
-``grad`` buffers on the leaves.
+``grad`` buffers on the leaves. It releases each entry once the entry has
+run, so an op's saved arrays die as soon as its input grads are out, and an
+activation dies once no entry still to run holds it, not when the tape's
+block ends. A tape can therefore be walked once; the block's exit drops
+only what the walk never reached.
 
 The ops are the ones the model and the losses record, each with one call
 form: add, relu, reshape, broadcast_batch, ``linear`` (x·w + b as one op
@@ -55,13 +59,24 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 # ---------------------------------------------------------------------------
 
 class _TapeEntry:
-    __slots__ = ("index", "inputs", "output", "backward_fn")
+    """One recorded op: its inputs and the closure that maps its output grad to theirs.
 
-    def __init__(self, index, inputs, output, backward_fn):
+    The output points at its entry, not the other way round, so a tensor and
+    its entry form no cycle. ``op`` is the closure's qualified name, kept to
+    name the op once the closure is gone.
+    """
+
+    __slots__ = ("index", "op", "inputs", "backward_fn")
+
+    def __init__(self, index, inputs, backward_fn):
         self.index = index
+        self.op = backward_fn.__qualname__
         self.inputs = inputs
-        self.output = output
         self.backward_fn = backward_fn
+
+    def release(self):
+        """Drop the inputs and the closure, and with them every array the op saved."""
+        self.inputs = self.backward_fn = None
 
 
 class Tape:
@@ -71,25 +86,27 @@ class Tape:
     tapes from one thread. Entering a tape makes it current and exiting
     restores the outer one, so tapes nest (the trainer opens one per step).
     With no current tape (outside every tape, or in ``no_grad``) ops record
-    nothing, and ``backward`` on their result raises ``ContractError``. On
-    exit the tape drops its entries and unlinks each output from its entry,
-    breaking the tensor <-> entry cycle, so the step's activations are freed
-    by reference counting rather than by a later cyclic collection. Run
-    ``backward`` inside the block.
+    nothing, and ``backward`` on their result raises ``ContractError``.
+    ``backward`` releases each entry it runs, so a tape can be walked once:
+    a second walk that reaches a released entry raises ``ContractError``. On
+    exit the tape releases the entries the walk never reached (an op after
+    the loss, or one whose grad never arrived) and drops its list, so the
+    step's activations are freed by reference counting rather than by a
+    later cyclic collection. Run ``backward`` inside the block.
     """
 
     def __init__(self):
         self.entries: list[_TapeEntry] = []
 
-    def record(self, inputs, output, backward_fn) -> _TapeEntry:
-        entry = _TapeEntry(len(self.entries), inputs, output, backward_fn)
-        self.entries.append(entry)
-        return entry
+    def record(self, inputs, output, backward_fn) -> None:
+        """Append the op that made ``output`` from ``inputs``, and link ``output`` to it."""
+        output._entry = _TapeEntry(len(self.entries), inputs, backward_fn)
+        self.entries.append(output._entry)
 
     def clear(self):
-        """Drop every entry, unlinking each output so the graph frees by refcount."""
+        """Release every entry (those the walk ran already hold nothing) and drop them."""
         for entry in self.entries:
-            entry.output._entry = None
+            entry.release()
         self.entries.clear()
 
     def __enter__(self):
@@ -176,7 +193,7 @@ def _make_result(data, inputs, backward_fn) -> Tensor:
     out = Tensor(data)
     if _TAPE is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        out._entry = _TAPE.record(inputs, out, backward_fn)
+        _TAPE.record(inputs, out, backward_fn)
     return out
 
 
@@ -186,7 +203,11 @@ def backward(loss: Tensor) -> None:
     ``loss`` must be a scalar recorded on the current tape. ``backward``
     replays that tape in reverse from the loss's entry; an entry runs its
     ``backward_fn`` only once its output holds a grad, so ops that do not
-    feed the loss are skipped, and leaves they alone read get no grad.
+    feed the loss are skipped, and leaves they alone read get no grad. Each
+    entry is released once it has run, so its saved arrays die mid-walk and
+    the tape can be walked once: a walk that reaches an entry an earlier
+    ``backward`` consumed, such as a repeat on the same loss, raises
+    ``ContractError`` naming the op.
     """
     if loss.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -201,22 +222,37 @@ def backward(loss: Tensor) -> None:
     if last >= len(entries) or entries[last] is not loss._entry:
         raise ContractError("loss is not on the current tape")
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # keyed by the entry that produced the tensor the grad is for
+    grads: dict[_TapeEntry, np.ndarray] = {loss._entry: np.ones_like(loss.data)}
     for entry in reversed(entries[:last + 1]):
-        out_grad = grads.pop(id(entry.output), None)
-        if out_grad is None:
+        out_grad = grads.pop(entry, None)
+        if out_grad is not None:
+            _run_entry(entry, out_grad, grads)
+
+
+def _run_entry(entry: _TapeEntry, out_grad: np.ndarray, grads: dict) -> None:
+    """Run one entry's backward into ``grads`` and leaf grads, then release it.
+
+    A function of its own so that none of its locals (the inputs, their
+    grads) outlives the call into the next entry's backward.
+    """
+    if entry.backward_fn is None:
+        op = entry.op.split(".<locals>")[0]
+        raise ContractError(f"backward reached the {op} op, which an earlier backward "
+                            f"already consumed; a tape can be walked once")
+    input_grads = entry.backward_fn(out_grad)
+    inputs = entry.inputs
+    entry.release()
+    for t, g in zip(inputs, input_grads):
+        if g is None or not t.requires_grad:
             continue
-        input_grads = entry.backward_fn(out_grad)
-        for t, g in zip(entry.inputs, input_grads):
-            if g is None or not t.requires_grad:
-                continue
-            key = id(t)
-            if t._entry is None:
-                _accumulate_leaf(t, g)
-            elif key in grads:
-                grads[key] = grads[key] + g
-            else:
-                grads[key] = g
+        producer = t._entry
+        if producer is None:
+            _accumulate_leaf(t, g)
+        elif producer in grads:
+            grads[producer] = grads[producer] + g
+        else:
+            grads[producer] = g
 
 
 def _accumulate_leaf(t: Tensor, g: np.ndarray):

@@ -10,8 +10,8 @@ fixed (config, seed) reproduces the loss CSV bit-exactly.
 ``run_steps`` the one loop around it; both read the clock at every stage
 boundary. ``train`` and ``profile`` both run ``run_steps``: one writes
 ``config.txt`` (the resolved config), ``loss.csv``, ``metrics.csv`` (per
-step: stage seconds, grad norm and counts) and checkpoints, the other
-writes nothing and sums the clocks.
+step: stage seconds, grad norm, counts and peak RSS) and checkpoints, the
+other writes nothing and sums the clocks.
 """
 
 from __future__ import annotations
@@ -241,6 +241,7 @@ class StepResult(NamedTuple):
     empty_targets: int          # targets whose id owns no pixel at mask resolution
     assignments: list[Assignment]  # image b's match, which the loss used
     grad_norm: float = math.nan  # global norm before clipping; set by run_steps
+    peak_rss_mb: float = math.nan  # process peak RSS (ru_maxrss) after the update; set by run_steps
 
     @property
     def matched_pairs(self) -> int:
@@ -258,6 +259,7 @@ def batch_costs(outputs, batch_data: Batch, loss_cfg: LossConfig) -> list[CostMa
 def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
     """Forward, match every image, build the batch loss, backward; the caller clips and updates."""
     t0 = time.perf_counter()
+    model.zero_grad()   # the last step's grads, dead once it updated, need not span this forward
     with Tape():
         outputs = model.forward(batch_data.images)
         t1 = time.perf_counter()
@@ -266,8 +268,10 @@ def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
             assignments = [hungarian(cm) for cm in costs]
         t2 = time.perf_counter()
         loss = total_loss(outputs, costs, assignments, cfg.losses)
+        # the loss's entry now holds what its backward reads, and the backward
+        # releases it; a name kept here would hold the mask logits to the end
+        del outputs, costs
         t3 = time.perf_counter()
-        model.zero_grad()
         backward(loss.total_tensor)
     t4 = time.perf_counter()
     return StepResult(
@@ -291,9 +295,9 @@ def run_steps(model, optimizer, entries, cfg: RunConfig, steps: int,
 
     Adds ``parse``, ``clip`` and ``update`` to each result's ``seconds``, so
     the steps' stages cover the whole loop but ``on_step``, sets its
-    ``grad_norm`` and calls ``on_step(results)`` with the results so far
-    after each update. A failed match or a non-finite loss or gradient norm
-    raises ``TrainError``.
+    ``grad_norm`` and ``peak_rss_mb`` and calls ``on_step(results)`` with
+    the results so far after each update. A failed match or a non-finite
+    loss or gradient norm raises ``TrainError``.
     """
     results = []
     t0 = time.perf_counter()
@@ -317,7 +321,8 @@ def run_steps(model, optimizer, entries, cfg: RunConfig, steps: int,
                               f"grad norm {grad_norm}")
         t3 = time.perf_counter()
         optimizer.step()
-        result = result._replace(grad_norm=grad_norm)
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        result = result._replace(grad_norm=grad_norm, peak_rss_mb=peak_rss_mb)
         result.seconds.update(parse=t1 - t0, clip=t3 - t2, update=time.perf_counter() - t3)
         results.append(result)
         if on_step is not None:
@@ -330,15 +335,16 @@ STAGES = ("parse", "forward", "match", "loss", "backward", "clip", "update")
 
 
 def write_metrics(path, results: list[StepResult]) -> None:
-    """One row per step: stage seconds, pre-clip grad norm and the step's counts."""
+    """One row per step: stage seconds, pre-clip grad norm, the step's counts, peak RSS."""
     with records.atomic_open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", *STAGES, "grad_norm", "matched_pairs",
-                         "dropped_instances", "degenerate_dice", "empty_targets"])
+                         "dropped_instances", "degenerate_dice", "empty_targets",
+                         "peak_rss_mb"])
         for step, r in enumerate(results):
             writer.writerow([step, *(repr(r.seconds[name]) for name in STAGES),
                              repr(r.grad_norm), r.matched_pairs, r.dropped_instances,
-                             r.degenerate_dice, r.empty_targets])
+                             r.degenerate_dice, r.empty_targets, repr(r.peak_rss_mb)])
 
 
 def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
@@ -389,7 +395,7 @@ def profile(cfg: RunConfig, data_dir, steps: int) -> str:
 
     The stages partition each step up to a few clock reads, so they sum to
     the loop's wall time, which is the reported total. The last line is the
-    process's peak resident set size so far (``ru_maxrss``).
+    process's peak resident set size (``ru_maxrss``) after the last update.
     """
     entries = load_entries(data_dir)
     model = MaskClassificationModel(cfg.model)
@@ -408,7 +414,7 @@ def profile(cfg: RunConfig, data_dir, steps: int) -> str:
     lines.append(f"dropped instances {sum(r.dropped_instances for r in results)}  "
                  f"degenerate-dice pairs {sum(r.degenerate_dice for r in results)}  "
                  f"empty targets {sum(r.empty_targets for r in results)}")
-    lines.append(f"peak RSS {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.0f} MB")
+    lines.append(f"peak RSS {results[-1].peak_rss_mb:.0f} MB")
     return "\n".join(lines) + "\n"
 
 

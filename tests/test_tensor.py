@@ -544,12 +544,62 @@ class TestBackward:
         finally:
             gc.enable()
 
+    def test_backward_frees_activations_before_tape_exit(self):
+        gc.disable()  # only reference counting may free the intermediate
+        try:
+            x = Tensor(np.ones((4, 4)), requires_grad=True)
+            with T.Tape() as tape:
+                y = T.add(x, x)
+                loss = inner(y, y)
+                ref = weakref.ref(y.data)
+                del y
+                assert ref() is not None    # the ops that read y still hold it
+                backward(loss)
+                assert ref() is None        # released by the walk, the block still open
+                assert all(e.inputs is None and e.backward_fn is None for e in tape.entries)
+            assert np.allclose(x.grad, 8.0)  # d sum((2x)^2) / dx
+        finally:
+            gc.enable()
+
+    def test_backward_fn_error_leaves_the_tape_clean(self):
+        outer = T._TAPE
+        x = Tensor([1.0, 2.0], requires_grad=True)
+
+        def fail(g):
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            with T.Tape() as tape:
+                y = T.add(x, x)
+                y._entry.backward_fn = fail
+                backward(inner(y, y))       # matmul_nt and both reshapes run, then add raises
+        assert T._TAPE is outer and tape.entries == []
+        assert y._entry.inputs is None and y._entry.backward_fn is None
+        assert x.grad is None
+        with T.Tape():
+            backward(inner(x, x))
+        assert np.allclose(x.grad, [2, 4])
+
     def test_grad_accumulates_once_per_call(self):
+        x = Tensor([2.0], requires_grad=True)
+        for _ in range(2):      # a tape is walked once, so each call builds its loss
+            backward(inner(x, Tensor([3.0])))
+        assert np.allclose(x.grad, [6.0])
+
+    def test_repeat_backward_raises_naming_the_op(self):
         x = Tensor([2.0], requires_grad=True)
         loss = inner(x, Tensor([3.0]))
         backward(loss)
-        backward(loss)
-        assert np.allclose(x.grad, [6.0])
+        with pytest.raises(T.ContractError, match="matmul_nt op.*walked once"):
+            backward(loss)
+        assert np.allclose(x.grad, [3.0])
+
+    def test_backward_reaching_a_consumed_entry_raises(self):
+        x = Tensor([2.0, -1.0], requires_grad=True)
+        y = T.relu(x)
+        backward(inner(y, Tensor([1.0, 1.0])))
+        with pytest.raises(T.ContractError, match="relu op"):
+            backward(inner(y, Tensor([2.0, 2.0])))
 
 
 # ---------------------------------------------------------------------------

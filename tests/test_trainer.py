@@ -4,6 +4,7 @@ import math
 import re
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -41,6 +42,14 @@ def toy_run_config(**trainer_overrides) -> RunConfig:
     for k, v in trainer_overrides.items():
         setattr(cfg.trainer, k, v)
     return cfg
+
+
+def readme_toy_config(tmp_path) -> RunConfig:
+    """The README's ``toy.cfg``, read from the README's heredoc."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    toy = re.search(r"cat > toy.cfg <<'EOF'\n(.*?)\nEOF", readme, re.S).group(1)
+    (tmp_path / "toy.cfg").write_text(toy)
+    return load_config(tmp_path / "toy.cfg")
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +114,11 @@ class TestTrain:
         with (tmp_path / "run" / "metrics.csv").open() as f:
             header, *rows = list(csv.reader(f))
         assert header == ["step", *STAGES, "grad_norm", "matched_pairs",
-                          "dropped_instances", "degenerate_dice", "empty_targets"]
+                          "dropped_instances", "degenerate_dice", "empty_targets",
+                          "peak_rss_mb"]
         assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
+        peaks = [float(r[13]) for r in rows]
+        assert peaks[0] > 0 and peaks == sorted(peaks)
         entries = load_entries(shard_dir)
         for step, row in enumerate(rows):
             values = [float(v) for v in row]
@@ -192,6 +204,32 @@ class TestTrain:
         assert result.dropped_instances >= 0 and result.degenerate_dice >= 0
         assert result.empty_targets >= 0
 
+    def test_backward_leaves_only_the_parameter_grads(self, shard_dir, tmp_path, monkeypatch):
+        # one README toy step at the paper's 100 queries: when backward
+        # returns, still inside the step's tape, the walk has released every
+        # entry, so what the step still holds is the parameter grads and a
+        # small fixed slack, not the activations (about 13 MB at this size)
+        cfg = readme_toy_config(tmp_path)
+        cfg.model.n_queries = 100
+        batch = trainer.assemble_batch(load_entries(shard_dir), cfg, 0)
+        model = MaskClassificationModel(cfg.model)
+        held = []
+        walk = trainer.backward
+
+        def traced(loss):
+            walk(loss)
+            held.append(tracemalloc.get_traced_memory()[0])
+
+        monkeypatch.setattr(trainer, "backward", traced)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trainer.train_step(model, batch, cfg)
+        finally:
+            tracemalloc.stop()
+        grad_bytes = sum(p.grad.nbytes for p in model.params.values())
+        assert held[0] - before <= grad_bytes + 1_000_000
+
     def test_readme_toy_step_tape_ops(self, shard_dir, tmp_path, monkeypatch):
         # 93 = 92 forward ops (each linear layer with its bias and any
         # following ReLU, each of the six attention calls and each of the 8
@@ -203,10 +241,7 @@ class TestTrain:
         # the whole batch of 8 images; a split linear or norm and ReLU, a
         # copied transpose, a composed attention or a per-image loss brings
         # the count back up
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        toy = re.search(r"cat > toy.cfg <<'EOF'\n(.*?)\nEOF", readme, re.S).group(1)
-        (tmp_path / "toy.cfg").write_text(toy)
-        cfg = load_config(tmp_path / "toy.cfg")
+        cfg = readme_toy_config(tmp_path)
         batch = trainer.assemble_batch(load_entries(shard_dir), cfg, 0)
         assert batch.size == 8 and all(len(t.labels) for t in batch.target_sets)
         recorded = []
