@@ -172,7 +172,11 @@ def total_loss(outputs, costs, assignments, cfg: LossConfig) -> LossBundle:
     Each component is a mean over the images. Per image, the mask losses are
     means of the cost matrix's focal and dice cells at the matched pairs, 0
     without pairs; classification covers all queries. The backward writes
-    one grad per input, scaled by 1/B, 1/pairs and the loss weights.
+    one grad per input, scaled by 1/B, 1/pairs and the loss weights. It
+    keeps only what it reads: each matched image's logit rows at its matched
+    queries with the image's target grid and validity mask, and the class
+    grad, so neither the [B, N_q, h, w] logits nor a cost matrix outlives
+    this call.
     """
     mask_logits, class_logits = outputs.mask_logits, outputs.class_logits
     ml, cl = mask_logits.data, class_logits.data        # [B, N_q, h, w], [B, N_q, K+1]
@@ -180,7 +184,7 @@ def total_loss(outputs, costs, assignments, cfg: LossConfig) -> LossBundle:
     k = cl.shape[-1] - 1
     sums = np.zeros(3)                                   # classification, focal, dice
     g_class = np.empty(cl.shape)
-    pairs = []                                           # (b, queries, cost matrix) with a match
+    pairs = []                                           # (b, queries, rows, gt, valid) with a match
     degenerate = 0
     for b, (cm, assignment) in enumerate(zip(costs, assignments)):
         queries = np.asarray(assignment.query_for_gt, dtype=np.int64)
@@ -192,17 +196,18 @@ def total_loss(outputs, costs, assignments, cfg: LossConfig) -> LossBundle:
             rows = np.arange(len(queries))
             sums[1:] += cm.focal[rows, queries].mean(), cm.dice[rows, queries].mean()
             degenerate += 0 if cm.valid.any() else len(queries)
-            pairs.append((b, queries, cm))
+            pairs.append((b, queries, ml[b, queries], cm.gt, cm.valid))
     cls_v, focal_v, dice_v = (float(v) for v in sums / bsz)
     total = cfg.class_weight * cls_v + cfg.focal_weight * focal_v + cfg.dice_weight * dice_v
 
+    mask_shape, mask_dtype, class_dtype = ml.shape, ml.dtype, cl.dtype
+
     def bwd(g_out):
         scale = float(g_out[0]) / bsz
-        g_mask = np.zeros_like(ml)
-        for b, queries, cm in pairs:
-            g = _mask_grad(ml[b, queries], cm.gt, cm.valid, cfg)
-            g_mask[b, queries] = g * (scale / len(queries))
-        return g_mask, (g_class * (scale * cfg.class_weight)).astype(cl.dtype)
+        g_mask = np.zeros(mask_shape, dtype=mask_dtype)
+        for b, queries, rows, gt, valid in pairs:
+            g_mask[b, queries] = _mask_grad(rows, gt, valid, cfg) * (scale / len(queries))
+        return g_mask, (g_class * (scale * cfg.class_weight)).astype(class_dtype)
 
     total_t = T._make_result(np.asarray(total, dtype=ml.dtype), (mask_logits, class_logits), bwd)
     return LossBundle(cls_v, focal_v, dice_v, total, total_t, degenerate)

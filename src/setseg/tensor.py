@@ -12,6 +12,17 @@ activation dies once no entry still to run holds it, not when the tape's
 block ends. A tape can therefore be walked once; the block's exit drops
 only what the walk never reached.
 
+Ownership on the tape: an entry keeps, per input, only where that input's
+grad goes (the producer's entry, the leaf, or nowhere), never the input
+tensor, and an op's backward closure keeps only the arrays it reads. So an
+activation no backward reads (``add``'s operands, a ``linear`` output
+without its ReLU) dies in the forward once the model drops it. A backward
+returns arrays it does not keep, and it may overwrite a writeable grad it
+is handed (``layer_norm`` writes its input grad there, ``linear`` its
+ReLU-masked grad): the walk owns every grad it hands on, and makes one it
+hands to two producers (``add``'s) read-only for both. A caller that runs a
+backward directly and keeps its grad passes a read-only view.
+
 The ops are the ones the model and the losses record, each with one call
 form: add, relu, reshape, broadcast_batch, ``linear`` (x·w + b as one op
 and one 2-D GEMM; ``relu=True`` applies a following ReLU in the same op),
@@ -59,24 +70,28 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 # ---------------------------------------------------------------------------
 
 class _TapeEntry:
-    """One recorded op: its inputs and the closure that maps its output grad to theirs.
+    """One recorded op: its inputs' grad routes and the closure that maps its output grad to theirs.
 
-    The output points at its entry, not the other way round, so a tensor and
-    its entry form no cycle. ``op`` is the closure's qualified name, kept to
-    name the op once the closure is gone.
+    ``routes[i]`` is where input i's grad goes: the entry that produced the
+    input, the input itself if it is a leaf that requires grad, or None. So
+    an entry holds no input tensor, and an input's array lives only as long
+    as the model, or a closure that reads it, holds it. The output points at
+    its entry, not the other way round, so a tensor and its entry form no
+    cycle. ``op`` is the closure's qualified name, kept to name the op once
+    the closure is gone.
     """
 
-    __slots__ = ("index", "op", "inputs", "backward_fn")
+    __slots__ = ("index", "op", "routes", "backward_fn")
 
     def __init__(self, index, inputs, backward_fn):
         self.index = index
         self.op = backward_fn.__qualname__
-        self.inputs = inputs
+        self.routes = tuple(t._entry or (t if t.requires_grad else None) for t in inputs)
         self.backward_fn = backward_fn
 
     def release(self):
-        """Drop the inputs and the closure, and with them every array the op saved."""
-        self.inputs = self.backward_fn = None
+        """Drop the routes and the closure, and with them every array the op saved."""
+        self.routes = self.backward_fn = None
 
 
 class Tape:
@@ -207,7 +222,9 @@ def backward(loss: Tensor) -> None:
     entry is released once it has run, so its saved arrays die mid-walk and
     the tape can be walked once: a walk that reaches an entry an earlier
     ``backward`` consumed, such as a repeat on the same loss, raises
-    ``ContractError`` naming the op.
+    ``ContractError`` naming the op. The walk owns each pending grad and
+    hands it to exactly one backward, which may overwrite it; a grad routed
+    to two producers is read-only for both, and a leaf's ``grad`` is a copy.
     """
     if loss.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -231,28 +248,32 @@ def backward(loss: Tensor) -> None:
 
 
 def _run_entry(entry: _TapeEntry, out_grad: np.ndarray, grads: dict) -> None:
-    """Run one entry's backward into ``grads`` and leaf grads, then release it.
+    """Run one entry's backward, route its input grads into ``grads`` and leaves, release it.
 
-    A function of its own so that none of its locals (the inputs, their
-    grads) outlives the call into the next entry's backward.
+    The walk owns ``out_grad`` (it was popped from ``grads``), so the
+    backward may overwrite it if it is writeable. An input grad that may
+    share memory with another the entry routes, such as ``add``'s ``(g, g)``,
+    goes on as a read-only view, so neither producer can write it under the
+    other. A function of its own so that none of its locals (the grads)
+    outlives the call into the next entry's backward.
     """
     if entry.backward_fn is None:
         op = entry.op.split(".<locals>")[0]
         raise ContractError(f"backward reached the {op} op, which an earlier backward "
                             f"already consumed; a tape can be walked once")
-    input_grads = entry.backward_fn(out_grad)
-    inputs = entry.inputs
+    routed = [(route, g) for route, g in zip(entry.routes, entry.backward_fn(out_grad))
+              if route is not None and g is not None]
     entry.release()
-    for t, g in zip(inputs, input_grads):
-        if g is None or not t.requires_grad:
-            continue
-        producer = t._entry
-        if producer is None:
-            _accumulate_leaf(t, g)
-        elif producer in grads:
-            grads[producer] = grads[producer] + g
+    for route, g in routed:
+        if sum(np.may_share_memory(g, h) for _, h in routed) > 1:
+            g = g.view()
+            g.flags.writeable = False
+        if isinstance(route, Tensor):
+            _accumulate_leaf(route, g)
+        elif route in grads:
+            grads[route] = grads[route] + g
         else:
-            grads[producer] = g
+            grads[route] = g
 
 
 def _accumulate_leaf(t: Tensor, g: np.ndarray):
@@ -320,7 +341,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     backward, so neither a per-image batched matmul nor a transposed copy
     of x is made. ``relu=True`` is ``relu(linear(...))`` as one op: the
     output is clamped at 0 in place, and the backward zeroes the incoming
-    grad where the output is not positive.
+    grad where the output is not positive, in place if the grad is
+    writeable. Only then does the backward keep the output.
     """
     xd, wd = x.data, w.data
     if wd.ndim != 2 or x.shape[-1:] != w.shape[:1] or b.shape != w.shape[1:]:
@@ -328,13 +350,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     x2 = xd.reshape(math.prod(xd.shape[:-1]), wd.shape[0])
     out = x2 @ wd
     out += b.data
+    rows = out.shape
     if relu:
         np.maximum(out, 0, out=out)
+    kept = out if relu else None
 
     def bwd(g):
-        g2 = g.reshape(out.shape)
+        g2 = g.reshape(rows)
         if relu:
-            g2 = g2 * (out > 0)
+            g2 = np.multiply(g2, kept > 0, out=g2 if g2.flags.writeable else None)
         return (g2 @ wd.T).reshape(xd.shape), x2.T @ g2, g2.sum(axis=0)
 
     return _make_result(out.reshape(xd.shape[:-1] + wd.shape[1:]), (x, w, b), bwd)
@@ -364,7 +388,11 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
     ``relu=True`` is ``relu(layer_norm(...))`` as one op: each float64 block
     is clamped at 0 before its store, and the backward zeroes the incoming
     grad where the output is not positive, block by block, so neither a
-    second full-size output nor a mask is kept.
+    second full-size output nor a mask is kept; without the ReLU the
+    backward keeps no output. The backward writes the input grad into the
+    incoming grad if that is writeable and of the input's dtype, each block
+    of the grad read before it is overwritten, so it allocates no second
+    input-sized array.
     """
     c = x.shape[-1]
     if scale.shape != (c,) or shift.shape != (c,):
@@ -372,6 +400,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
             f"layer_norm: scale {scale.shape} / shift {shift.shape} do not match channels ({c},)"
         )
     xd, sd = x.data.reshape(-1, c), scale.data
+    shape, shift_dtype = x.shape, shift.dtype           # the backward keeps no tensor
     n = xd.shape[0]
     rows = max(1, _LN_BLOCK // c)
     mean = np.empty((n, 1))
@@ -397,10 +426,11 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
         if relu:
             np.maximum(t, 0.0, out=t)
         out[i:i + k] = t
+    kept = out if relu else None
 
     def bwd(g):
         g = g.reshape(-1, c)
-        dx = np.empty(xd.shape, dtype=x.dtype)
+        dx = g if g.flags.writeable and g.dtype == xd.dtype else np.empty_like(xd)
         xb = np.empty((min(rows, n), c))
         # rows 1..k of gb / pb hold a block of g / g*xhat; from the second
         # block on, row 0 carries the column sums so far, so the sums add the
@@ -415,7 +445,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
             xh *= v
             gk[...] = g[i:i + k]
             if relu:
-                gk *= out[i:i + k] > 0
+                gk *= kept[i:i + k] > 0
             np.multiply(gk, xh, out=pk)
             if i:
                 pb[0], gb[0] = d_scale, d_shift
@@ -432,7 +462,7 @@ def layer_norm(x: Tensor, scale: Tensor, shift: Tensor, eps: float = 1e-5,
             gk -= xh
             gk *= v
             dx[i:i + k] = gk
-        return dx.reshape(x.shape), d_scale.astype(scale.dtype), d_shift.astype(shift.dtype)
+        return dx.reshape(shape), d_scale.astype(sd.dtype), d_shift.astype(shift_dtype)
 
     return _make_result(out.reshape(x.shape), (x, scale, shift), bwd)
 
@@ -481,6 +511,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     if b.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {b.shape} does not match out channels ({cout},)")
     bsz, hin, win_ = xd.shape[0], xd.shape[1], xd.shape[2]
+    needs_dx = x.requires_grad
     pad = ((0, 0), (padding, padding), (padding, padding), (0, 0))
 
     def columns():  # the padded copy dies in _im2col
@@ -497,7 +528,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         gw = (col.T @ g).reshape(kh, kw, cin, cout)
         del col
         gb = g.sum(axis=0)
-        if not x.requires_grad:  # e.g. the image: skip the full-resolution input grad
+        if not needs_dx:  # e.g. the image: skip the full-resolution input grad
             return None, gw, gb
         # input grad: col2im of the column grad g·Wᵀ, then crop the padding
         gcol = (g @ wd.reshape(kh * kw * cin, cout).T).reshape(bsz, ho, wo, kh, kw, cin)

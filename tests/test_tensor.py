@@ -264,6 +264,33 @@ class TestLayerNorm:
         assert peak <= 1.5 * x.data.nbytes
         assert kept <= 0.1 * x.data.nbytes
 
+    def test_backward_writes_the_input_grad_into_its_incoming_grad(self):
+        # the walk hands the norm a writeable float32 grad of the input's size;
+        # the backward allocates its float64 blocks, not a second such array
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.standard_normal((4, 64, 64, 64)).astype(np.float32), requires_grad=True)
+        s = Tensor(rng.standard_normal(64).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(64).astype(np.float32), requires_grad=True)
+        out = T.layer_norm(x, s, b, relu=True)
+        bwd, peaks = out._entry.backward_fn, []
+
+        def probe(g):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            grads = bwd(g)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return grads
+
+        out._entry.backward_fn = probe
+        w = Tensor(rng.standard_normal(x.shape).astype(np.float32))
+        tracemalloc.start()
+        try:
+            backward(inner(out, w))
+        finally:
+            tracemalloc.stop()
+        blocks = 3 * (T._LN_BLOCK // 64 + 1) * 64 * 8       # xb, gb and pb, float64
+        assert len(peaks) == 1 and peaks[0] <= blocks + 0.1 * x.data.nbytes
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_fused_relu_equals_relu_of_norm(self, dtype):
         rng = np.random.default_rng(9)
@@ -556,7 +583,7 @@ class TestBackward:
                 assert ref() is not None    # the ops that read y still hold it
                 backward(loss)
                 assert ref() is None        # released by the walk, the block still open
-                assert all(e.inputs is None and e.backward_fn is None for e in tape.entries)
+                assert all(e.routes is None and e.backward_fn is None for e in tape.entries)
             assert np.allclose(x.grad, 8.0)  # d sum((2x)^2) / dx
         finally:
             gc.enable()
@@ -574,7 +601,7 @@ class TestBackward:
                 y._entry.backward_fn = fail
                 backward(inner(y, y))       # matmul_nt and both reshapes run, then add raises
         assert T._TAPE is outer and tape.entries == []
-        assert y._entry.inputs is None and y._entry.backward_fn is None
+        assert y._entry.routes is None and y._entry.backward_fn is None
         assert x.grad is None
         with T.Tape():
             backward(inner(x, x))
@@ -600,6 +627,65 @@ class TestBackward:
         backward(inner(y, Tensor([1.0, 1.0])))
         with pytest.raises(T.ContractError, match="relu op"):
             backward(inner(y, Tensor([2.0, 2.0])))
+
+
+class TestSharedGrads:
+    """``add`` hands one grad to both its producers; a backward that may write
+    its grad in place must not write that one under the other producer. Each
+    case compares with a reference in which every consumer runs on its own
+    tape against its own copy of the same grad."""
+
+    @staticmethod
+    def _leaves(rng, *shapes):
+        return [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                for s in shapes]
+
+    @staticmethod
+    def _separately(w, *branches):
+        """Each branch's leaf grads when it alone feeds inner(·, w)."""
+        for branch in branches:
+            with T.Tape():
+                backward(inner(branch(), w))
+
+    def test_two_norms(self):
+        rng = np.random.default_rng(40)
+        x1, x2, s, b = self._leaves(rng, (3, 5, 8), (3, 5, 8), (8,), (8,))
+        w = Tensor(rng.standard_normal((3, 5, 8)).astype(np.float32))
+        backward(inner(T.add(T.layer_norm(x1, s, b), T.layer_norm(x2, s, b)), w))
+
+        refs = [Tensor(t.data, requires_grad=True) for t in (x1, x2, s, b)]
+        r1, r2, rs, rb = refs
+        self._separately(w, lambda: T.layer_norm(r2, rs, rb), lambda: T.layer_norm(r1, rs, rb))
+        for t, ref in zip((x1, x2, s, b), refs):
+            assert np.array_equal(t.grad, ref.grad)
+
+    def test_norm_and_leaf(self):
+        rng = np.random.default_rng(41)
+        x, y, s, b = self._leaves(rng, (4, 8), (4, 8), (8,), (8,))
+        w = Tensor(rng.standard_normal((4, 8)).astype(np.float32))
+        backward(inner(T.add(y, T.layer_norm(x, s, b, relu=True)), w))
+
+        refs = [Tensor(t.data, requires_grad=True) for t in (x, y, s, b)]
+        rx, ry, rs, rb = refs
+        self._separately(w, lambda: T.layer_norm(rx, rs, rb, relu=True), lambda: T.reshape(ry, ry.shape))
+        assert np.array_equal(y.grad, w.data) and y.grad.flags.owndata   # a copy of the grad
+        for t, ref in zip((x, y, s, b), refs):
+            assert np.array_equal(t.grad, ref.grad)
+
+    def test_relu_linear_and_another_consumer(self):
+        # the linear comes second on the tape, so the walk runs it first
+        rng = np.random.default_rng(42)
+        x, y, wt, bt = self._leaves(rng, (6, 5), (6, 4), (5, 4), (4,))
+        w = Tensor(rng.standard_normal((6, 4)).astype(np.float32))
+        backward(inner(T.add(T.relu(y), T.linear(x, wt, bt, relu=True)), w))
+        with T.no_grad():
+            assert 0 < (T.linear(x, wt, bt, relu=True).data == 0).mean() < 1
+
+        refs = [Tensor(t.data, requires_grad=True) for t in (x, y, wt, bt)]
+        rx, ry, rw, rb = refs
+        self._separately(w, lambda: T.linear(rx, rw, rb, relu=True), lambda: T.relu(ry))
+        for t, ref in zip((x, y, wt, bt), refs):
+            assert np.array_equal(t.grad, ref.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +879,30 @@ class TestPurity:
         assert [_buffer_hash(t) for t in (q, k, v, g)] == before
         for a, b, leaf in zip(first, second, (q, k, v)):
             assert np.array_equal(a, b) and np.array_equal(a, leaf.grad)
+
+    @pytest.mark.parametrize("op", ["layer_norm", "linear"])
+    def test_backward_leaves_a_read_only_grad_unmodified(self, op):
+        # both may write a writeable incoming grad; a caller keeps its own by
+        # passing a read-only view, and gets the same grads either way
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.standard_normal((3, 4, 8)).astype(np.float32), requires_grad=True)
+        if op == "layer_norm":
+            s, b = (Tensor(rng.standard_normal(8).astype(np.float32), requires_grad=True)
+                    for _ in range(2))
+            out = T.layer_norm(x, s, b, relu=True)
+        else:
+            w = Tensor(rng.standard_normal((8, 6)).astype(np.float32), requires_grad=True)
+            out = T.linear(x, w, Tensor(np.zeros(6, dtype=np.float32)), relu=True)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        kept = g.view()
+        kept.flags.writeable = False
+        before = g.copy()
+        first = out._entry.backward_fn(kept)
+        second = out._entry.backward_fn(kept)
+        assert np.array_equal(g, before)
+        owned = out._entry.backward_fn(g.copy())
+        for a, b2, c in zip(first, second, owned):
+            assert np.array_equal(a, b2) and np.array_equal(a, c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 import csv
+import gc
 import json
 import math
 import re
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,6 +22,11 @@ from setseg.records import load_manifest
 from setseg.trainer import (
     STAGES, TrainError, evaluate, ingest, load_entries, profile, run_steps, train,
 )
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory: a itself, or the base a view is of."""
+    return a if a.base is None else a.base
 
 
 def toy_run_config(**trainer_overrides) -> RunConfig:
@@ -229,6 +236,54 @@ class TestTrain:
             tracemalloc.stop()
         grad_bytes = sum(p.grad.nbytes for p in model.params.values())
         assert held[0] - before <= grad_bytes + 1_000_000
+
+    def test_forward_keeps_only_what_the_backward_reads(self, shard_dir, tmp_path, monkeypatch):
+        # one README toy step at the paper's 100 queries, freed by reference
+        # counting alone: the residual branches (each o-projection and FFN w2
+        # output, which only an add reads) and the adds' positional operands
+        # die in the forward, the mask logits once the loss is built and the
+        # outputs dropped; after the forward the tape and the outputs hold
+        # 11.3 MB (12.6 MB while entries held their input tensors and linear
+        # kept its output)
+        cfg = readme_toy_config(tmp_path)
+        cfg.model.n_queries = 100
+        batch = trainer.assemble_batch(load_entries(shard_dir), cfg, 0)
+        model = MaskClassificationModel(cfg.model)
+        branch_weights = [p for name, p in model.params.items() if name.endswith((".wo", ".ffn.w2"))]
+        branches, constants = [], []
+        record = tensor.Tape.record
+
+        def watch(tape, inputs, output, backward_fn):
+            op = backward_fn.__qualname__
+            if op.startswith("linear") and any(inputs[1] is w for w in branch_weights):
+                branches.append(weakref.ref(_owner(output.data)))
+            if op.startswith("add"):
+                constants.extend(weakref.ref(_owner(t.data)) for t in inputs if not t.requires_grad)
+            record(tape, inputs, output, backward_fn)
+
+        monkeypatch.setattr(tensor.Tape, "record", watch)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            with tensor.Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                outputs = model.forward(batch.images)
+                held = tracemalloc.get_traced_memory()[0] - before
+                alive = [r() is not None for r in branches + constants]
+                logits = weakref.ref(_owner(outputs.mask_logits.data))
+                with tensor.no_grad():
+                    costs = trainer.batch_costs(outputs, batch, cfg.losses)
+                    assignments = [trainer.hungarian(cm) for cm in costs]
+                loss = trainer.total_loss(outputs, costs, assignments, cfg.losses)
+                del outputs, costs
+                logits_alive = logits() is not None
+                tensor.backward(loss.total_tensor)
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert (len(branches), len(constants)) == (10, 2)
+        assert alive == [False] * 12 and not logits_alive
+        assert held <= 11_800_000
 
     def test_readme_toy_step_tape_ops(self, shard_dir, tmp_path, monkeypatch):
         # 93 = 92 forward ops (each linear layer with its bias and any
