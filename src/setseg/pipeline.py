@@ -183,8 +183,11 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
     inst = inst.take(rows, axis=0).take(cols, axis=1)
     centre = MASK_STRIDE // 2
     picked = inst[centre::MASK_STRIDE, centre::MASK_STRIDE]
-    pad = [(0, target // MASK_STRIDE - n) for n in picked.shape]
-    small, valid = np.pad(picked, pad), np.pad(np.ones(picked.shape, dtype=bool), pad)
+    ph, pw = picked.shape
+    small = np.zeros((target // MASK_STRIDE,) * 2, dtype=picked.dtype)
+    small[:ph, :pw] = picked
+    valid = np.zeros(small.shape, dtype=bool)
+    valid[:ph, :pw] = True
 
     # each instance's label is its first pixel's class, in row-major order;
     # the kept instances become ids 1..N in instance order, the rest 0

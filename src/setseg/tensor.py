@@ -16,7 +16,9 @@ Ownership on the tape: an entry keeps, per input, only where that input's
 grad goes (the producer's entry, the leaf, or nowhere), never the input
 tensor, and an op's backward closure keeps only the arrays it reads. So an
 activation no backward reads (``add``'s operands, a ``linear`` output
-without its ReLU) dies in the forward once the model drops it. A backward
+without its ReLU) dies in the forward once the model drops it, and an array
+a backward can rebuild bit for bit from what it keeps is not kept
+(attention's P, rebuilt from its row max and row sum). A backward
 returns arrays it does not keep, and it may overwrite a writeable grad it
 is handed (``layer_norm`` writes its input grad there, ``linear`` its
 ReLU-masked grad): the walk owns every grad it hands on, and makes one it
@@ -646,12 +648,25 @@ def upsample2x_conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # Attention
 # ---------------------------------------------------------------------------
 
+# Scores per attention backward block: _P_BLOCK float32 scores are 256 KB, so
+# a block's rebuilt P and its dS stay in a 2 MB L2 cache, like _LN_BLOCK's.
+_P_BLOCK = 1 << 16
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     """Scaled dot-product attention over [B, N, C] streams, softmax on keys.
 
     One tape op. Heads are views of the inputs and outputs that BLAS reads
     and writes in place; the softmax runs in place on the [B, h, Nq, Nk]
-    scores, kept as P for the backward (Dao et al. 2022, before tiling):
+    scores, s = scale·Q·Kᵀ, s −= row max, exp, s /= row sum, and that P dies
+    once O = P·V is out. The backward keeps the row max and row sum
+    ([B, h, Nq, 1] each) and rebuilds P from them and the q and k views with
+    the same ops in the same order, so P and every grad come back bit for bit
+    (Dao et al. 2022's backward without the tiled forward; a log-sum-exp
+    rebuild, exp(s − m − log l), would move bits). It runs over blocks of
+    ``max(1, _P_BLOCK // (h·Nq·Nk))`` whole images in two reused block
+    buffers, and an image slice repeats the forward's per-matrix products.
+    Each block writes its rows of the full-size grads:
     dV = Pᵀ·dO, dS = P ⊙ (dO·Vᵀ − rowsum(dO ⊙ O)) · scale, dQ = dS·K and
     dK = dSᵀ·Q, where rowsum(dO ⊙ O) equals rowsum(dP ⊙ P) at less cost.
     """
@@ -670,28 +685,42 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Ten
     def heads(a, n):                                        # [B, n, C] -> [B, h, n, dh]
         return a.reshape(bsz, n, num_heads, dh).transpose(0, 2, 1, 3)
 
-    def merged_matmul(a, b, n):                             # a @ b, written as [B, n, C]
-        out = np.empty((bsz, n, c), dtype=dt)
-        np.matmul(a, b, out=heads(out, n))
-        return out
-
     qh, kh, vh = heads(q.data, nq), heads(k.data, nk), heads(v.data, nk)
     p = np.matmul(qh, kh.swapaxes(-1, -2))                 # [B, h, Nq, Nk]
     p *= scale
-    p -= p.max(axis=-1, keepdims=True)
+    row_max = p.max(axis=-1, keepdims=True)
+    p -= row_max
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = merged_matmul(p, vh, nq)
+    row_sum = p.sum(axis=-1, keepdims=True)
+    p /= row_sum
+    out = np.empty((bsz, nq, c), dtype=dt)
     oh = heads(out, nq)
+    np.matmul(p, vh, out=oh)
+    del p
+    images = max(1, _P_BLOCK // max(1, num_heads * nq * nk))
 
     def bwd(g):
         gh = heads(g, nq)
-        dv = merged_matmul(p.swapaxes(-1, -2), gh, nk)
-        ds = np.matmul(gh, vh.swapaxes(-1, -2))            # dP, then dS in place
-        ds -= (gh * oh).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= scale
-        return merged_matmul(ds, kh, nq), merged_matmul(ds.swapaxes(-1, -2), qh, nk), dv
+        dq, dk, dv = (np.empty((bsz, n, c), dtype=dt) for n in (nq, nk, nk))
+        dqh, dkh, dvh = heads(dq, nq), heads(dk, nk), heads(dv, nk)
+        pb = np.empty((min(images, bsz), num_heads, nq, nk), dtype=dt)
+        db = np.empty_like(pb)
+        for i in range(0, bsz, images):
+            b = slice(i, min(i + images, bsz))
+            p, ds = pb[:b.stop - i], db[:b.stop - i]
+            np.matmul(qh[b], kh[b].swapaxes(-1, -2), out=p)   # the forward's P, rebuilt
+            p *= scale
+            p -= row_max[b]
+            np.exp(p, out=p)
+            p /= row_sum[b]
+            np.matmul(p.swapaxes(-1, -2), gh[b], out=dvh[b])
+            np.matmul(gh[b], vh[b].swapaxes(-1, -2), out=ds)  # dP, then dS in place
+            ds -= (gh[b] * oh[b]).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            np.matmul(ds, kh[b], out=dqh[b])
+            np.matmul(ds.swapaxes(-1, -2), qh[b], out=dkh[b])
+        return dq, dk, dv
 
     return _make_result(out, (q, k, v), bwd)
 

@@ -160,6 +160,35 @@ def _reference_attention(q, k, v, num_heads, g):
             merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh), merge(p.transpose(0, 1, 3, 2) @ gh))
 
 
+def _attention_keeping_p(q, k, v, num_heads, g):
+    """The op as it was while it kept P for the backward: its output and q, k, v grads."""
+    bsz, nq, c = q.shape
+    nk, dh = k.shape[1], c // num_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def heads(a, n):
+        return a.reshape(bsz, n, num_heads, dh).transpose(0, 2, 1, 3)
+
+    def merged_matmul(a, b, n):
+        out = np.empty((bsz, n, c), dtype=q.dtype)
+        np.matmul(a, b, out=heads(out, n))
+        return out
+
+    qh, kh, vh, gh = heads(q, nq), heads(k, nk), heads(v, nk), heads(g, nq)
+    p = np.matmul(qh, kh.swapaxes(-1, -2))
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = merged_matmul(p, vh, nq)
+    dv = merged_matmul(p.swapaxes(-1, -2), gh, nk)
+    ds = np.matmul(gh, vh.swapaxes(-1, -2))
+    ds -= (gh * heads(out, nq)).sum(axis=-1, keepdims=True)
+    ds *= p
+    ds *= scale
+    return out, merged_matmul(ds, kh, nq), merged_matmul(ds.swapaxes(-1, -2), qh, nk), dv
+
+
 class TestAttention:
     @pytest.mark.parametrize("nq, nk", [(6, 6), (5, 9)], ids=["self", "cross"])
     def test_matches_composed_reference(self, nq, nk):
@@ -173,6 +202,59 @@ class TestAttention:
         for got, want in zip((out.data, q.grad, k.grad, v.grad), ref):
             assert got.dtype == np.float32
             assert np.allclose(got, want, rtol=1e-5, atol=2e-6)
+
+    # B = 3 images of 2·5·7 = 70 scores: one block under the default bound,
+    # three one-image blocks, or a two-image block and a partial last one
+    @pytest.mark.parametrize("p_block", [None, 70, 140], ids=["one", "several", "partial"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_rebuilds_p_bit_for_bit(self, monkeypatch, dtype, p_block):
+        if p_block is not None:
+            monkeypatch.setattr(T, "_P_BLOCK", p_block)
+        rng = np.random.default_rng(42)
+        arrays = [(rng.standard_normal(s) * 3).astype(dtype) for s in
+                  ((3, 5, 8), (3, 7, 8), (3, 7, 8), (3, 5, 8))]
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays[:3])
+        out = T.multi_head_attention(q, k, v, num_heads=2)
+        backward(inner(out, Tensor(arrays[3])))
+        ref = _attention_keeping_p(*arrays[:3], 2, arrays[3])
+        for got, want in zip((out.data, q.grad, k.grad, v.grad), ref):
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+    def test_tape_keeps_no_scores(self):
+        # 2·2·5·7 = 140 scores; no input, output or row statistic has 140 values
+        rng = np.random.default_rng(43)
+        q = Tensor(rng.standard_normal((2, 5, 8)), requires_grad=True)
+        kv = Tensor(rng.standard_normal((2, 7, 8)), requires_grad=True)
+        out = T.multi_head_attention(q, kv, kv, num_heads=2)
+        held, closures = [], [out._entry.backward_fn]
+        while closures:
+            for cell in closures.pop().__closure__ or ():
+                value = cell.cell_contents
+                if inspect.isfunction(value):
+                    closures.append(value)
+                elif isinstance(value, np.ndarray):
+                    held += [value] + ([value.base] if isinstance(value.base, np.ndarray) else [])
+        assert held and all(a.size != 2 * 2 * 5 * 7 for a in held)
+
+    def test_backward_peak_is_its_grads_and_two_score_blocks(self):
+        # 4·128·128 = _P_BLOCK scores per image, so a block is one image and
+        # the batch's P would be four blocks
+        rng = np.random.default_rng(44)
+        q, k, v = (Tensor(rng.standard_normal((4, 128, 32)).astype(np.float32), requires_grad=True)
+                   for _ in range(3))
+        out = T.multi_head_attention(q, k, v, num_heads=4)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = out._entry.backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        block = 4 * 128 * 128 * 4
+        # the rest is the block's rowsum(dO ⊙ O) product and matmul's buffers
+        assert peak <= sum(a.nbytes for a in grads) + 2 * block + block // 4
+        assert T._P_BLOCK == 4 * 128 * 128
 
     def test_one_tape_entry_per_call(self):
         rng = np.random.default_rng(41)
@@ -874,7 +956,7 @@ class TestPurity:
         before = [_buffer_hash(t) for t in (q, k, v, g)]
         out = T.multi_head_attention(q, k, v, num_heads=2)
         first = out._entry.backward_fn(g.data)
-        second = out._entry.backward_fn(g.data)   # the kept P is unchanged by a backward
+        second = out._entry.backward_fn(g.data)   # the kept row statistics are unchanged
         backward(inner(out, g))
         assert [_buffer_hash(t) for t in (q, k, v, g)] == before
         for a, b, leaf in zip(first, second, (q, k, v)):

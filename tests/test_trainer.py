@@ -240,11 +240,12 @@ class TestTrain:
     def test_forward_keeps_only_what_the_backward_reads(self, shard_dir, tmp_path, monkeypatch):
         # one README toy step at the paper's 100 queries, freed by reference
         # counting alone: the residual branches (each o-projection and FFN w2
-        # output, which only an add reads) and the adds' positional operands
-        # die in the forward, the mask logits once the loss is built and the
-        # outputs dropped; after the forward the tape and the outputs hold
-        # 11.3 MB (12.6 MB while entries held their input tensors and linear
-        # kept its output)
+        # output, which only an add reads), the adds' positional operands and
+        # each attention's P (its backward rebuilds P from the row max and
+        # row sum) die in the forward, the mask logits once the loss is built
+        # and the outputs dropped; after the forward the tape and the outputs
+        # hold 9.8 MB (11.3 MB while attention kept P, 12.6 MB while entries
+        # held their input tensors and linear kept its output)
         cfg = readme_toy_config(tmp_path)
         cfg.model.n_queries = 100
         batch = trainer.assemble_batch(load_entries(shard_dir), cfg, 0)
@@ -283,7 +284,7 @@ class TestTrain:
             gc.enable()
         assert (len(branches), len(constants)) == (10, 2)
         assert alive == [False] * 12 and not logits_alive
-        assert held <= 11_800_000
+        assert held <= 10_300_000
 
     def test_readme_toy_step_tape_ops(self, shard_dir, tmp_path, monkeypatch):
         # 93 = 92 forward ops (each linear layer with its bias and any
