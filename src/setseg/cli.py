@@ -137,13 +137,13 @@ def _run(args) -> int:
         return 0
 
     if args.command == "ingest":
-        shard_set, mapper = ingest(args.annotations, args.shards, args.out,
+        shard_set, mapping = ingest(args.annotations, args.shards, args.out,
                                    known_class_ids=args.classes)
         print(f"{shard_set.record_count} records over {len(shard_set.shards)} shards "
               f"(byte balance {shard_set.byte_balance():.4f})")
         for s in shard_set.shards:
             print(f"  {s.name} records={s.record_count} bytes={s.byte_size}")
-        print(f"class mapping: {mapper.original_to_contiguous}")
+        print(f"class mapping: {mapping}")
         return 0
 
     if args.command == "train":

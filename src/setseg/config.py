@@ -3,7 +3,8 @@
 File lines look like ``trainer.learning_rate = 3e-4``; ``#`` starts a
 comment. Values are coerced by the type of the dataclass default they
 replace. Command-line overrides always win over file values. A choice
-that only ever takes one value is a constant in the code, not a key.
+that only ever takes one value is a constant in the code, not a key, nor is
+one that mirrors another key: ``model.num_classes`` is the one class count.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ DOMAINS = {
     "parser.mean": ("3 finite values", lambda v: len(v) == 3 and all(map(math.isfinite, v))),
     "parser.std": ("3 finite values > 0",
                    lambda v: len(v) == 3 and all(0.0 < x < math.inf for x in v)),
-    "parser.num_classes": _AT_LEAST_1,
     "model.input_size": _STRIDE_32,
     "model.n_queries": _AT_LEAST_1,
     # the sine position embedding gives half the channels to each axis
@@ -131,7 +131,7 @@ def get_value(cfg: RunConfig, dotted_key: str):
 def load_config(path=None, overrides=None) -> RunConfig:
     """Build a RunConfig: defaults, then the file, then CLI overrides.
 
-    Each value must lie in its key's ``DOMAINS`` entry; two rules span keys.
+    Each value must lie in its key's ``DOMAINS`` entry; one rule spans keys.
     """
     cfg = RunConfig()
     if path is not None:
@@ -164,10 +164,6 @@ def load_config(path=None, overrides=None) -> RunConfig:
     if model.hidden_size % model.num_heads:
         raise ConfigFileError(f"model.num_heads must divide model.hidden_size = "
                               f"{model.hidden_size}, got {model.num_heads}")
-    if cfg.parser.num_classes > model.num_classes:
-        # a label above the class head would land in its no-object column
-        raise ConfigFileError(f"parser.num_classes must be <= model.num_classes = "
-                              f"{model.num_classes}, got {cfg.parser.num_classes}")
     return cfg
 
 

@@ -79,10 +79,15 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _pixel_terms(x: np.ndarray, cfg: LossConfig):
-    """Sigmoid p (used by dice), clamped pc, and the focal terms for target 1 and 0."""
+def _sigmoid_clamped(x: np.ndarray):
+    """Sigmoid p (used by dice) and its clamp pc (used by focal)."""
     p = sigmoid(x)
-    pc = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
+    return p, np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
+
+
+def _pixel_terms(x: np.ndarray, cfg: LossConfig):
+    """``_sigmoid_clamped``'s p and pc, and the focal terms for target 1 and 0."""
+    p, pc = _sigmoid_clamped(x)
     alpha, gamma = cfg.focal_alpha, cfg.focal_gamma
     pos = alpha * (1.0 - pc) ** gamma * -np.log(pc)
     neg = (1.0 - alpha) * pc ** gamma * -np.log1p(-pc)
@@ -128,7 +133,7 @@ def _mask_grad(rows: np.ndarray, gt: np.ndarray, valid: np.ndarray, cfg: LossCon
     Row i pairs with target i, id ``i + 1`` of the grid ``gt``; invalid pixels get zero.
     """
     x, g = _valid_pixels(rows, valid), _target_pixels(gt, len(rows), valid)
-    p, pc, _, _ = _pixel_terms(x, cfg)
+    p, pc = _sigmoid_clamped(x)
     a, gam = cfg.focal_alpha, cfg.focal_gamma
     # d focal / d pc per target polarity; the clamp passes grad only inside it
     d_pos = -a * (gam * (1.0 - pc) ** (gam - 1.0) * -np.log(pc) + (1.0 - pc) ** gam / pc)

@@ -24,7 +24,7 @@ matching and loss see the same numbers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +46,7 @@ class CostMatrix:
     values: np.ndarray            # [n_queries, n_queries] after padding
     real_rows: int                # ground-truth count N
     pad_cost: float
-    # set by build_cost_matrix, None from pad_square
+    # set by build_cost_matrix, None from pad_square alone
     labels: np.ndarray | None = None   # [N] contiguous classes 1..K
     gt: np.ndarray | None = None       # [h, w] target ids at mask-logit resolution, i + 1 is row i
     valid: np.ndarray | None = None    # [h, w] bool validity mask at mask-logit resolution
@@ -67,12 +67,11 @@ def build_cost_matrix(outputs, targets: TargetSet, valid_mask: np.ndarray,
     cell (i, q) = w_class * (-p_q[label_i]) + w_focal * focal(mask_q, gt_i)
                 + w_dice * dice(mask_q, gt_i), with the weights
     ``loss_cfg.{class,focal,dice}_weight`` and the mask terms from
-    ``losses.mask_costs`` over valid pixels only, then padded to
-    [n_queries, n_queries] with max(real) + 1 (1 without targets). The result
-    keeps what the loss reads (see ``CostMatrix``). A label outside 1..K
-    raises ``MatcherError`` naming image ``batch_index``; a target grid or
-    ``valid_mask`` that is not the mask logits' [h, w], or a target id above
-    N, raises ``ContractError``.
+    ``losses.mask_costs`` over valid pixels only, then padded by
+    ``pad_square``. The result keeps what the loss reads (see ``CostMatrix``).
+    A label outside 1..K raises ``MatcherError`` naming image ``batch_index``;
+    a target grid or ``valid_mask`` that is not the mask logits' [h, w], or a
+    target id above N, raises ``ContractError``.
     """
     mask_logits = outputs.mask_logits.data[batch_index]    # [N_q, h, w]
     class_logits = outputs.class_logits.data[batch_index]  # [N_q, K+1]
@@ -96,29 +95,24 @@ def build_cost_matrix(outputs, targets: TargetSet, valid_mask: np.ndarray,
                             f"the label count {n}")
     valid = valid_mask.astype(bool, copy=False)
     if n == 0:
-        empty = np.zeros((0, n_q))
-        return CostMatrix(np.ones((n_q, n_q)), 0, 1.0, labels, gt, valid, empty, empty)
-
-    class_cost = -softmax(class_logits)[:, labels - 1].T.astype(np.float64)   # [N, N_q]
-    dice_cost, focal_cost = mask_costs(mask_logits, gt, n, valid, loss_cfg)   # [N, N_q]
-
-    real = (
-        loss_cfg.class_weight * class_cost
-        + loss_cfg.focal_weight * focal_cost
-        + loss_cfg.dice_weight * dice_cost
-    )
-    if np.isnan(real).any():
-        i, q = np.argwhere(np.isnan(real))[0]
-        raise NanCostError(f"NaN matching cost at (gt={int(i)}, query={int(q)})")
-
-    pad = float(real.max()) + 1.0
-    values = np.full((n_q, n_q), pad, dtype=np.float64)
-    values[:n, :] = real
-    return CostMatrix(values, n, pad, labels, gt, valid, dice_cost, focal_cost)
+        real = dice_cost = focal_cost = np.zeros((0, n_q))
+    else:
+        class_cost = -softmax(class_logits)[:, labels - 1].T.astype(np.float64)   # [N, N_q]
+        dice_cost, focal_cost = mask_costs(mask_logits, gt, n, valid, loss_cfg)   # [N, N_q]
+        real = (
+            loss_cfg.class_weight * class_cost
+            + loss_cfg.focal_weight * focal_cost
+            + loss_cfg.dice_weight * dice_cost
+        )
+        if np.isnan(real).any():
+            i, q = np.argwhere(np.isnan(real))[0]
+            raise NanCostError(f"NaN matching cost at (gt={int(i)}, query={int(q)})")
+    return replace(pad_square(real, n_q), labels=labels, gt=gt, valid=valid,
+                   dice=dice_cost, focal=focal_cost)
 
 
 def pad_square(real_costs: np.ndarray, n_queries: int | None = None) -> CostMatrix:
-    """Square-pad a raw rectangular cost block (test/CLI convenience)."""
+    """Square-pad a real cost block with max(real) + 1 (1.0 without targets)."""
     real_costs = np.asarray(real_costs, dtype=np.float64)
     n, n_q = real_costs.shape
     if n_queries is None:

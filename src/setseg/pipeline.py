@@ -1,5 +1,9 @@
 """Decoder and parser: class-ID densification, resize/crop/pad, target building.
 
+Class IDs are densified once, at ingest, into the shard manifest's
+``class_mapping``; ``parse`` passes the contiguous labels through unchecked,
+and the class head's K (``model.num_classes``) checks them where they meet it.
+
 All geometry uses nearest-neighbor resampling with pixel-center index
 mapping, so a parse at scale 1.0 is the identity on pixel values. Such
 resamples compose exactly (``g[a][b] == g[a[b]]``), so the crop, its resize
@@ -34,24 +38,8 @@ MASK_STRIDE = 4   # image pixels per mask-logit pixel along each side
 # Contiguous ID mapping
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdMapper:
-    """Order-preserving densification of sparse class IDs into 1..K."""
-
-    original_to_contiguous: dict[int, int]
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.original_to_contiguous)
-
-    def to_contiguous(self, original_id: int) -> int:
-        try:
-            return self.original_to_contiguous[original_id]
-        except KeyError:
-            raise PipelineError(f"unknown class ID {original_id}") from None
-
-
-def build_id_mapper(original_ids) -> IdMapper:
+def build_id_mapper(original_ids) -> dict[int, int]:
+    """Order-preserving densification of sparse class IDs: original ID -> 1..K."""
     ids = list(original_ids)
     if not ids:
         raise PipelineError("cannot build an ID mapper from an empty ID set")
@@ -59,7 +47,7 @@ def build_id_mapper(original_ids) -> IdMapper:
         raise PipelineError("duplicate IDs in mapper input")
     if any(i <= 0 for i in ids):
         raise PipelineError("class IDs must be positive")
-    return IdMapper({orig: k + 1 for k, orig in enumerate(sorted(ids))})
+    return {orig: k + 1 for k, orig in enumerate(sorted(ids))}
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +61,6 @@ class ParserConfig:
     crop_sizes: tuple[int, ...] = (400, 500, 600)
     mean: tuple[float, float, float] = (0.485, 0.456, 0.406)
     std: tuple[float, float, float] = (0.229, 0.224, 0.225)
-    num_classes: int = 4
 
 
 @dataclass
@@ -141,12 +128,6 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
                             f"mask stride {MASK_STRIDE}")
     rgb, cont, inst, image_id = entry_to_arrays(entry)
     source_count = int(np.count_nonzero(np.bincount(inst.reshape(-1))[1:]))
-
-    bad = np.unique(cont[cont > cfg.num_classes])
-    if bad.size:
-        raise PipelineError(
-            f"unknown class ID {int(bad[0])} (mapper covers 1..{cfg.num_classes})"
-        )
 
     h, w = inst.shape
     rows, cols = np.arange(h), np.arange(w)

@@ -9,9 +9,10 @@ fixed (config, seed) reproduces the loss CSV bit-exactly.
 ``train_step`` is the one forward -> match -> loss -> backward path and
 ``run_steps`` the one loop around it; both read the clock at every stage
 boundary. ``train`` and ``profile`` both run ``run_steps``: one writes
-``config.txt`` (the resolved config), ``loss.csv``, ``metrics.csv`` (per
-step: stage seconds, grad norm, counts and peak RSS) and checkpoints, the
-other writes nothing and sums the clocks.
+``config.txt`` (the resolved config), checkpoints, and ``loss.csv`` and
+``metrics.csv`` (per step: stage seconds, grad norm, counts and peak RSS)
+at every checkpoint, at the end and on an abort, the other writes nothing
+and sums the clocks.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def _annotation_line(annotations_path, line: int):
 
 
 def ingest(annotations_path, shard_count: int, out_dir, known_class_ids=None):
-    """Convert a JSON-lines annotation set into balanced binary shards."""
+    """Convert a JSON-lines annotation set into balanced shards; return them and the class map."""
     annotations_path = Path(annotations_path)
     try:
         ann = list(synth.read_annotations(annotations_path))
@@ -83,7 +84,7 @@ def ingest(annotations_path, shard_count: int, out_dir, known_class_ids=None):
         for line, rec in ann:
             with _annotation_line(annotations_path, line):
                 known_class_ids.update(seg["category_id"] for seg in rec["segments"])
-    mapper = build_id_mapper(sorted(known_class_ids))
+    mapping = build_id_mapper(known_class_ids)
 
     def entries():
         for line, rec in ann:
@@ -91,7 +92,9 @@ def ingest(annotations_path, shard_count: int, out_dir, known_class_ids=None):
                 rgb, inst = synth.load_annotation_arrays(annotations_path, rec)
                 lut = np.zeros(int(inst.max()) + 1, dtype=np.uint16)
                 for seg in rec["segments"]:
-                    lut[seg["instance_id"]] = mapper.to_contiguous(seg["category_id"])
+                    if seg["category_id"] not in mapping:
+                        raise PipelineError(f"unknown class ID {seg['category_id']}")
+                    lut[seg["instance_id"]] = mapping[seg["category_id"]]
                 cont = lut[inst]
                 entry = {
                     "image/height": np.array([rec["height"]], dtype=np.int64),
@@ -103,10 +106,8 @@ def ingest(annotations_path, shard_count: int, out_dir, known_class_ids=None):
                 }
             yield entry
 
-    shard_set = records.write_shards(
-        entries(), shard_count, out_dir, class_mapping=mapper.original_to_contiguous
-    )
-    return shard_set, mapper
+    shard_set = records.write_shards(entries(), shard_count, out_dir, class_mapping=mapping)
+    return shard_set, mapping
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +335,14 @@ def run_steps(model, optimizer, entries, cfg: RunConfig, steps: int,
 STAGES = ("parse", "forward", "match", "loss", "backward", "clip", "update")
 
 
-def write_metrics(path, results: list[StepResult]) -> None:
-    """One row per step: stage seconds, pre-clip grad norm, the step's counts, peak RSS."""
-    with records.atomic_open(path, "w", newline="") as f:
+def write_logs(out_dir: Path, results: list[StepResult]) -> None:
+    """``loss.csv`` (mean losses) and ``metrics.csv``: one row per step of ``results``."""
+    with records.atomic_open(out_dir / "loss.csv", "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["step", "classification", "focal", "dice", "total"])
+        for step, r in enumerate(results):
+            writer.writerow([step, *(repr(v) for v in r[:4])])
+    with records.atomic_open(out_dir / "metrics.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["step", *STAGES, "grad_norm", "matched_pairs",
                          "dropped_instances", "degenerate_dice", "empty_targets",
@@ -356,33 +362,30 @@ def train(cfg: RunConfig, data_dir, out_dir) -> TrainResult:
     model = MaskClassificationModel(cfg.model)
     optimizer = make_optimizer(cfg, model)
     every = cfg.trainer.checkpoint_every
-    metrics_path = out_dir / "metrics.csv"
+    done: list[StepResult] = []      # the steps before an abort: run_steps' results list
 
-    def checkpoint(results):
+    def on_step(results):
+        nonlocal done
+        done = results
         if every > 0 and len(results) % every == 0:
             save_checkpoint(model, out_dir / f"ckpt-{len(results):06d}.ckpt")
-            write_metrics(metrics_path, results)
+            write_logs(out_dir, results)
 
     try:
-        results = run_steps(model, optimizer, entries, cfg, cfg.trainer.steps, checkpoint)
+        results = run_steps(model, optimizer, entries, cfg, cfg.trainer.steps, on_step)
     except TrainError as err:
+        write_logs(out_dir, done)
         nan_path = out_dir / "nan_batch.txt"
         with records.atomic_open(nan_path, "w") as f:
             f.write(f"step {err.step}\nimage_ids {err.image_ids}\n{err}\n")
         raise TrainError(f"{err}; diagnostics in {nan_path}", err.step, err.image_ids) from None
 
-    rows = [(step, *result[:4]) for step, result in enumerate(results)]
-    csv_path = out_dir / "loss.csv"
-    with records.atomic_open(csv_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "classification", "focal", "dice", "total"])
-        for row in rows:
-            writer.writerow([row[0]] + [repr(v) for v in row[1:]])
-    write_metrics(metrics_path, results)
+    write_logs(out_dir, results)
     ckpt_path = out_dir / "final.ckpt"
     save_checkpoint(model, ckpt_path)
+    rows = [(step, *result[:4]) for step, result in enumerate(results)]
     return TrainResult(
-        csv_path=csv_path,
+        csv_path=out_dir / "loss.csv",
         checkpoint_path=ckpt_path,
         rows=rows,
         initial_total=rows[0][4] if rows else float("nan"),
@@ -441,8 +444,12 @@ def evaluate(cfg: RunConfig, data_dir, checkpoint_path, out_dir):
 
     eval_parser = ParserConfig(**{**cfg.parser.__dict__, "crop_probability": 0.0})
     stats: dict = {}
-    for i, entry in enumerate(entries):
+    k = cfg.model.num_classes
+    for entry in entries:
         sample, targets = parse(entry, eval_parser, rng_seed=0)
+        if max(targets.labels, default=0) > k:
+            raise PipelineError(f"image {sample.image_id}: target label "
+                                f"{max(targets.labels)} outside 1..K with K = {k}")
         with no_grad():
             outputs = model.forward(sample.image)
         pred = postprocess(outputs, cfg.evaluator)

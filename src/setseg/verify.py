@@ -11,9 +11,9 @@ for a tiny float64 model (``GRAD_MODEL``, attention's ``wq``/``wk`` scaled by
 10) on a parsed 2-image batch: central differences, step 1e-5 (1e-7 past a
 ReLU kink), along unit directions (4 random, 1 per parameter group), with
 the step's matches held fixed. Loss fixtures evaluate with the *configured*
-loss constants against values frozen at the defaults, so perturbing a
-sensitive constant (dice epsilon, no-object weight) makes exactly that check
-fail.
+loss constants against values computed from ``LossConfig()``'s defaults, so
+perturbing a sensitive constant (dice epsilon, no-object weight) makes
+exactly that check fail.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def image_loss(mask_logits, class_logits, ids, labels, queries, loss_cfg: LossCo
 def check_input_shapes(cfg: RunConfig) -> CheckResult:
     rng = np.random.default_rng(0)
     target = cfg.parser.target_size
-    entry = _synthetic_entry(rng, max(8, target // 2), target, cfg.parser.num_classes)
+    entry = _synthetic_entry(rng, max(8, target // 2), target, cfg.model.num_classes)
     sample, targets = parse(entry, cfg.parser, rng_seed=0)
     small = (target // MASK_STRIDE,) * 2
     ok = (
@@ -246,6 +246,8 @@ def check_loss_fixtures(cfg: RunConfig) -> CheckResult:
         return image_loss(np.zeros((len(class_logits), 1, 1)), class_logits,
                           np.zeros((1, 1), np.int64), labels, range(n), lc).classification
 
+    d = LossConfig()   # the expected values: the default constants
+    w = d.no_object_weight
     k = 4
     q0 = [math.log(0.5)] + [math.log(0.5 / 3)] * 3
     q1 = [math.log(0.25)] * 4
@@ -253,17 +255,19 @@ def check_loss_fixtures(cfg: RunConfig) -> CheckResult:
     qn = [math.log(0.33), math.log(0.33), math.log(0.33), math.log(0.01)]
     fixtures = [
         ("dice identity", _one_pair(np.full((2, 2), BIG), np.ones((2, 2)), lc).dice, 0.0),
-        # 1 - (0 + 1)/(2 + 2 + 1) at the default epsilon of 1
+        # 1 - (0 + eps)/(2 + 2 + eps): 0.8 at the default eps of 1
         ("dice disjoint",
-         _one_pair([[BIG, BIG], [-BIG, -BIG]], np.array([[0, 0], [1, 1]]), lc).dice, 0.8),
+         _one_pair([[BIG, BIG], [-BIG, -BIG]], np.array([[0, 0], [1, 1]]), lc).dice,
+         1.0 - d.dice_eps / (4.0 + d.dice_eps)),
+        # p = 0.9 on a target pixel: alpha * (1 - p)^gamma * -log p
         ("focal single pixel", _one_pair([[math.log(9.0)]], np.array([[1]]), lc).focal,
-         0.25 * 0.01 * -math.log(0.9)),
+         d.focal_alpha * 0.1 ** d.focal_gamma * -math.log(0.9)),
         ("classification uniform", classification(np.zeros((6, k + 1)), [1, 2, 3, 4, 1, 2]),
          math.log(k + 1)),
         ("classification matched plus no-object", classification(np.array([q0, q1]), [1]),
-         (-math.log(0.5) + 1e-4 * -math.log(0.25)) / 1.0001),
+         (-math.log(0.5) + w * -math.log(0.25)) / (1 + w)),
         ("classification no-object weighting", classification(np.array([q0] + [qn] * 9), [1]),
-         (-math.log(0.5) + 9 * 1e-4 * -math.log(0.01)) / (1 + 9 * 1e-4)),
+         (-math.log(0.5) + 9 * w * -math.log(0.01)) / (1 + 9 * w)),
     ]
     worst = 0.0
     failures = []

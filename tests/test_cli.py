@@ -13,6 +13,7 @@ from setseg import synth, trainer, verify
 from setseg.cli import main
 from setseg.config import RunConfig, get_value, leaf_keys, load_config
 from setseg.matcher import NanCostError
+from setseg.model import MaskClassificationModel, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +153,7 @@ class TestSubcommands:
         ("eval", "evaluator.mask_threshold=inf"),
         ("train", "trainer.checkpoint_every=-1"),
         ("profile", "trainer.batch_size=0"),
-        ("profile", "parser.num_classes=0"),
+        ("profile", "model.num_classes=0"),
     ])
     def test_out_of_domain_value_is_a_usage_error(self, dataset, tmp_path, capsys, command,
                                                  override):
@@ -181,7 +182,7 @@ class TestSubcommands:
         (["--set", "trainer.steps=abc"], "'abc'"),
         (["--set", "trainer.bogus=1"], "trainer.bogus"),
         (["--config", "FILE"], "bad.cfg:2"),
-        (["--set", "parser.num_classes=5"], "model.num_classes"),
+        (["--set", "parser.num_classes=4"], "unknown config key 'parser.num_classes'"),
     ])
     def test_config_error_is_a_usage_error(self, tmp_path, capsys, args, named):
         cfg = tmp_path / "bad.cfg"
@@ -349,17 +350,24 @@ class TestSubcommands:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command, aborted", [
-        (["train", "--out", "OUT"], "training aborted: "),
-        (["profile"], "profiling aborted: "),
-    ], ids=["train", "profile"])
+        (["train", "--out", "OUT"], "training aborted: matching failed at step 0 "),
+        (["profile"], "profiling aborted: matching failed at step 0 "),
+        (["eval", "--checkpoint", "CKPT", "--out", "OUT"], "eval aborted: image "),
+    ], ids=["train", "profile", "eval"])
     def test_unknown_class_aborts(self, dataset, tmp_path, capsys, command, aborted):
-        # a 3-class mapper meets the shards' class 4
-        args = [str(tmp_path / "run") if a == "OUT" else a for a in command]
-        assert main([*args, "--data", str(dataset / "shards"), *TOY_OVERRIDES,
-                     "--set", "parser.num_classes=3"]) == 1
+        # a 3-class head meets the shards' class 4
+        overrides = [*TOY_OVERRIDES, "--set", "model.num_classes=3"]
+        ckpt = tmp_path / "three.ckpt"
+        save_checkpoint(MaskClassificationModel(load_config(None, overrides[1::2]).model), ckpt)
+        run = tmp_path / "run"
+        args = [{"OUT": str(run), "CKPT": str(ckpt)}.get(a, a) for a in command]
+        assert main([*args, "--data", str(dataset / "shards"), *overrides]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(aborted) and "class ID 4" in err
+        assert err.startswith(aborted) and "target label 4 outside 1..K with K = 3" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+        if command[0] == "train":
+            assert "(batch images [" in err
+            assert (run / "nan_batch.txt").read_text().startswith("step 0\n")
 
     def test_more_targets_than_queries_aborts(self, dataset, tmp_path, capsys):
         run = tmp_path / "run"

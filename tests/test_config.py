@@ -81,13 +81,13 @@ class TestParsing:
         path = tmp_path / "dumped.cfg"
         path.write_text(dump_config(cfg))
         assert load_config(path) == cfg
-        assert len(path.read_text().splitlines()) == len(leaf_keys(cfg)) == 32
+        assert len(path.read_text().splitlines()) == len(leaf_keys(cfg)) == 31
 
-    def test_more_parser_classes_than_class_head_rejected(self):
-        assert load_config(overrides=["parser.num_classes=3"]).parser.num_classes == 3
-        with pytest.raises(cfg_mod.ConfigFileError) as err:
-            load_config(overrides=["parser.num_classes=5"])
-        assert "parser.num_classes" in str(err.value) and "model.num_classes" in str(err.value)
+    def test_model_num_classes_is_the_one_class_count(self):
+        assert load_config(overrides=["model.num_classes=3"]).model.num_classes == 3
+        with pytest.raises(cfg_mod.ConfigFileError,
+                           match="unknown config key 'parser.num_classes'"):
+            load_config(overrides=["parser.num_classes=4"])
 
     @pytest.mark.parametrize("override, named", [
         ("losses.focal_alpha=2", "losses.focal_alpha"),
@@ -109,7 +109,7 @@ class TestParsing:
         ("parser.crop_probability=inf", "parser.crop_probability"),
         ("parser.mean=1,2", "parser.mean"),
         ("parser.std=0,0,0", "parser.std"),
-        ("parser.num_classes=0", "parser.num_classes"),
+        ("model.num_classes=0", "model.num_classes"),
         ("evaluator.confidence_threshold=nan", "evaluator.confidence_threshold"),
         ("evaluator.mask_threshold=inf", "evaluator.mask_threshold"),
         ("trainer.checkpoint_every=-1", "trainer.checkpoint_every"),
@@ -123,7 +123,7 @@ class TestParsing:
 
     def test_every_key_has_one_domain(self):
         assert set(cfg_mod.DOMAINS) == set(leaf_keys(RunConfig()))
-        assert len(leaf_keys(RunConfig())) == 32
+        assert len(leaf_keys(RunConfig())) == 31
 
     def test_float_tuple_coercion(self):
         cfg = RunConfig()
@@ -167,10 +167,6 @@ class TestPrecedenceProperty:
 
 
 def _typed_value(key, n):
-    if key == "parser.num_classes":
-        # file 2, command line 3: distinct, and never above any model.num_classes
-        # (default 4, drawn >= 100), so the resolved config stays valid
-        return 1 + n // 100
     if key in ("losses.focal_alpha", "trainer.beta1", "trainer.beta2", "parser.crop_probability",
                "evaluator.confidence_threshold", "evaluator.mask_threshold"):
         # distinct values inside the probabilities' domain [0, 1] and Adam's decays' [0, 1)

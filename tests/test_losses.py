@@ -508,6 +508,21 @@ def test_mask_costs_in_pixel_blocks_equal_the_one_shot_formula(n, r, monkeypatch
         assert a.shape == (n, r) and np.array_equal(a, b)
 
 
+def test_mask_grad_computes_no_focal_values(monkeypatch):
+    # the grad reads only p and pc; the focal terms are the cost's
+    rng = np.random.default_rng(7)
+    rows = 3.0 * rng.standard_normal((2, 6, 6))
+    ids = rng.integers(0, 3, (6, 6))
+    valid = np.ones((6, 6), bool)
+    want = losses._mask_grad(rows, ids, valid, LossConfig())
+
+    def focal_terms(*args):
+        raise AssertionError("_mask_grad computed the focal terms")
+
+    monkeypatch.setattr(losses, "_pixel_terms", focal_terms)
+    assert np.array_equal(losses._mask_grad(rows, ids, valid, LossConfig()), want)
+
+
 # ---------------------------------------------------------------------------
 # Scope
 # ---------------------------------------------------------------------------

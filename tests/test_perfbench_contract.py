@@ -3,6 +3,7 @@
 ``perfbench/`` is read as it is: one unit of each workload kind goes through
 its own set-up, warm-up, checked matcher and timed phase, traced, on a tiny
 input, so a package change that breaks a call the benchmark makes fails here.
+Its toy workload must stay the README's ``toy.cfg``.
 """
 
 import importlib
@@ -10,7 +11,17 @@ from pathlib import Path
 
 import pytest
 
+from setseg.config import load_config
+
+from test_trainer import readme_toy_config
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_toy_workload_is_the_readme_toy_config(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    wl = importlib.import_module("workloads")
+    assert load_config(None, list(wl.TOY)) == readme_toy_config(tmp_path)
 
 
 @pytest.mark.parametrize("kind", ["train", "eval"])

@@ -161,6 +161,12 @@ class TestTrain:
             train(cfg, shard_dir, tmp_path / "nan")
         assert "batch images" in str(err.value)
         assert (tmp_path / "nan" / "nan_batch.txt").exists()
+        # the steps before the failing one keep their rows
+        assert err.value.step >= 1
+        for name in ("loss.csv", "metrics.csv"):
+            with (tmp_path / "nan" / name).open() as f:
+                _, *rows = list(csv.reader(f))
+            assert [int(r[0]) for r in rows] == list(range(err.value.step)), name
 
     def test_nan_gradient_aborts_with_batch_id(self, shard_dir, tmp_path, monkeypatch):
         real_step = trainer.train_step
