@@ -69,9 +69,9 @@ def build_cost_matrix(outputs, targets: TargetSet, valid_mask: np.ndarray,
     ``loss_cfg.{class,focal,dice}_weight`` and the mask terms from
     ``losses.mask_costs`` over valid pixels only, then padded by
     ``pad_square``. The result keeps what the loss reads (see ``CostMatrix``).
-    A label outside 1..K raises ``MatcherError`` naming image ``batch_index``;
-    a target grid or ``valid_mask`` that is not the mask logits' [h, w], or a
-    target id above N, raises ``ContractError``.
+    More targets than queries, a label outside 1..K or a NaN cost raises
+    ``MatcherError`` (``NanCostError``); a target grid or ``valid_mask`` not
+    the mask logits' [h, w], or a target id above N, ``ContractError``.
     """
     mask_logits = outputs.mask_logits.data[batch_index]    # [N_q, h, w]
     class_logits = outputs.class_logits.data[batch_index]  # [N_q, K+1]
@@ -83,16 +83,14 @@ def build_cost_matrix(outputs, targets: TargetSet, valid_mask: np.ndarray,
     labels = np.asarray(targets.labels, dtype=np.int64)
     bad = labels[(labels < 1) | (labels > k)]
     if bad.size:
-        raise MatcherError(f"image {batch_index}: target label {int(bad[0])} "
-                           f"outside 1..K with K = {k}")
+        raise MatcherError(f"target label {int(bad[0])} outside 1..K with K = {k}")
 
     hw, gt = mask_logits.shape[1:], targets.ids
     if valid_mask.shape != hw or gt.shape != hw:
-        raise ContractError(f"image {batch_index}: validity mask {valid_mask.shape} and "
-                            f"targets {gt.shape} must match the mask logits' {hw}")
+        raise ContractError(f"validity mask {valid_mask.shape} and targets {gt.shape} "
+                            f"must match the mask logits' {hw}")
     if gt.max(initial=0) > n:
-        raise ContractError(f"image {batch_index}: target id {int(gt.max())} above "
-                            f"the label count {n}")
+        raise ContractError(f"target id {int(gt.max())} above the label count {n}")
     valid = valid_mask.astype(bool, copy=False)
     if n == 0:
         real = dice_cost = focal_cost = np.zeros((0, n_q))

@@ -1,8 +1,10 @@
-"""Decoder and parser: class-ID densification, resize/crop/pad, target building.
+"""Sample records, class-ID densification, resize/crop/pad, target building.
 
+This module alone knows a sample record's keys; ``records`` frames its bytes.
 Class IDs are densified once, at ingest, into the shard manifest's
-``class_mapping``; ``parse`` passes the contiguous labels through unchecked,
-and the class head's K (``model.num_classes``) checks them where they meet it.
+``class_mapping``, and each record stores each instance's class once;
+``parse`` passes the labels through unchecked, and the class head's K
+(``model.num_classes``) checks them where they meet it.
 
 All geometry uses nearest-neighbor resampling with pixel-center index
 mapping, so a parse at scale 1.0 is the identity on pixel values. Such
@@ -20,7 +22,7 @@ can own no pixel at mask resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,27 +90,60 @@ class TargetSet:
 
 
 # ---------------------------------------------------------------------------
-# Geometry helpers
+# Sample records
+# ---------------------------------------------------------------------------
+
+SAMPLE_KEYS = ("image/height", "image/width", "image/id", "image/encoded",
+               "segmentation/instance_mask", "segmentation/instance_classes")
+
+
+def encode_entry(rgb, inst, classes, image_id: int) -> dict:
+    """An image's record: rgb, instance ids, ``classes[i]`` instance i's class (0: none)."""
+    h, w = np.shape(inst)
+    return {
+        "image/height": np.array([h], dtype=np.int64),
+        "image/width": np.array([w], dtype=np.int64),
+        "image/id": np.array([image_id], dtype=np.int64),
+        "image/encoded": np.ascontiguousarray(rgb, dtype=np.uint8).tobytes(),
+        "segmentation/instance_mask": np.ascontiguousarray(inst, dtype="<u2").tobytes(),
+        "segmentation/instance_classes": np.asarray(classes, dtype=np.int64),
+    }
+
+
+def decode_entry(entry: dict):
+    """(rgb, inst, classes, image_id) of a sample record, as views of its values.
+
+    A missing key, a grid of the wrong byte count or a class table without the
+    largest instance id raises ``PipelineError`` naming the image id.
+    """
+    image_id = int(entry["image/id"][0]) if "image/id" in entry else "?"
+
+    def fail(reason):
+        raise PipelineError(f"image {image_id}: {reason}")
+
+    for key in SAMPLE_KEYS:
+        if key not in entry:
+            fail(f"record has no {key!r}")
+    h, w = int(entry["image/height"][0]), int(entry["image/width"][0])
+    for key, size in (("image/encoded", 3 * h * w), ("segmentation/instance_mask", 2 * h * w)):
+        if len(entry[key]) != size:
+            fail(f"{key} has {len(entry[key])} bytes, expected {size} for {h}x{w}")
+    rgb = np.frombuffer(entry["image/encoded"], dtype=np.uint8).reshape(h, w, 3)
+    inst = np.frombuffer(entry["segmentation/instance_mask"], dtype="<u2").reshape(h, w)
+    classes = entry["segmentation/instance_classes"]
+    if len(classes) <= inst.max(initial=0):
+        fail(f"class table has {len(classes)} entries, but instance id {inst.max()} needs one")
+    return rgb, inst, classes, image_id
+
+
+# ---------------------------------------------------------------------------
+# Parse
 # ---------------------------------------------------------------------------
 
 def nearest_index(n: int, new_n: int) -> np.ndarray:
     """Source indices of a nearest-neighbor resample of n samples to new_n (identity at n)."""
     return np.minimum(((np.arange(new_n) + 0.5) * (n / new_n)).astype(np.int64), n - 1)
 
-
-def entry_to_arrays(entry: dict):
-    """Decode a record entry into (rgb, contiguous, instance, image_id): views of its bytes."""
-    h = int(entry["image/height"][0])
-    w = int(entry["image/width"][0])
-    rgb = np.frombuffer(entry["image/encoded"], dtype=np.uint8).reshape(h, w, 3)
-    cont = np.frombuffer(entry["segmentation/contiguous_mask"], dtype="<u2").reshape(h, w)
-    inst = np.frombuffer(entry["segmentation/instance_mask"], dtype="<u2").reshape(h, w)
-    return rgb, cont, inst, int(entry["image/id"][0])
-
-
-# ---------------------------------------------------------------------------
-# Parse
-# ---------------------------------------------------------------------------
 
 def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample, TargetSet]:
     """Decode, geometrically normalize, and label-prepare one record.
@@ -118,7 +153,7 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
     resized to one of ``cfg.crop_sizes``; afterwards the longer side is fitted
     to ``cfg.target_size`` and the result zero-padded bottom/right to a square.
     The rgb and instance grids are gathered once, through one composed index
-    per axis, and the class grid only at each instance's first pixel.
+    per axis, and each kept instance's label is its entry in the class table.
     Targets and the validity mask are at mask resolution (see the module
     docstring); ``cfg.target_size`` must be a multiple of ``MASK_STRIDE``.
     """
@@ -126,7 +161,7 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
     if target % MASK_STRIDE:
         raise PipelineError(f"target_size {target} is not a multiple of the "
                             f"mask stride {MASK_STRIDE}")
-    rgb, cont, inst, image_id = entry_to_arrays(entry)
+    rgb, inst, classes, image_id = decode_entry(entry)
     source_count = int(np.count_nonzero(np.bincount(inst.reshape(-1))[1:]))
 
     h, w = inst.shape
@@ -170,10 +205,9 @@ def parse(entry: dict, cfg: ParserConfig, rng_seed: int) -> tuple[PanopticSample
     valid = np.zeros(small.shape, dtype=bool)
     valid[:ph, :pw] = True
 
-    # each instance's label is its first pixel's class, in row-major order;
-    # the kept instances become ids 1..N in instance order, the rest 0
-    ids, first = np.unique(inst, return_index=True)
-    labels = cont[rows[first // new_w], cols[first % new_w]]
+    # the kept instances, those with a class, become ids 1..N in instance order, the rest 0
+    ids = np.unique(inst)
+    labels = classes[ids]
     keep = (ids != 0) & (labels != 0)
     lut = np.zeros(int(ids[-1]) + 1, np.int64)
     lut[ids[keep]] = np.arange(1, int(keep.sum()) + 1)
@@ -191,7 +225,7 @@ class Batch:
     images: Tensor                  # [B, H, W, 3]
     valid_masks: np.ndarray         # [B, H/4, W/4] bool
     target_sets: list[TargetSet]    # one per sample; label lists are ragged
-    image_ids: list[int] = field(default_factory=list)
+    image_ids: list[int]
 
     @property
     def size(self) -> int:
@@ -207,9 +241,4 @@ def batch(samples: list[PanopticSample], targets: list[TargetSet]) -> Batch:
         raise PipelineError(f"mixed spatial sizes in batch: {sorted(shapes)}")
     images = Tensor(np.concatenate([s.image.data for s in samples], axis=0))
     valid = np.stack([s.valid_mask for s in samples], axis=0)
-    return Batch(
-        images=images,
-        valid_masks=valid,
-        target_sets=list(targets),
-        image_ids=[s.image_id for s in samples],
-    )
+    return Batch(images, valid, list(targets), [s.image_id for s in samples])

@@ -1,8 +1,9 @@
 """Bit-exact binary record format with size-balanced sharding.
 
-This module alone frames bytes on disk. A data shard holds one record per
-sample; a model checkpoint holds one record, each parameter an f32 list
-under its name and its shape an i64 list under ``<name>/shape``.
+This module alone frames bytes on disk, and it reads no key: a data shard
+holds one record per sample (its keys are ``pipeline``'s), a model
+checkpoint one record, each parameter an f32 list under its name and its
+shape an i64 list under ``<name>/shape``.
 
 Wire format
 -----------
@@ -38,15 +39,6 @@ TAG_I64 = 1
 TAG_F32 = 2
 _WIRE_DTYPES = {TAG_BYTES: np.dtype("u1"), TAG_I64: np.dtype("<i8"), TAG_F32: np.dtype("<f4")}
 
-REQUIRED_KEYS = (
-    "image/height",
-    "image/width",
-    "image/encoded",
-    "segmentation/contiguous_mask",
-    "segmentation/instance_mask",
-    "image/id",
-)
-
 _MAX_RECORD_BYTES = 2**32
 
 MANIFEST_NAME = "manifest.txt"
@@ -69,23 +61,11 @@ def atomic_open(path, mode: str = "wb", **kwargs):
 
 
 class RecordFormatError(ValueError):
-    """A record entry violates the format contract (keys, types, sizes)."""
+    """An entry cannot be framed: a value of an unsupported type, or a key or payload too long."""
 
 
 class RecordParseError(ValueError):
     """An MFR1 file or manifest is malformed; the message names the file (and byte offset)."""
-
-
-def validate_entry(entry: dict) -> None:
-    """Check the required-key contract for a panoptic sample entry."""
-    for key in REQUIRED_KEYS:
-        if key not in entry:
-            raise RecordFormatError(f"entry missing required key {key!r}")
-    pixels = int(entry["image/height"][0]) * int(entry["image/width"][0])
-    for key, depth in (("image/encoded", 3), ("segmentation/contiguous_mask", 2),
-                       ("segmentation/instance_mask", 2)):
-        if len(entry[key]) != depth * pixels:
-            raise RecordFormatError(f"{key} has {len(entry[key])} bytes, expected {depth * pixels}")
 
 
 def payload_parts(entry: dict):
@@ -211,15 +191,13 @@ def write_records(path, payloads) -> None:
 def write_shards(entries, shard_count: int, out_dir, class_mapping=None) -> ShardSet:
     """Serialize entries into ``shard_count`` balanced shard files plus a manifest.
 
-    ``out_dir`` is created only once every entry has been validated, so an
+    ``out_dir`` is created only once every entry has been serialized, so an
     entry that fails leaves no new directory behind.
     """
     if shard_count < 1:
         raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-    payloads = []
-    for entry in entries:
-        validate_entry(entry)
-        payloads.append(b"".join(payload_parts(entry)))   # small: cheaper joined than streamed
+    # small: cheaper joined than streamed
+    payloads = [b"".join(payload_parts(entry)) for entry in entries]
     if not payloads:
         raise ValueError("write_shards requires at least one entry")
     out_dir = Path(out_dir)

@@ -26,7 +26,7 @@ hands to two producers (``add``'s) read-only for both. A caller that runs a
 backward directly and keeps its grad passes a read-only view.
 
 The ops are the ones the model and the losses record, each with one call
-form: add, relu, reshape, broadcast_batch, ``linear`` (x·w + b as one op
+form: add, reshape, broadcast_batch, ``linear`` (x·w + b as one op
 and one 2-D GEMM; ``relu=True`` applies a following ReLU in the same op),
 matmul_nt (a·bᵀ), layer_norm (``relu=True`` applies a following ReLU in the
 same op), conv2d (im2col GEMM, with its bias), ``upsample2x_conv3x3`` (a
@@ -38,7 +38,8 @@ up-conv its folded weight) from it, one op at a time, rather than holding
 every op's columns on the tape; each gets its input grad as col2im of the
 column grad (``_col2im``, the adjoint of ``_im2col``). The one op defined
 elsewhere, the batch loss ``losses.total_loss``, records through
-``_make_result`` too.
+``_make_result`` too. No model op records a standalone ``relu``; only the
+acceptance suite's network calls it.
 
 There is no broadcasting beyond ``linear``'s and ``conv2d``'s bias;
 mismatched shapes fail loudly with the shapes named.

@@ -37,7 +37,8 @@ from .matcher import (
 )
 from .model import MaskClassificationModel, load_checkpoint, save_checkpoint
 from .pipeline import (
-    Batch, ParserConfig, PipelineError, batch as make_batch, build_id_mapper, parse,
+    Batch, ParserConfig, PipelineError, batch as make_batch, build_id_mapper, encode_entry,
+    parse,
 )
 from .tensor import ContractError, Tape, backward, no_grad
 
@@ -53,7 +54,7 @@ class TrainError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Ingestion: annotations -> contiguous masks -> shards
+# Ingestion: annotations -> sample records (per-instance contiguous classes) -> shards
 # ---------------------------------------------------------------------------
 
 @contextmanager
@@ -90,21 +91,12 @@ def ingest(annotations_path, shard_count: int, out_dir, known_class_ids=None):
         for line, rec in ann:
             with _annotation_line(annotations_path, line):
                 rgb, inst = synth.load_annotation_arrays(annotations_path, rec)
-                lut = np.zeros(int(inst.max()) + 1, dtype=np.uint16)
+                classes = np.zeros(int(inst.max()) + 1, dtype=np.int64)
                 for seg in rec["segments"]:
                     if seg["category_id"] not in mapping:
                         raise PipelineError(f"unknown class ID {seg['category_id']}")
-                    lut[seg["instance_id"]] = mapping[seg["category_id"]]
-                cont = lut[inst]
-                entry = {
-                    "image/height": np.array([rec["height"]], dtype=np.int64),
-                    "image/width": np.array([rec["width"]], dtype=np.int64),
-                    "image/encoded": rgb.tobytes(),
-                    "segmentation/contiguous_mask": cont.astype("<u2").tobytes(),
-                    "segmentation/instance_mask": inst.astype("<u2").tobytes(),
-                    "image/id": np.array([rec["image_id"]], dtype=np.int64),
-                }
-            yield entry
+                    classes[seg["instance_id"]] = mapping[seg["category_id"]]
+                yield encode_entry(rgb, inst, classes, rec["image_id"])
 
     shard_set = records.write_shards(entries(), shard_count, out_dir, class_mapping=mapping)
     return shard_set, mapping
@@ -251,10 +243,15 @@ class StepResult(NamedTuple):
 
 
 def batch_costs(outputs, batch_data: Batch, loss_cfg: LossConfig) -> list[CostMatrix]:
-    """Each image's ``build_cost_matrix`` on ``outputs``: what the matcher and the loss read."""
-    per_image = enumerate(zip(batch_data.target_sets, batch_data.valid_masks))
-    return [build_cost_matrix(outputs, targets, valid, loss_cfg, batch_index=b)
-            for b, (targets, valid) in per_image]
+    """Each image's ``build_cost_matrix`` on ``outputs``; a ``MatcherError`` gains the image id."""
+    costs = []
+    per_image = zip(batch_data.target_sets, batch_data.valid_masks, batch_data.image_ids)
+    for b, (targets, valid, image_id) in enumerate(per_image):
+        try:
+            costs.append(build_cost_matrix(outputs, targets, valid, loss_cfg, batch_index=b))
+        except MatcherError as err:
+            raise type(err)(f"image {image_id}: {err}") from None
+    return costs
 
 
 def train_step(model, batch_data: Batch, cfg: RunConfig) -> StepResult:
@@ -290,6 +287,7 @@ def _step_error(what: str, step: int, batch_data: Batch, detail) -> TrainError:
                       step, batch_data.image_ids)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def run_steps(model, optimizer, entries, cfg: RunConfig, steps: int,
               on_step=None) -> list[StepResult]:
     """The training loop: batch assembly, ``train_step``, non-finite checks, clip, update.
@@ -298,7 +296,8 @@ def run_steps(model, optimizer, entries, cfg: RunConfig, steps: int,
     the steps' stages cover the whole loop but ``on_step``, sets its
     ``grad_norm`` and ``peak_rss_mb`` and calls ``on_step(results)`` with
     the results so far after each update. A failed match or a non-finite
-    loss or gradient norm raises ``TrainError``.
+    loss or gradient norm raises ``TrainError``; numpy's overflow warnings,
+    which would only repeat it, are off.
     """
     results = []
     t0 = time.perf_counter()

@@ -3,7 +3,8 @@
 Runs, in order: input-shape validation, the layer-wise shape suite, the
 position-embedding reference statistic, gradient finite-difference checks,
 loss unit fixtures (tolerance 1e-3), the matcher-vs-brute-force differential
-suite, padding invariance, and the record round-trip suite. The loss checks
+suite, padding invariance, and the record round-trip suite (each record
+read back decodes to the arrays it was written from). The loss checks
 evaluate ``losses.total_loss``, the op training records, on one image with
 given matches (``image_loss``). The gradient checks differentiate it on both
 the mask and the class logits, then the grads ``trainer.train_step`` computes
@@ -30,7 +31,9 @@ from .config import RunConfig
 from .losses import LossBundle, LossConfig, total_loss
 from .matcher import Assignment, brute_force_match, build_cost_matrix, hungarian, pad_square
 from .model import MaskClassificationModel, ModelConfig, ModelOutputs
-from .pipeline import MASK_STRIDE, ParserConfig, TargetSet, batch as make_batch, parse
+from .pipeline import (
+    MASK_STRIDE, ParserConfig, TargetSet, batch as make_batch, decode_entry, encode_entry, parse,
+)
 from .tensor import Tape, Tensor, backward, no_grad
 
 BIG = 40.0
@@ -75,17 +78,12 @@ def max_rel_error(analytic, numeric):
     return float(np.abs(analytic - numeric).max() / scale)
 
 
-def _synthetic_entry(rng, h, w, num_classes):
-    inst = rng.integers(0, 4, size=(h, w)).astype(np.uint16)
-    cont = np.where(inst > 0, ((inst - 1) % num_classes) + 1, 0).astype(np.uint16)
-    return {
-        "image/height": np.array([h], dtype=np.int64),
-        "image/width": np.array([w], dtype=np.int64),
-        "image/encoded": rng.integers(0, 256, size=3 * h * w, dtype=np.uint8).tobytes(),
-        "segmentation/contiguous_mask": cont.astype("<u2").tobytes(),
-        "segmentation/instance_mask": inst.astype("<u2").tobytes(),
-        "image/id": np.array([0], dtype=np.int64),
-    }
+def _synthetic_entry(rng, h, w, num_classes, image_id=0):
+    """A random sample record: instances 0..3, instance i of class (i - 1) % K + 1."""
+    inst = rng.integers(0, 4, size=(h, w))
+    rgb = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    classes = np.concatenate([[0], np.arange(3) % num_classes + 1])
+    return encode_entry(rgb, inst, classes, image_id)
 
 
 def image_loss(mask_logits, class_logits, ids, labels, queries, loss_cfg: LossConfig,
@@ -335,26 +333,20 @@ def check_padding_invariance(cfg: RunConfig) -> CheckResult:
 
 def check_record_roundtrip(cfg: RunConfig) -> CheckResult:
     rng = np.random.default_rng(4)
-    entries = []
-    for i in range(100):
-        h = int(rng.integers(2, 12))
-        w = int(rng.integers(2, 12))
-        entries.append(_synthetic_entry(rng, h, w, 4) | {
-            "image/id": np.array([i], dtype=np.int64)})
+    entries = [_synthetic_entry(rng, int(rng.integers(2, 12)), int(rng.integers(2, 12)), 4, i)
+               for i in range(100)]
     with tempfile.TemporaryDirectory() as tmp:
         ss = records.write_shards(entries, 4, Path(tmp) / "a")
         back = list(records.read_shards(ss))
         ss2 = records.write_shards(entries, 4, Path(tmp) / "b")
-        deterministic = all(
-            p1.read_bytes() == p2.read_bytes()
-            for p1, p2 in zip(ss.shard_paths, ss2.shard_paths)
-        )
+        deterministic = all(p1.read_bytes() == p2.read_bytes()
+                            for p1, p2 in zip(ss.shard_paths, ss2.shard_paths))
         ratio = ss.byte_balance()
-    by_id = {int(e["image/id"][0]): e for e in back}
-    exact = len(back) == len(entries) and all(
-        by_id[int(e["image/id"][0])]["image/encoded"] == e["image/encoded"]
-        and np.array_equal(by_id[int(e["image/id"][0])]["image/height"], e["image/height"])
-        for e in entries
+    # every record read back decodes to the arrays it was written from
+    by_id = {image_id: arrays for *arrays, image_id in map(decode_entry, back)}
+    exact = len(by_id) == len(back) == len(entries) and all(
+        all(np.array_equal(a, b) for a, b in zip(by_id[image_id], arrays))
+        for *arrays, image_id in map(decode_entry, entries)
     )
     ok = exact and deterministic and ratio <= 1.10
     err = 0.0 if exact and deterministic else 1.0

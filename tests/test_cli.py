@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import setseg
@@ -14,6 +15,8 @@ from setseg.cli import main
 from setseg.config import RunConfig, get_value, leaf_keys, load_config
 from setseg.matcher import NanCostError
 from setseg.model import MaskClassificationModel, save_checkpoint
+from setseg.pipeline import decode_entry
+from setseg.records import write_shards
 
 
 @pytest.fixture(scope="module")
@@ -365,8 +368,16 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith(aborted) and "target label 4 outside 1..K with K = 3" in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+        if command[0] != "eval":
+            # the image is named by its id: the batch's first image with a class-4 instance
+            found = re.search(r"\(batch images \[([\d, ]+)\]\): image (\d+): target label 4 ",
+                              err)
+            batch_ids = [int(i) for i in found.group(1).split(", ")]
+            classes = {image_id: set(table[np.unique(inst)].tolist())
+                       for _, inst, table, image_id in map(
+                           decode_entry, trainer.load_entries(dataset / "shards"))}
+            assert int(found.group(2)) == next(i for i in batch_ids if 4 in classes[i])
         if command[0] == "train":
-            assert "(batch images [" in err
             assert (run / "nan_batch.txt").read_text().startswith("step 0\n")
 
     def test_more_targets_than_queries_aborts(self, dataset, tmp_path, capsys):
@@ -379,8 +390,7 @@ class TestSubcommands:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert (run / "nan_batch.txt").read_text().startswith("step 0\n")
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_train_abort_exit_code(self, dataset, capsys):
         code = main(["train", "--data", str(dataset / "shards"),
                      "--out", str(dataset / "abort"),
@@ -390,7 +400,36 @@ class TestSubcommands:
                      "--set", "trainer.grad_clip_norm=0",
                      *TOY_OVERRIDES])
         assert code == 1
-        assert "aborted" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("training aborted: non-finite ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, aborted", [
+        (["train", "--out", "OUT"], "training aborted: "),
+        (["eval", "--checkpoint", "CKPT", "--out", "OUT"], "eval aborted: "),
+    ], ids=["train", "eval"])
+    @pytest.mark.parametrize("damage", ["missing_key", "byte_count", "short_class_table"])
+    def test_bad_sample_record_aborts(self, dataset, tmp_path, capsys, command, aborted,
+                                      damage):
+        # CRC-valid shards whose third record fails the sample decoder
+        entries = trainer.load_entries(dataset / "shards")
+        bad = entries[2]
+        if damage == "missing_key":
+            del bad["segmentation/instance_mask"]
+        elif damage == "byte_count":
+            bad["image/encoded"] = bad["image/encoded"][:-3]
+        else:
+            bad["segmentation/instance_classes"] = bad["segmentation/instance_classes"][:1]
+        write_shards(entries, 2, tmp_path / "shards")
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(MaskClassificationModel(load_config(None, TOY_OVERRIDES[1::2]).model),
+                        ckpt)
+        args = [{"OUT": str(tmp_path / "run"), "CKPT": str(ckpt)}.get(a, a) for a in command]
+        assert main([*args, "--data", str(tmp_path / "shards"), *TOY_OVERRIDES,
+                     "--set", "trainer.batch_size=2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{aborted}image {int(bad['image/id'][0])}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_ingest_into_closed_pipe(self, tmp_path):
         # as in ``setseg ingest ... | head -1``: the class-mapping line is far

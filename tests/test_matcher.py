@@ -170,7 +170,7 @@ class TestCostMatrix:
             with pytest.raises(matcher.MatcherError) as err:
                 build_cost_matrix(outputs, target_set([gt, 1 - gt], [1, label]),
                                   np.ones((4, 4), bool), LossConfig(), batch_index=1)
-            assert str(err.value) == f"image 1: target label {label} outside 1..K with K = 3"
+            assert str(err.value) == f"target label {label} outside 1..K with K = 3"
 
     def test_nan_cost_named(self):
         outputs = SimpleNamespace(

@@ -7,6 +7,7 @@ from setseg.matcher import build_cost_matrix, hungarian
 from setseg.model import (
     MaskClassificationModel, ModelConfig, load_checkpoint, save_checkpoint,
 )
+from setseg.pipeline import encode_entry
 from setseg.records import RecordParseError, write_shards
 from setseg.tensor import Tape, Tensor, backward
 
@@ -355,11 +356,8 @@ class TestCheckpoint:
 
     def test_shard_file_rejected_as_checkpoint(self, tmp_path):
         rng = np.random.default_rng(0)
-        entries = [{
-            "image/height": np.array([2]), "image/width": np.array([2]),
-            "image/encoded": rng.bytes(12), "segmentation/contiguous_mask": bytes(8),
-            "segmentation/instance_mask": bytes(8), "image/id": np.array([i]),
-        } for i in range(3)]
+        entries = [encode_entry(rng.integers(0, 256, (2, 2, 3), dtype=np.uint8),
+                                np.zeros((2, 2)), [0], i) for i in range(3)]
         shard_set = write_shards(entries, 1, tmp_path)
         with pytest.raises(RecordParseError) as err:
             load_checkpoint(MaskClassificationModel(toy_config()), shard_set.shard_paths[0])

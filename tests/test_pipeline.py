@@ -9,16 +9,11 @@ from setseg import pipeline
 from setseg.pipeline import ParserConfig, build_id_mapper, parse
 
 
-def make_entry(rgb, cont, inst, image_id=0):
-    h, w = rgb.shape[:2]
-    return {
-        "image/height": np.array([h], dtype=np.int64),
-        "image/width": np.array([w], dtype=np.int64),
-        "image/encoded": np.ascontiguousarray(rgb, dtype=np.uint8).tobytes(),
-        "segmentation/contiguous_mask": np.ascontiguousarray(cont, dtype="<u2").tobytes(),
-        "segmentation/instance_mask": np.ascontiguousarray(inst, dtype="<u2").tobytes(),
-        "image/id": np.array([image_id], dtype=np.int64),
-    }
+def make_entry(rgb, inst, classes=None, image_id=0):
+    """A sample record; by default instance i is of class i."""
+    if classes is None:
+        classes = np.arange(int(np.max(inst)) + 1)
+    return pipeline.encode_entry(rgb, inst, classes, image_id)
 
 
 class TestBuildIdMapper:
@@ -44,14 +39,54 @@ class TestBuildIdMapper:
             build_id_mapper([4, 4, 5])
 
 
+class TestSampleRecord:
+    def _entry(self, image_id=7):
+        rng = np.random.default_rng(30)
+        inst = rng.integers(0, 4, size=(5, 6))
+        rgb = rng.integers(0, 256, size=(5, 6, 3), dtype=np.uint8)
+        return make_entry(rgb, inst, [0, 2, 0, 1], image_id), rgb, inst
+
+    def test_decode_inverts_encode(self):
+        entry, rgb, inst = self._entry()
+        got_rgb, got_inst, classes, image_id = pipeline.decode_entry(entry)
+        assert np.array_equal(got_rgb, rgb) and np.array_equal(got_inst, inst)
+        assert classes.tolist() == [0, 2, 0, 1] and image_id == 7
+        assert sorted(entry) == sorted(pipeline.SAMPLE_KEYS)
+
+    @pytest.mark.parametrize("key", pipeline.SAMPLE_KEYS)
+    def test_missing_key_named_with_image_id(self, key):
+        entry, *_ = self._entry()
+        del entry[key]
+        named = "?" if key == "image/id" else "7"
+        with pytest.raises(pipeline.PipelineError,
+                           match=f"^image {re.escape(named)}: record has no '{key}'$"):
+            pipeline.decode_entry(entry)
+
+    @pytest.mark.parametrize("key", ["image/encoded", "segmentation/instance_mask"])
+    def test_wrong_byte_count_named_with_image_id(self, key):
+        entry, *_ = self._entry()
+        entry[key] = entry[key][:-1]
+        with pytest.raises(pipeline.PipelineError, match=f"^image 7: {key} has \\d+ bytes"):
+            pipeline.decode_entry(entry)
+
+    def test_class_table_short_of_the_largest_instance_named_with_image_id(self):
+        entry, _, inst = self._entry()
+        assert inst.max() == 3
+        entry["segmentation/instance_classes"] = np.array([0, 2, 0])
+        with pytest.raises(pipeline.PipelineError,
+                           match="^image 7: class table has 3 entries, but instance id 3"):
+            pipeline.decode_entry(entry)
+        with pytest.raises(pipeline.PipelineError, match="^image 7: class table"):
+            parse(entry, ParserConfig(target_size=8, crop_probability=0.0), rng_seed=0)
+
+
 class TestParseGeometry:
     def test_tall_image_pads_bottom(self):
         rng = np.random.default_rng(0)
         rgb = rng.integers(0, 255, size=(320, 640, 3), dtype=np.uint8)
-        cont = np.ones((320, 640), dtype=np.uint16)
         inst = np.ones((320, 640), dtype=np.uint16)
         cfg = ParserConfig(target_size=640, crop_probability=0.0)
-        sample, _ = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
+        sample, _ = parse(make_entry(rgb, inst), cfg, rng_seed=0)
         assert sample.image.shape == (1, 640, 640, 3)
         assert sample.valid_mask.shape == (160, 160)   # mask resolution
         assert sample.valid_mask[:80, :].all()
@@ -60,26 +95,24 @@ class TestParseGeometry:
     def test_already_target_size_is_identity_up_to_normalization(self):
         rng = np.random.default_rng(1)
         rgb = rng.integers(0, 255, size=(64, 64, 3), dtype=np.uint8)
-        cont = rng.integers(0, 3, size=(64, 64)).astype(np.uint16)
-        inst = cont.copy()
+        inst = rng.integers(0, 3, size=(64, 64)).astype(np.uint16)
         cfg = ParserConfig(target_size=64, crop_probability=0.0)
-        sample, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
+        sample, targets = parse(make_entry(rgb, inst), cfg, rng_seed=0)
         assert sample.valid_mask.all()
         mean = np.asarray(cfg.mean, dtype=np.float32)
         std = np.asarray(cfg.std, dtype=np.float32)
         expected = (rgb.astype(np.float32) / 255.0 - mean) / std
         assert np.array_equal(sample.image.data[0], expected)
-        # instance i has class i, so the targets paint the class map at mask resolution
+        # instance i has class i, so the targets paint the instance map at mask resolution
         painted = np.array([0, *targets.labels])[targets.ids]
-        assert np.array_equal(painted, cont[2::4, 2::4])
+        assert np.array_equal(painted, inst[2::4, 2::4])
 
     def test_two_by_two_targets(self):
         # an 8 px parse of a 2x2 record: each pixel is one 4x4 stride cell
         rgb = np.zeros((2, 2, 3), dtype=np.uint8)
-        cont = np.array([[1, 1], [0, 2]], dtype=np.uint16)
         inst = np.array([[1, 1], [0, 2]], dtype=np.uint16)
         cfg = ParserConfig(target_size=8, crop_probability=0.0)
-        _, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
+        _, targets = parse(make_entry(rgb, inst), cfg, rng_seed=0)
         assert targets.count == 2
         assert targets.labels == [1, 2]
         assert np.array_equal(targets.ids, [[1, 1], [0, 2]])
@@ -87,20 +120,18 @@ class TestParseGeometry:
     def test_labels_pass_through_unchecked(self):
         # the class head's K checks labels, in the matcher and in evaluate
         rgb = np.zeros((4, 4, 3), dtype=np.uint8)
-        cont = np.full((4, 4), 9, dtype=np.uint16)
         inst = np.ones((4, 4), dtype=np.uint16)
         cfg = ParserConfig(target_size=4, crop_probability=0.0)
-        _, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
+        _, targets = parse(make_entry(rgb, inst, [0, 9]), cfg, rng_seed=0)
         assert targets.labels == [9]
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(2)
         rgb = rng.integers(0, 255, size=(50, 70, 3), dtype=np.uint8)
-        cont = rng.integers(0, 4, size=(50, 70)).astype(np.uint16)
-        inst = cont.copy()
+        inst = rng.integers(0, 4, size=(50, 70)).astype(np.uint16)
         cfg = ParserConfig(target_size=48, crop_probability=1.0, crop_sizes=(24, 32))
-        s1, t1 = parse(make_entry(rgb, cont, inst), cfg, rng_seed=123)
-        s2, t2 = parse(make_entry(rgb, cont, inst), cfg, rng_seed=123)
+        s1, t1 = parse(make_entry(rgb, inst), cfg, rng_seed=123)
+        s2, t2 = parse(make_entry(rgb, inst), cfg, rng_seed=123)
         assert np.array_equal(s1.image.data, s2.image.data)
         assert np.array_equal(s1.valid_mask, s2.valid_mask)
         assert t1.labels == t2.labels
@@ -109,12 +140,11 @@ class TestParseGeometry:
     def test_crop_path_changes_output(self):
         rng = np.random.default_rng(3)
         rgb = rng.integers(0, 255, size=(60, 60, 3), dtype=np.uint8)
-        cont = np.ones((60, 60), dtype=np.uint16)
         inst = np.ones((60, 60), dtype=np.uint16)
         cfg_no = ParserConfig(target_size=32, crop_probability=0.0, crop_sizes=(16,))
         cfg_yes = ParserConfig(target_size=32, crop_probability=1.0, crop_sizes=(16,))
-        s_no, _ = parse(make_entry(rgb, cont, inst), cfg_no, rng_seed=7)
-        s_yes, _ = parse(make_entry(rgb, cont, inst), cfg_yes, rng_seed=7)
+        s_no, _ = parse(make_entry(rgb, inst), cfg_no, rng_seed=7)
+        s_yes, _ = parse(make_entry(rgb, inst), cfg_yes, rng_seed=7)
         assert not np.array_equal(s_no.image.data, s_yes.image.data)
 
     def test_valid_mask_coverage_matches_geometry(self):
@@ -123,10 +153,9 @@ class TestParseGeometry:
             h = int(rng.integers(20, 90))
             w = int(rng.integers(20, 90))
             rgb = rng.integers(0, 255, size=(h, w, 3), dtype=np.uint8)
-            cont = np.ones((h, w), dtype=np.uint16)
             inst = np.ones((h, w), dtype=np.uint16)
             cfg = ParserConfig(target_size=64, crop_probability=0.0)
-            sample, _ = parse(make_entry(rgb, cont, inst), cfg, rng_seed=seed)
+            sample, _ = parse(make_entry(rgb, inst), cfg, rng_seed=seed)
             scale = 64 / max(h, w)
             exp_h = 64 if h >= w else max(1, round(h * scale))
             exp_w = 64 if w >= h else max(1, round(w * scale))
@@ -139,10 +168,9 @@ class TestTargetInvariants:
     def test_union_of_masks_equals_instance_pixels(self):
         rng = np.random.default_rng(5)
         inst = rng.integers(0, 5, size=(40, 40)).astype(np.uint16)
-        cont = np.where(inst > 0, ((inst - 1) % 3) + 1, 0).astype(np.uint16)
         rgb = np.zeros((40, 40, 3), dtype=np.uint8)
         cfg = ParserConfig(target_size=40, crop_probability=0.0)
-        sample, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
+        sample, targets = parse(make_entry(rgb, inst, [0, 1, 2, 3, 1]), cfg, rng_seed=0)
         expected = sample.valid_mask & (inst[2::4, 2::4] != 0)
         assert np.array_equal(targets.ids != 0, expected)
 
@@ -151,9 +179,8 @@ class TestTargetInvariants:
         inst = np.zeros((32, 32), dtype=np.uint16)
         inst[31, 31] = 2        # single pixel that vanishes after 4x downscale
         inst[:16, :16] = 1
-        cont = np.where(inst > 0, 1, 0).astype(np.uint16)
         cfg = ParserConfig(target_size=8, crop_probability=0.0)
-        _, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
+        _, targets = parse(make_entry(rgb, inst, [0, 1, 1]), cfg, rng_seed=0)
         assert targets.labels == [1]
         assert targets.dropped == 1
 
@@ -164,9 +191,8 @@ class TestTargetInvariants:
         inst = np.zeros((8, 8), dtype=np.uint16)
         inst[7, 7] = 2
         inst[:4, :4] = 1
-        cont = np.where(inst > 0, inst, 0).astype(np.uint16)
         cfg = ParserConfig(target_size=8, crop_probability=0.0)
-        _, targets = parse(make_entry(rgb, cont, inst), cfg, rng_seed=0)
+        _, targets = parse(make_entry(rgb, inst), cfg, rng_seed=0)
         assert targets.labels == [1, 2] and targets.dropped == 0
         assert np.array_equal(targets.ids, [[1, 0], [0, 0]])
         assert targets.empty == 1
@@ -176,7 +202,7 @@ class TestTargetInvariants:
         inst = np.ones((8, 8), dtype=np.uint16)
         cfg = ParserConfig(target_size=10, crop_probability=0.0)
         with pytest.raises(pipeline.PipelineError, match="10"):
-            parse(make_entry(rgb, inst, inst), cfg, rng_seed=0)
+            parse(make_entry(rgb, inst), cfg, rng_seed=0)
 
     def test_nearest_index_identity(self):
         for n in (1, 2, 3, 7, 64, 640):
@@ -187,8 +213,7 @@ class TestTargetInvariants:
         rng = np.random.default_rng(6)
         rgb = rng.integers(0, 255, size=(480, 640, 3), dtype=np.uint8)
         inst = rng.integers(0, 9, size=(480, 640)).astype(np.uint16)
-        cont = np.where(inst > 0, inst % 4 + 1, 0).astype(np.uint16)
-        entry = make_entry(rgb, cont, inst)
+        entry = make_entry(rgb, inst, [0, *(np.arange(1, 9) % 4 + 1)])
         cfg = ParserConfig(target_size=640, crop_probability=crop)
         tracemalloc.start()
         try:
@@ -205,9 +230,8 @@ class TestBatch:
         inst = np.zeros((size, size), dtype=np.uint16)
         for i in range(n_targets):
             inst[i, :] = i + 1
-        cont = np.where(inst > 0, 1, 0).astype(np.uint16)
         cfg = ParserConfig(target_size=size, crop_probability=0.0)
-        return parse(make_entry(rgb, cont, inst, image_id), cfg, rng_seed=0)
+        return parse(make_entry(rgb, inst, [0] + [1] * n_targets, image_id), cfg, rng_seed=0)
 
     def test_stacks_along_batch_axis(self):
         s1, t1 = self._sample(16, 0)
@@ -250,13 +274,13 @@ def reference_downsample(mask, factor):
     return reference_resize(mask, h // factor, w // factor)
 
 
-def reference_targets(contiguous_mask, instance_mask, valid_mask, source_count):
+def reference_targets(classes, instance_mask, valid_mask, source_count):
     """Targets built at full resolution, one per distinct instance in the valid region."""
     masks, labels = [], []
     region = valid_mask & (instance_mask != 0)
     for iid in np.unique(instance_mask[region]):
         m = (instance_mask == iid) & valid_mask
-        label = int(contiguous_mask[m][0])
+        label = int(classes[iid])
         if label == 0:
             continue
         masks.append(m.astype(np.uint8))
@@ -265,11 +289,10 @@ def reference_targets(contiguous_mask, instance_mask, valid_mask, source_count):
 
 
 def random_record(rng):
-    """A record whose rgb carries (instance, class, 255) per pixel.
+    """A record whose rgb carries (instance, 0, 255) per pixel, with its class table.
 
     Instances are rectangles from one pixel up to half the image, some of
-    class 0; about one pixel in eight of an instance has another class, so
-    the first-pixel label rule is exercised.
+    class 0, and some covered by later ones.
     """
     h, w = int(rng.integers(12, 90)), int(rng.integers(12, 90))
     inst = np.zeros((h, w), dtype=np.uint16)
@@ -277,11 +300,10 @@ def random_record(rng):
         rh, rw = int(rng.integers(1, h // 2 + 1)), int(rng.integers(1, w // 2 + 1))
         top, left = int(rng.integers(0, h - rh + 1)), int(rng.integers(0, w - rw + 1))
         inst[top:top + rh, left:left + rw] = iid
-    lut = rng.integers(0, 5, size=9).astype(np.uint16)
-    cont = np.where(rng.random((h, w)) < 0.125, rng.integers(0, 5, (h, w)), lut[inst])
-    cont = np.where(inst > 0, cont, 0).astype(np.uint16)
-    rgb = np.stack([inst, cont, np.full_like(inst, 255)], axis=-1).astype(np.uint8)
-    return make_entry(rgb, cont, inst), inst
+    classes = rng.integers(0, 5, size=9)
+    classes[0] = 0
+    rgb = np.stack([inst, np.zeros_like(inst), np.full_like(inst, 255)], axis=-1)
+    return make_entry(rgb, inst, classes), inst, classes
 
 
 def test_parse_matches_full_resolution_targets_downsampled():
@@ -289,7 +311,7 @@ def test_parse_matches_full_resolution_targets_downsampled():
     vanished = 0
     for crop in (0.0, 1.0):
         for seed in range(60):
-            entry, inst = random_record(rng)
+            entry, inst, classes = random_record(rng)
             cfg = ParserConfig(target_size=int(rng.choice([32, 48, 64])), crop_probability=crop,
                                crop_sizes=(16, 24, 40))
             sample, targets = parse(entry, cfg, rng_seed=seed)
@@ -298,9 +320,9 @@ def test_parse_matches_full_resolution_targets_downsampled():
             rgb = np.rint((sample.image.data[0] * np.asarray(cfg.std, np.float32)
                            + np.asarray(cfg.mean, np.float32)) * 255.0).astype(np.int64)
             valid = rgb[..., 2] == 255
-            full_inst, full_cont = np.where(valid, rgb[..., 0], 0), np.where(valid, rgb[..., 1], 0)
+            full_inst = np.where(valid, rgb[..., 0], 0)
             source = int(np.count_nonzero(np.bincount(inst.reshape(-1))[1:]))
-            masks, labels, dropped = reference_targets(full_cont, full_inst, valid, source)
+            masks, labels, dropped = reference_targets(classes, full_inst, valid, source)
 
             small = [reference_downsample(m, 4) for m in masks]
             assert targets.labels == labels and targets.dropped == dropped
@@ -318,7 +340,7 @@ def test_target_ids_are_labelled_and_zero_off_the_valid_mask(crop):
     rng = np.random.default_rng(21)
     padded = 0
     for seed in range(60):
-        entry, _ = random_record(rng)
+        entry, *_ = random_record(rng)
         cfg = ParserConfig(target_size=int(rng.choice([32, 48, 64])), crop_probability=crop,
                            crop_sizes=(16, 24, 40))
         sample, targets = parse(entry, cfg, rng_seed=seed)
@@ -340,3 +362,12 @@ def test_only_pipeline_resamples_to_mask_resolution():
         if path.name != "verify.py":
             assert "MASK_STRIDE" not in text, path.name
             assert not re.search(r"shape\[[^\]]*\]\s*//", text), path.name
+
+
+def test_only_pipeline_names_sample_keys():
+    """The sample schema has one home: no other module names a sample record's key."""
+    src = Path(pipeline.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "pipeline.py":
+            text = path.read_text()
+            assert not any(key in text for key in pipeline.SAMPLE_KEYS), path.name

@@ -17,7 +17,7 @@ from setseg import synth, tensor, trainer
 from setseg.config import RunConfig, load_config
 from setseg.matcher import NanCostError
 from setseg.model import MaskClassificationModel, save_checkpoint
-from setseg.pipeline import PipelineError
+from setseg.pipeline import PipelineError, decode_entry
 from setseg.records import load_manifest
 from setseg.trainer import (
     STAGES, TrainError, evaluate, ingest, load_entries, profile, run_steps, train,
@@ -74,8 +74,10 @@ class TestIngest:
         assert ss.class_mapping == {7: 1, 21: 2, 33: 3, 90: 4}
         entries = load_entries(shard_dir)
         assert len(entries) == 10
-        cont = np.frombuffer(entries[0]["segmentation/contiguous_mask"], dtype="<u2")
-        assert cont.max() <= 4
+        for entry in entries:
+            _, inst, classes, _ = decode_entry(entry)
+            assert classes.max() <= 4 and classes[0] == 0
+            assert set(classes[np.unique(inst)[1:]]) <= {1, 2, 3, 4}
 
     def test_unknown_class_id_is_hard_error(self, tmp_path):
         ann = synth.synth(3, tmp_path / "raw", seed=5)
@@ -153,8 +155,7 @@ class TestTrain:
         for name in fresh.params:
             assert np.array_equal(fresh.params[name].data, loaded.params[name].data), name
 
-    @pytest.mark.filterwarnings("ignore:invalid value")
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_loss_aborts_with_batch_id(self, shard_dir, tmp_path):
         cfg = toy_run_config(learning_rate=1e18, grad_clip_norm=0.0, steps=30)
         with pytest.raises(TrainError) as err:

@@ -1,13 +1,14 @@
-"""Mutation sensitivity of ``verify``'s gradient suite.
+"""Mutation sensitivity of ``verify``'s gradient and record round-trip suites.
 
-Each mutant scales one input grad of one tensor op's recorded backward (by
-2, or by 1.01 for attention's q and k), so the model that trains gets a
-wrong gradient; the gradient suite must fail.
+Each gradient mutant scales one input grad of one tensor op's recorded
+backward (by 2, or by 1.01 for attention's q and k), so the model that
+trains gets a wrong gradient; the gradient suite must fail.
 """
 
+import numpy as np
 import pytest
 
-from setseg import tensor as T, trainer, verify
+from setseg import records, tensor as T, trainer, verify
 from setseg.cli import main
 from setseg.config import RunConfig
 
@@ -76,3 +77,21 @@ def test_gradient_suite_differentiates_train_step(monkeypatch):
     monkeypatch.setattr(trainer, "train_step", counted)
     assert verify.check_gradients(RunConfig()).passed
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("key", ["image/encoded", "segmentation/instance_mask",
+                                 "segmentation/instance_classes"])
+def test_a_value_changed_on_read_fails_record_roundtrip(monkeypatch, key):
+    read_shards = records.read_shards
+
+    def mutant(shard_set):
+        for i, entry in enumerate(read_shards(shard_set)):
+            if i == 5:   # flip the lowest bit of the value's first element
+                value = entry[key]
+                entry[key] = (bytes([value[0] ^ 1]) + value[1:] if isinstance(value, bytes)
+                              else value ^ np.eye(1, len(value), dtype=value.dtype)[0])
+            yield entry
+
+    monkeypatch.setattr(records, "read_shards", mutant)
+    result = verify.check_record_roundtrip(RunConfig())
+    assert not result.passed, result.line()
